@@ -50,7 +50,7 @@ def main():
         )
     print(f"  fitted decay slope {run.decay_slope:.4f} vs log(delta) {np.log(args.delta):.4f}")
 
-    sol = solve_sare(sys_, seed=args.seed)
+    sol = solve_sare(sys_)
     if isinstance(sol, NotSolvable):
         print("Riccati route: not solvable")
         return

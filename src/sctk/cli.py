@@ -258,7 +258,7 @@ def _cmd_stability(cfg: RunConfig):
 
 
 def _cmd_riccati(cfg: RunConfig):
-    sol = solve_sare(cfg.system, seed=cfg.seed)
+    sol = solve_sare(cfg.system)
     if isinstance(sol, NotSolvable):
         payload = {"solvable": False, "reason": sol.reason, "diagnostics": sol.diagnostics}
         return payload, "riccati: NotSolvable"
@@ -429,7 +429,7 @@ def _cmd_stabilize(cfg: RunConfig, out_dir):
         "total_energy": run.total_energy,
         "total_energy_se": run.total_energy_se,
     }
-    sol = solve_sare(cfg.system, seed=cfg.seed)
+    sol = solve_sare(cfg.system)
     if not isinstance(sol, NotSolvable):
         fb = run_riccati_feedback(cfg.system, sol.F, cfg.x0)
         payload["feedback_comparison"] = {
@@ -451,7 +451,6 @@ def _cmd_equivalence(cfg: RunConfig):
         cfg.delta_grid,
         horizon_K=cfg.horizon.K,
         driver=cfg.driver,
-        seed=cfg.seed,
     )
     payload = {
         "riccati_solvable": rep.riccati_solvable,
