@@ -10,22 +10,31 @@ per leaf) the backward recursion defines three quadratic forms
 and the delta-observability inequality M0 <= c Q + delta N.  The optimal
 constant is
 
-    c_opt(delta) = inf { c >= 0 : M0 - delta N <= c Q },
+    c_opt(delta) = inf { c >= 0 : M0 - delta N <= c Q }.
 
-computed by restricting to the kernel/range split of Q: if M0 - delta N
-has a positive eigenvalue on the numerical kernel of Q the inequality is
-infeasible (c_opt = inf); otherwise c_opt is the largest generalized
-eigenvalue of (M0 - delta N, Q) on the range of Q, clamped at zero.
+delta > 0: backward Riccati recursion.  By convex duality on the tree,
 
-Representation.  M0 is stored through its factor S0 (the n x (n L) map
-y1 -> y(0)), Q through the sparse factor F whose rows are the per-node
-output maps scaled by sqrt(dt * path probability), so Q = F^T F, and N
-through its diagonal.  All spectral work happens on the r x r Gram
-matrix F~ F~^T (r = m * number of internal nodes) in probability-weighted
-coordinates; this is the same kernel/range computation as the dense
-algorithm without ever forming the (nL) x (nL) matrices.  Dense M0 / Q /
-N views remain available behind a size guard, and tests cross-check the
-factored path against a literal dense implementation.
+    sup_y1 [2<x0, y(0)> - c ||z||^2 - delta E|y1|^2]
+        = min_u ||u||^2 / c + E|x_T|^2 / delta = x0^T P_0(c) x0,
+
+so (c, delta) is valid iff lambda_max(P_0(c)) <= 1.  Every node of a tree
+carries the same branch template, so P_0(c) comes from K steps of an
+n x n recursion summed over the b branches (no moment matching is
+assumed), and c_opt is found by brentq on log c.  c_opt = inf iff the
+c = inf limit of the recursion, started from P_K = I, ends with
+lambda_max above delta.
+
+delta = 0: Gram path.  c_opt is infinite iff the system is not exactly
+null controllable on the tree, which a subspace recursion with relative
+rank tests decides; otherwise c_opt is the largest eigenvalue of the
+initial-value map on the range of Q.  Q is stored through the sparse
+factor F whose rows are the per-node output maps scaled by
+sqrt(dt * path probability), so Q = F^T F, M0 through its factor S0
+(the n x (n L) map y1 -> y(0)) and N through its diagonal; the spectral
+work happens on the r x r Gram matrix F~ F~^T (r = m * number of internal
+nodes) in probability-weighted coordinates.  Dense M0 / Q / N views
+remain available behind a size guard, and tests cross-check both paths
+against a literal dense implementation.
 """
 
 from __future__ import annotations
@@ -45,7 +54,6 @@ from .trees import NoiseTree, TreeDriver, build_tree
 DEFAULT_MAX_GRAM_DIM = 4000
 DEFAULT_MAX_DENSE_DIM = 3000
 _SPARSE_FASTPATH_MIN = 1500  # gram size above which the delta=0 path uses splu
-_SECULAR_MIN = 800  # pencil size above which the diagonal+low-rank solver is used
 _KERNEL_RTOL = 1e-9
 
 
@@ -64,6 +72,10 @@ class ObservabilityForms:
     S0: np.ndarray = field(repr=False)  # (n, nL)
     F: sp.csr_matrix = field(repr=False)  # (r, nL), rows sqrt(dt*pi_v)-scaled
     max_dense_dim: int = DEFAULT_MAX_DENSE_DIM
+    # system and branch template; None on synthetic forms
+    system: StochasticSystem = field(default=None, repr=False)
+    branch_increments: np.ndarray = field(default=None, repr=False)  # (b, d)
+    branch_probs: np.ndarray = field(default=None, repr=False)  # (b,)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -236,6 +248,9 @@ def assemble_forms(
         S0=Smap[0],
         F=F,
         max_dense_dim=max_dense_dim,
+        system=sys,
+        branch_increments=xi,
+        branch_probs=probs,
     )
 
 
@@ -272,29 +287,95 @@ def _lam_max(sym_mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (sym_mat + sym_mat.T))[-1])
 
 
-def _secular_lam_max(W: np.ndarray, dneg: np.ndarray) -> float:
-    """Largest eigenvalue of W W^T + diag(dneg) with dneg < 0, W (r x n).
+def _branch_maps(forms: ObservabilityForms) -> np.ndarray:
+    """One-step maps M_j = [I + dt A + sum_i xi_ji C_i, dt B + sum_i xi_ji D_i].
 
-    Eigenvalues above max(dneg) are roots of
-    lambda_max( W^T diag(1/(lam - dneg)) W ) = 1, strictly decreasing in
-    lam; if no root exists above zero the caller only needs the sign.
+    Shape (b, n, n + m): on branch j the Euler step is x' = M_j [x; u].
     """
-    if W.size == 0 or not W.any():
-        return float(dneg.max())
-    top = float(dneg.max())
-    ub = _lam_max(W.T @ W) + top
+    if "branch_maps" not in forms._cache:
+        sys_ = forms.system
+        if sys_ is None:
+            raise ValueError(
+                "synthetic forms carry no system or branch template; "
+                "delta > 0 needs forms from assemble_forms"
+            )
+        dt, xi = forms.delta_t, forms.branch_increments
+        drift = np.hstack([np.eye(sys_.n) + dt * sys_.A, dt * sys_.B])
+        maps = np.repeat(drift[None], xi.shape[0], axis=0)
+        for i in range(sys_.d):
+            maps += xi[:, i, None, None] * np.hstack([sys_.C[i], sys_.D[i]])
+        forms._cache["branch_maps"] = maps
+    return forms._cache["branch_maps"]
 
-    def g(lam):
-        M = W.T @ (W / (lam - dneg)[:, None])
-        return _lam_max(M) - 1.0
 
-    if ub <= 0:
-        return ub  # negative upper bound: sign is all that matters
-    lo = max(top + 1e-300, 0.0)
-    glo = g(lo) if lo > top else np.inf
-    if glo <= 0:
-        return lo  # no root above lo; lam_max <= lo
-    return float(brentq(g, lo, ub, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, rank_rtol: float):
+    """P_0 of min_u ||u||^2 / c + p_terminal E|x_T|^2 on the tree.
+
+    ||u||^2 = dt sum_k E|u_k|^2.  Each step sums H = sum_j p_j M_j^T P M_j
+    over the branches, adds (dt / c) I to H_uu and takes the Schur
+    complement P = H_xx - H_ux^T H_uu^{-1} H_ux.  c = 0 means u = 0 and
+    c = inf drops the control cost, with the pseudo-inverse of H_uu;
+    eigenvalues of H_uu below rank_rtol times the largest count as kernel.
+    """
+    maps = _branch_maps(forms)
+    n = forms.n
+    reg = math.inf if c == 0 else forms.delta_t / c
+    P = p_terminal * np.eye(n)
+    for _ in range(forms.K):
+        H = np.einsum("j,jak,jal->kl", forms.branch_probs, maps, P @ maps)
+        if math.isinf(reg):
+            P = H[:n, :n]
+        else:
+            w, V = np.linalg.eigh(H[n:, n:])
+            w = np.clip(w, 0.0, None) + reg
+            keep = w > rank_rtol * w[-1]
+            R = (V[:, keep].T @ H[n:, :n]) / np.sqrt(w[keep])[:, None]
+            P = H[:n, :n] - R.T @ R
+        P = 0.5 * (P + P.T)
+    return P
+
+
+def _null_controllable(forms: ObservabilityForms, rank_rtol: float) -> bool:
+    """True iff every initial state is steered to 0 on every leaf.
+
+    V_K = {0} and V_k = {x : some u has M_j [x; u] in V_{k+1} on every
+    branch j}.  The V_k grow as k falls, so the recursion stops at the
+    first step that adds no dimension; the answer is V_0 = R^n.  Singular
+    values below rank_rtol times the largest count as zero; the x-parts of
+    the orthonormal null basis are tested against its unit scale.
+    """
+    maps = _branch_maps(forms)
+    n = forms.n
+    V = np.zeros((n, 0))
+    for _ in range(forms.K):
+        stack = ((np.eye(n) - V @ V.T) @ maps).reshape(-1, maps.shape[2])
+        _, s, Vt = np.linalg.svd(stack)
+        rank = int(np.sum(s > rank_rtol * s[0])) if s.size else 0
+        X = Vt[rank:, :n].T  # x-parts of the null space of the stack
+        if X.shape[1] == 0:
+            break
+        Ux, sx, _ = np.linalg.svd(X, full_matrices=False)
+        grown = Ux[:, sx > rank_rtol]
+        if grown.shape[1] == V.shape[1]:
+            break
+        V = grown
+    return V.shape[1] == n
+
+
+def _range_split(forms: ObservabilityForms, rank_rtol: float):
+    """Split the weighted initial-value map along range/kernel of Q.
+
+    Returns (evals, basis, Y, lam_max_Q): the Gram eigenvalues counted as
+    range (above rank_rtol * lambda_max), their eigenvectors, and
+    Y = V_R^T Gt^T, the (rank, n) range component.
+    """
+    Gt, Ft = forms._weighted()
+    evals, U = forms._gram_eig()
+    lam_max_Q = float(evals[-1]) if evals.size else 0.0
+    pos = evals > rank_rtol * lam_max_Q if lam_max_Q > 0 else np.zeros(evals.shape, bool)
+    sig = np.sqrt(evals[pos])
+    Y = (U[:, pos].T @ (Ft @ Gt.T)) / sig[:, None]
+    return evals[pos], U[:, pos], Y, lam_max_Q
 
 
 def optimal_constant(
@@ -302,130 +383,116 @@ def optimal_constant(
 ) -> ObservabilityReport:
     """Optimal constant c_opt(delta) = inf{c >= 0 : M0 <= c Q + delta N}.
 
-    Split along the kernel/range decomposition of the weighted Q
-    (eigenvalues below rank_rtol * lambda_max count as kernel) the PSD
-    constraint reads, with Y the range component and kermat the n x n
-    kernel energy G~ P_K G~^T of the initial-value map,
+    delta > 0 needs tree forms (synthetic ones raise ValueError) and uses
+    the backward Riccati recursion: c_opt = inf{c : lambda_max(P_0(c)) <= 1},
+    bracketed on log c and closed by brentq.  The feasible end of the final
+    bracket is returned, so is_delta_observable(forms, delta, c_opt) holds
+    by construction.  c_opt = inf when lam_kernel, lambda_max of the
+    c = inf recursion started from P_K = I, exceeds delta.  Diagnostics:
+    method "riccati" and lam_kernel.
 
-        [ c Lam + delta I - Y Y^T      -Y G2      ]
-        [        -G2^T Y^T        delta I - G2^T G2 ]  >= 0,
-
-    G2 G2^T = kermat.  Infeasible when lambda_max(kermat) > delta.
-    Otherwise, taking the Schur complement of the kernel block couples the
-    two halves and gives the exact infimum
-
-        c_opt = max(0, lambda_max( Lam^{-1/2} [Y (I - kermat/delta)^{-1} Y^T
-                                    - delta I] Lam^{-1/2} )),
-
-    which reduces to the plain range pencil when the kernel energy
-    vanishes (in particular for delta = 0, where the kernel test already
-    forces kermat ~ 0).
+    delta = 0 uses the Gram path.  c_opt = inf iff the system is not
+    exactly null controllable on the tree, and then no Gram eigensolve
+    runs; otherwise, with Lam and Y the range eigenvalues and range
+    component of the weighted Q (eigenvalues below rank_rtol * lambda_max
+    count as kernel), c_opt = lambda_max(Y^T Lam^{-1} Y).  Above
+    _SPARSE_FASTPATH_MIN Gram rows, shifted sparse solves replace the
+    dense eigensolve.  Synthetic forms have no tree, so there the kernel
+    energy of the initial-value map, lambda_max(G G^T - Y^T Y), decides
+    against a 1e-9 relative tolerance.  Diagnostics: null_controllable,
+    lam_kernel and, on the Gram path, rank_Q and lam_max_Q or the sparse
+    method.
     """
     if not (0.0 <= delta < 1.0):
         raise ValueError(f"delta must be in [0, 1), got {delta}")
-    Gt, Ft = forms._weighted()
-    GG = Gt @ Gt.T
-    scale = max(1.0, _lam_max(GG))
-    ker_tol = _KERNEL_RTOL * scale
-    diagnostics: dict = {}
-
-    r = forms.gram_dim
-    if r == 0 or Ft.nnz == 0 or not np.any(Ft.data):
-        lam_ker = _lam_max(GG)
-        observable = lam_ker <= delta + ker_tol
-        c_opt = 0.0 if observable else math.inf
-        return ObservabilityReport(
-            delta=delta,
-            T=forms.T,
-            c_opt=c_opt,
-            observable=observable,
-            diagnostics={"lam_kernel": lam_ker, "rank_Q": 0},
-        )
-
-    bmat = (Ft @ Gt.T) if Gt.size else np.zeros((r, 0))
-
-    if delta == 0.0 and r > _SPARSE_FASTPATH_MIN:
-        res = _copt_sparse_shifted(forms, GG, bmat, ker_tol)
-        if res is not None:
-            c_opt, lam_ker = res
-            return ObservabilityReport(
-                delta=delta,
-                T=forms.T,
-                c_opt=c_opt,
-                observable=math.isfinite(c_opt),
-                diagnostics={"lam_kernel": lam_ker, "method": "sparse"},
-            )
-        diagnostics["sparse_fallback"] = True
-
-    evals, U = forms._gram_eig()
-    lam_max_Q = float(evals[-1]) if evals.size else 0.0
-    pos = evals > rank_rtol * lam_max_Q
-    rank = int(pos.sum())
-    diagnostics.update({"rank_Q": rank, "lam_max_Q": lam_max_Q})
-    sig = np.sqrt(evals[pos])
-    Y = (U[:, pos].T @ bmat) / sig[:, None]  # V_R^T Gt^T, (rank, n)
-    kermat = 0.5 * ((GG - Y.T @ Y) + (GG - Y.T @ Y).T)
-    lam_ker = _lam_max(kermat)
-    diagnostics["lam_kernel"] = lam_ker
-    if lam_ker > delta + ker_tol:
-        return ObservabilityReport(
-            delta=delta, T=forms.T, c_opt=math.inf, observable=False,
-            diagnostics=diagnostics,
-        )
-
-    if delta == 0.0:
-        W = Y / sig[:, None]
+    if delta > 0:
+        c_opt, diagnostics = _copt_riccati(forms, delta, rank_rtol)
     else:
-        kap, Vk = np.linalg.eigh(kermat)
-        kap = np.clip(kap, 0.0, None)
-        boundary = kap > delta - ker_tol
-        if boundary.any():
-            # kernel block singular in these directions: feasibility for
-            # finite c requires the cross term to vanish along them
-            if np.linalg.norm(Y @ Vk[:, boundary]) > np.sqrt(ker_tol * scale):
-                diagnostics["boundary_cross"] = True
-                return ObservabilityReport(
-                    delta=delta, T=forms.T, c_opt=math.inf, observable=False,
-                    diagnostics=diagnostics,
-                )
-        keep = ~boundary
-        factors = np.zeros_like(kap)
-        factors[keep] = 1.0 / np.sqrt(1.0 - kap[keep] / delta)
-        Mhalf = (Vk * factors[None, :]) @ Vk.T
-        W = (Y @ Mhalf) / sig[:, None]
-
-    if delta == 0.0:
-        lam = _lam_max(W.T @ W)
-    elif rank > _SECULAR_MIN:
-        lam = _secular_lam_max(W, -delta / evals[pos])
-        diagnostics["method"] = "secular"
-    else:
-        pencil = W @ W.T - delta * np.diag(1.0 / evals[pos])
-        lam = _lam_max(pencil)
-    c_opt = max(0.0, float(lam))
+        c_opt, diagnostics = _copt_null(forms, rank_rtol)
     return ObservabilityReport(
-        delta=delta, T=forms.T, c_opt=c_opt, observable=True,
+        delta=delta,
+        T=forms.T,
+        c_opt=c_opt,
+        observable=math.isfinite(c_opt),
         diagnostics=diagnostics,
     )
 
 
-def _copt_sparse_shifted(forms, GG, bmat, ker_tol):
+def _copt_riccati(forms, delta, rank_rtol):
+    lam_kernel = _lam_max(_lq_p0(forms, math.inf, 1.0, rank_rtol))
+    diagnostics = {"method": "riccati", "lam_kernel": lam_kernel}
+    if lam_kernel > delta:
+        return math.inf, diagnostics
+    if _lam_max(_lq_p0(forms, 0.0, 1.0 / delta, rank_rtol)) <= 1.0:
+        return 0.0, diagnostics
+    excess = {}  # log c -> lambda_max(P_0(c)) - 1, non-increasing
+
+    def f(s):
+        if s not in excess:
+            P0 = _lq_p0(forms, math.exp(s), 1.0 / delta, rank_rtol)
+            excess[s] = _lam_max(P0) - 1.0
+        return excess[s]
+
+    # exponential search for a sign change; beyond |log c| = 690 the
+    # control weight dt / c leaves the floating-point range
+    lo = hi = 0.0
+    step = 1.0
+    if f(0.0) > 0:
+        while f(hi) > 0:
+            if hi >= 690.0:
+                return math.inf, diagnostics
+            lo, hi, step = hi, min(hi + step, 690.0), 2 * step
+    else:
+        while f(lo) <= 0:
+            if lo <= -690.0:
+                return math.exp(lo), diagnostics
+            lo, hi, step = max(lo - step, -690.0), lo, 2 * step
+    brentq(f, lo, hi, xtol=1e-15)
+    return math.exp(min(s for s, v in excess.items() if v <= 0)), diagnostics
+
+
+def _copt_null(forms, rank_rtol):
+    Gt, Ft = forms._weighted()
+    if forms.system is None:
+        GG = Gt @ Gt.T
+        Y = _range_split(forms, rank_rtol)[2]
+        lam_kernel = _lam_max(GG - Y.T @ Y)
+        controllable = lam_kernel <= _KERNEL_RTOL * max(1.0, _lam_max(GG))
+    else:
+        lam_kernel = _lam_max(_lq_p0(forms, math.inf, 1.0, rank_rtol))
+        controllable = _null_controllable(forms, rank_rtol)
+    diagnostics = {"null_controllable": controllable, "lam_kernel": lam_kernel}
+    if not controllable:
+        return math.inf, diagnostics
+    if forms.gram_dim == 0 or not np.any(Ft.data):
+        return 0.0, diagnostics  # no output: null control makes M0 vanish
+    if forms.gram_dim > _SPARSE_FASTPATH_MIN:
+        c_opt = _copt_sparse_shifted(forms, Ft @ Gt.T)
+        if c_opt is not None:
+            diagnostics["method"] = "sparse"
+            return c_opt, diagnostics
+        diagnostics["sparse_fallback"] = True
+    evals, _, Y, lam_max_Q = _range_split(forms, rank_rtol)
+    diagnostics.update({"rank_Q": int(evals.size), "lam_max_Q": lam_max_Q})
+    W = Y / np.sqrt(evals)[:, None]
+    return max(0.0, _lam_max(W.T @ W)), diagnostics
+
+
+def _copt_sparse_shifted(forms, bmat):
     """delta = 0 fast path via shifted solves with Richardson control.
 
     b = F~ Gt^T always lies in range(Gram), so the shifted solutions
     w_mu = (Gram + mu I)^{-1} b converge to the pseudo-inverse solution
-    with O(mu) error; both target quantities are extrapolated from two
+    with O(mu) error; c_opt = lambda_max(w^T w) is extrapolated from two
     shifts and accepted only when the extrapolation step itself is small.
-    Returns (c_opt, lam_kernel) or None to request the dense path.
+    Returns c_opt or None to request the dense path.
     """
+    if not bmat.any():
+        return 0.0
     gram = forms._gram()
-    bscale = np.linalg.norm(bmat)
-    if bscale == 0:
-        lam_ker = _lam_max(GG)
-        return (0.0 if lam_ker <= ker_tol else math.inf), lam_ker
     lam_hi = spla.norm(gram, 1)
     ident = sp.identity(gram.shape[0], format="csc")
-    results = []
+    values = []
     for mu in (1e-10 * lam_hi, 2e-10 * lam_hi):
         try:
             lu = spla.splu((gram + mu * ident).tocsc())
@@ -434,42 +501,38 @@ def _copt_sparse_shifted(forms, GG, bmat, ker_tol):
         # sandwiching gram between the two shifted solves annihilates the
         # rounding-level kernel components of b that 1/mu would amplify
         w = lu.solve(gram @ lu.solve(bmat))
-        ker = GG - 0.5 * ((bmat.T @ w) + (w.T @ bmat))
-        results.append((_lam_max(w.T @ w), _lam_max(ker)))
-    (c1, k1), (c2, k2) = results
-    c_ext, k_ext = 2 * c1 - c2, 2 * k1 - k2
-    # first differences are the O(mu) bias; reject only when the bias is
-    # large enough to leave a non-negligible quadratic remainder
-    scale = max(1.0, _lam_max(GG))
-    if abs(c1 - c2) > 3e-6 * max(1.0, abs(c_ext)) or abs(k1 - k2) > 1e-6 * scale:
+        values.append(_lam_max(w.T @ w))
+    c1, c2 = values
+    c_ext = 2 * c1 - c2
+    # the first difference is the O(mu) bias; reject only when it is large
+    # enough to leave a non-negligible quadratic remainder
+    if abs(c1 - c2) > 3e-6 * max(1.0, abs(c_ext)):
         return None
-    if k_ext > ker_tol:
-        return math.inf, k_ext
-    return max(0.0, c_ext), k_ext
+    return max(0.0, c_ext)
 
 
 def is_delta_observable(
     forms: ObservabilityForms, delta: float, c: float, rank_rtol: float = 1e-10
 ) -> bool:
-    """True iff c Q + delta N - M0 is PSD up to a -1e-10 tolerance.
+    """True iff c Q + delta N - M0 is PSD up to a 1e-10 tolerance.
 
-    Evaluated on the subspace spanned by range(Q) and range(M0); on its
-    orthogonal complement the weighted matrix acts as delta times the
-    identity exactly, so nothing is lost by the restriction.
+    delta > 0 (tree forms only): lambda_max(P_0(c)) <= 1 + 1e-10 from the
+    recursion behind optimal_constant, where c = 0 means u = 0; c_opt
+    itself passes.  delta = 0: the smallest eigenvalue of c Q - M0 on the
+    subspace spanned by range(Q) and range(M0), which must be >= -1e-10
+    * max(1, c lambda_max(Q)); on the orthogonal complement the weighted
+    matrix vanishes, so nothing is lost by the restriction.
     """
     if not (0.0 <= delta < 1.0) or c < 0:
         raise ValueError("need delta in [0,1) and c >= 0")
+    if delta > 0:
+        P0 = _lq_p0(forms, c, 1.0 / delta, rank_rtol)
+        return _lam_max(P0) <= 1.0 + 1e-10
     Gt, Ft = forms._weighted()
-    evals, U = forms._gram_eig()
-    lam_max_Q = float(evals[-1]) if evals.size else 0.0
-    pos = evals > rank_rtol * lam_max_Q if lam_max_Q > 0 else np.zeros_like(evals, bool)
-    tol = 1e-10 * max(1.0, c * lam_max_Q + delta)
-
-    bmat = Ft @ Gt.T
-    sig = np.sqrt(evals[pos])
-    Y = (U[:, pos].T @ bmat) / sig[:, None]  # V_R^T Gt^T, (r, n)
-    r = int(pos.sum())
-    GKt = Gt.T - Ft.T @ (U[:, pos] @ (Y / sig[:, None]))  # P_K Gt^T, (nL, n)
+    evals, basis, Y, lam_max_Q = _range_split(forms, rank_rtol)
+    tol = 1e-10 * max(1.0, c * lam_max_Q)
+    sig = np.sqrt(evals)
+    GKt = Gt.T - Ft.T @ (basis @ (Y / sig[:, None]))  # P_K Gt^T, (nL, n)
     # orthonormal basis of the kernel-side part of range(M0); the threshold
     # is absolute (kernel-energy scale), so directions that are pure
     # cancellation noise -- and hence not inside kernel(Q) -- are dropped
@@ -479,15 +542,13 @@ def is_delta_observable(
         B2 = Ub[:, sb > np.sqrt(0.5 * _KERNEL_RTOL * scale)]
     else:
         B2 = np.zeros((forms.nL, 0))
-    n2 = B2.shape[1]
     G_B2 = Gt @ B2  # (n, n2)
-    top = c * np.diag(evals[pos]) + delta * np.eye(r) - Y @ Y.T
+    top = c * np.diag(evals) - Y @ Y.T
     cross = -Y @ G_B2
-    bottom = delta * np.eye(n2) - G_B2.T @ G_B2
-    R = np.block([[top, cross], [cross.T, bottom]])
-    lam_min = float(np.linalg.eigvalsh(0.5 * (R + R.T))[0]) if R.size else delta
-    if r + n2 < forms.nL:
-        lam_min = min(lam_min, delta)
+    R = np.block([[top, cross], [cross.T, -G_B2.T @ G_B2]])
+    lam_min = float(np.linalg.eigvalsh(0.5 * (R + R.T))[0]) if R.size else 0.0
+    if evals.size + B2.shape[1] < forms.nL:
+        lam_min = min(lam_min, 0.0)
     return lam_min >= -tol
 
 

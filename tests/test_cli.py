@@ -1,11 +1,14 @@
 import json
 import os
 import stat
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from sctk.cli import emit_corpus, load_config, main, parse_config
+import sctk
+from sctk.cli import COMMANDS, emit_corpus, load_config, main, parse_config
 from sctk.errors import InvalidConfig
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -204,3 +207,26 @@ class TestReproducibility:
             d2["report"], sort_keys=True
         )
         assert d1["meta"]["config_hash"] == d2["meta"]["config_hash"]
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "emit-corpus"])
+    def test_corpus_reports_validate(self, corpus_dir, tmp_path, command):
+        schema = json.loads(
+            (Path(sctk.__file__).parent / "report_schema.json").read_text()
+        )
+        validator = jsonschema.Draft7Validator(schema)
+        written = 0
+        for cfg in sorted(corpus_dir.glob("*.json")):
+            out = tmp_path / cfg.stem
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+            report = out / f"{command}_report.json"
+            # S3 has no valid constant, so only its control commands exit 1
+            needs_constant = command in ("synthesize", "stabilize")
+            assert code == (1 if cfg.stem == "s3" and needs_constant else 0)
+            if code == 0:
+                validator.validate(json.loads(report.read_text()))
+                written += 1
+            else:
+                assert not report.exists()
+        assert written == (4 if needs_constant else 5)

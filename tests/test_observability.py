@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sctk.observability as obs
 from sctk.observability import (
@@ -157,19 +159,76 @@ class TestOptimalConstant:
         assert sparse.c_opt == pytest.approx(dense.c_opt, rel=1e-9)
         assert sparse.c_opt == pytest.approx(1.0, abs=1e-10)
 
-    def test_secular_path_agrees_with_dense(self, monkeypatch, rng):
-        sys_ = random_system(rng, n_max=2, m_max=1, d_max=1)
-        tree = build_tree(TreeDriver.trinomial(), HorizonConfig(T=1.0, K=4), 1)
+    @pytest.mark.parametrize("name", ["S2", "S4"])
+    @pytest.mark.parametrize("K", [9, 10])
+    def test_delta0_without_exact_null_control_is_inf(self, corpus, name, K):
+        # S4's kernel energy is 6.3e-14 at K = 9 and 3.4e-16 at K = 10, far
+        # below the rounding of the Gram path; the subspace recursion decides
+        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=K), 1)
+        forms = assemble_forms(tree, corpus[name])
+        rep = optimal_constant(forms, 0.0)
+        assert not rep.observable and math.isinf(rep.c_opt)
+        assert rep.diagnostics["null_controllable"] is False
+        assert "gram_eig" not in forms._cache  # no Gram eigensolve ran
+
+    @pytest.mark.parametrize("name", ["M0", "S1"])
+    def test_delta0_null_controllable_gives_inverse_horizon(self, corpus, name):
+        for K in range(2, 12):
+            tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=K), 1)
+            rep = optimal_constant(assemble_forms(tree, corpus[name]), 0.0)
+            assert rep.diagnostics["null_controllable"] is True
+            assert rep.c_opt == pytest.approx(1.0, abs=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(
+            [TreeDriver.bernoulli(), TreeDriver.trinomial(), TreeDriver.quantized_gaussian(4)]
+        ),
+        st.integers(2, 4),
+        st.floats(0.05, 0.9),
+    )
+    def test_recursion_matches_dense_oracle(self, seed, driver, K, delta):
+        sys_ = random_system(np.random.default_rng(seed), n_max=3, m_max=2, d_max=2)
+        # the oracle's bisection runs dense eigensolves of size nL: keep
+        # nL <= 300 by lowering K, and skip draws where K = 2 is too big
+        b = driver.support.size ** sys_.d
+        while K > 2 and sys_.n * b**K > 300:
+            K -= 1
+        assume(sys_.n * b**K <= 300)
+        tree = build_tree(driver, HorizonConfig(T=1.0, K=K), sys_.d)
         forms = assemble_forms(tree, sys_)
-        base = optimal_constant(forms, 0.4)
-        monkeypatch.setattr(obs, "_SECULAR_MIN", 1)
-        forms_fresh = assemble_forms(tree, sys_)
-        sec = optimal_constant(forms_fresh, 0.4)
-        if math.isfinite(base.c_opt):
-            assert sec.diagnostics.get("method") == "secular"
-            assert sec.c_opt == pytest.approx(base.c_opt, rel=1e-9)
-        else:
-            assert math.isinf(sec.c_opt)
+        got = optimal_constant(forms, delta).c_opt
+        want = dense_copt_oracle(forms.M0, forms.Q, forms.N_diag, delta)
+        assert math.isinf(got) == math.isinf(want)
+        if math.isfinite(want):
+            assert got == pytest.approx(want, rel=1e-9)
+
+    def test_branch_sum_is_exact_on_unmatched_driver(self, corpus):
+        # mean 0 but variance 2: a recursion built on E xi xi^T = dt I would
+        # be wrong here, the sum over the branches is not
+        driver = TreeDriver("unmatched", [-1.0, 2.0], [2 / 3, 1 / 3])
+        for name in ("S2", "S4"):
+            tree = build_tree(driver, HorizonConfig(T=1.0, K=4), 1)
+            forms = assemble_forms(tree, corpus[name])
+            matched = assemble_forms(
+                build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=4), 1),
+                corpus[name],
+            )
+            for delta in (0.3, 0.6):
+                got = optimal_constant(forms, delta).c_opt
+                want = dense_copt_oracle(forms.M0, forms.Q, forms.N_diag, delta)
+                assert math.isfinite(want)
+                assert got == pytest.approx(want, rel=1e-9)
+                assert abs(got - optimal_constant(matched, delta).c_opt) > 1e-3 * got
+
+    def test_synthetic_forms_need_delta_zero(self):
+        nL = 4
+        forms = forms_from_matrices(np.zeros((nL, nL)), np.eye(nL), np.full(nL, 1 / nL))
+        with pytest.raises(ValueError, match="synthetic"):
+            optimal_constant(forms, 0.5)
+        with pytest.raises(ValueError, match="synthetic"):
+            is_delta_observable(forms, 0.5, 1.0)
 
 
 class TestIsDeltaObservable:
@@ -186,6 +245,26 @@ class TestIsDeltaObservable:
             checked += 1
             assert is_delta_observable(forms, delta, rep.c_opt * 1.01)
             assert not is_delta_observable(forms, delta, rep.c_opt * (1 - 1e-3))
+
+    def test_optimum_is_the_tight_feasible_constant(self, rng, corpus):
+        # cli._pick_constant hands c_opt to synthesize_control(check_constant=True)
+        cases = []
+        for name in ("S2", "S4"):
+            for K in (8, 9, 10):
+                tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=K), 1)
+                forms = assemble_forms(tree, corpus[name])
+                cases += [(forms, delta) for delta in (0.1, 0.5, 0.9)]
+        while len(cases) < 30:
+            sys_ = random_system(rng, n_max=3, m_max=2, d_max=2)
+            tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=3), sys_.d)
+            forms = assemble_forms(tree, sys_)
+            delta = float(rng.uniform(0.05, 0.9))
+            if 0 < optimal_constant(forms, delta).c_opt < math.inf:
+                cases.append((forms, delta))
+        for forms, delta in cases:
+            c_opt = optimal_constant(forms, delta).c_opt
+            assert is_delta_observable(forms, delta, c_opt)
+            assert not is_delta_observable(forms, delta, (1 - 1e-6) * c_opt)
 
     def test_generous_constant_is_accepted(self):
         tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=3), 1)
