@@ -1,9 +1,9 @@
 """Desk-scale toolkit for constant-coefficient stochastic control systems.
 
 Cross-verifies, on exact-duality noise trees, the chain connecting
-observability of the dual backward system, Gramian-based null-control
-synthesis, the stochastic algebraic Riccati equation, and mean-square
-feedback stabilization.
+observability of the dual backward system, null-control synthesis by
+Riccati feedback, the stochastic algebraic Riccati equation, and
+mean-square feedback stabilization.
 """
 
 __version__ = "0.1.0"
@@ -19,9 +19,7 @@ from .moments import (
 )
 from .nullcontrol import (
     ControlKernel,
-    GramianMatrix,
     SynthesisResult,
-    assemble_gramian,
     control_kernel,
     synthesize_control,
     verify_theorem_5_1,

@@ -28,7 +28,6 @@ from .errors import BudgetExceeded, InvalidConfig, NumericalFailure
 from .moments import build_generator, growth_constant_c0, spectral_abscissa
 from .nullcontrol import control_kernel, synthesize_control, verify_theorem_5_1
 from .observability import (
-    DEFAULT_MAX_DENSE_DIM,
     DEFAULT_MAX_GRAM_DIM,
     assemble_forms,
     invariance_experiment,
@@ -38,19 +37,6 @@ from .riccati import NotSolvable, lq_value, solve_sare
 from .stabilizer import equivalence_harness, run_piecewise, run_riccati_feedback
 from .systems import HorizonConfig, StochasticSystem, hautus_stabilizability, validate_system
 from .trees import DEFAULT_MAX_LEAVES, TreeDriver, build_tree, field_to_rows
-
-COMMANDS = (
-    "validate",
-    "stability",
-    "riccati",
-    "observe",
-    "invariance",
-    "synthesize",
-    "theorem51",
-    "stabilize",
-    "equivalence",
-    "emit-corpus",
-)
 
 _KNOWN_KEYS = {
     "name": str,
@@ -78,7 +64,6 @@ _KNOWN_KEYS = {
     "k_max": int,
     "max_leaves": int,
     "max_gram_dim": int,
-    "max_dense_dim": int,
 }
 
 
@@ -102,7 +87,6 @@ class RunConfig:
     k_max: int = 5
     max_leaves: int = DEFAULT_MAX_LEAVES
     max_gram_dim: int = DEFAULT_MAX_GRAM_DIM
-    max_dense_dim: int = DEFAULT_MAX_DENSE_DIM
 
 
 def _reshape(name, flat, rows, cols):
@@ -174,7 +158,6 @@ def parse_config(data: dict) -> RunConfig:
         k_max=int(data.get("k_max", 5)),
         max_leaves=_env_cap("SCTK_MAX_LEAVES", "max_leaves", DEFAULT_MAX_LEAVES),
         max_gram_dim=_env_cap("SCTK_MAX_GRAM_DIM", "max_gram_dim", DEFAULT_MAX_GRAM_DIM),
-        max_dense_dim=_env_cap("SCTK_MAX_DENSE_DIM", "max_dense_dim", DEFAULT_MAX_DENSE_DIM),
     )
 
 
@@ -276,9 +259,7 @@ def _cmd_riccati(cfg: RunConfig):
 
 def _build_forms(cfg: RunConfig):
     tree = build_tree(cfg.driver, cfg.horizon, cfg.system.d, cfg.max_leaves)
-    forms = assemble_forms(
-        tree, cfg.system, max_gram_dim=cfg.max_gram_dim, max_dense_dim=cfg.max_dense_dim
-    )
+    forms = assemble_forms(tree, cfg.system, max_gram_dim=cfg.max_gram_dim)
     return tree, forms
 
 
@@ -513,12 +494,27 @@ def emit_corpus(out_dir) -> list:
         raise NumericalFailure(f"corpus emission failed: {exc}") from exc
 
 
+# command -> (handler, whether it writes files into --out besides the report)
+_HANDLERS = {
+    "validate": (_cmd_validate, False),
+    "stability": (_cmd_stability, False),
+    "riccati": (_cmd_riccati, False),
+    "observe": (_cmd_observe, False),
+    "invariance": (_cmd_invariance, True),
+    "synthesize": (_cmd_synthesize, True),
+    "theorem51": (_cmd_theorem51, False),
+    "stabilize": (_cmd_stabilize, True),
+    "equivalence": (_cmd_equivalence, False),
+}
+COMMANDS = (*_HANDLERS, "emit-corpus")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sctk",
         description="Desk-scale analysis of constant-coefficient stochastic "
-        "control systems: observability constants, Gramian control "
-        "synthesis, Riccati feedback, and their equivalence.",
+        "control systems: observability constants, Riccati-feedback null "
+        "control synthesis, Riccati stabilization, and their equivalence.",
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="path to a JSON run configuration")
@@ -533,29 +529,12 @@ def main(argv=None) -> int:
         if not args.config:
             raise InvalidConfig(f"command {args.command!r} requires --config")
         cfg = load_config(args.config)
-        if args.command == "validate":
-            payload, line = _cmd_validate(cfg)
-        elif args.command == "stability":
-            payload, line = _cmd_stability(cfg)
-        elif args.command == "riccati":
-            payload, line = _cmd_riccati(cfg)
-        elif args.command == "observe":
-            payload, line = _cmd_observe(cfg)
-        elif args.command == "invariance":
+        handler, writes_files = _HANDLERS[args.command]
+        if writes_files:
             Path(args.out).mkdir(parents=True, exist_ok=True)
-            payload, line = _cmd_invariance(cfg, args.out)
-        elif args.command == "synthesize":
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            payload, line = _cmd_synthesize(cfg, args.out)
-        elif args.command == "theorem51":
-            payload, line = _cmd_theorem51(cfg)
-        elif args.command == "stabilize":
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            payload, line = _cmd_stabilize(cfg, args.out)
-        elif args.command == "equivalence":
-            payload, line = _cmd_equivalence(cfg)
-        else:  # pragma: no cover
-            raise InvalidConfig(f"unhandled command {args.command}")
+            payload, line = handler(cfg, args.out)
+        else:
+            payload, line = handler(cfg)
         write_report(args.out, args.command, cfg.raw, cfg.seed, payload)
         print(line)
         return 0

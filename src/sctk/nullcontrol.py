@@ -1,24 +1,21 @@
-"""Gramian-based synthesis of terminal-energy-shrinking controls.
+"""Synthesis of terminal-energy-shrinking controls by Riccati feedback.
 
-Given a valid observability pair (c, delta), the Gramian form
+Given a valid observability pair (c, delta), the control steering x_s
+toward zero is the optimum of
 
-    G = c Q + delta N
+    min_u ||u||^2 / c + E|x_T|^2 / delta,
 
-is positive definite on terminal-variable space (G >= delta N), and the
-control steering x_s toward zero is synthesized in three steps:
+the LQ problem whose backward Riccati recursion (observability._lq_p0)
+gives c_opt.  The same recursion returns per-step gains L_k, and the
+synthesis runs the closed-loop tree sweep u_k = L_k x_k from x_s.  The
+terminal variable is f = x_T / delta; by duality the optimum satisfies
 
-    f   = G^{-1} x(T; 0, x_s)      (solve in the probability-weighted
-                                    inner product: (cQ + dN) f' = N xi')
-    u_t = -c z_t(f)                (output of the backward solve at f)
-    x   = forward simulation under u.
+    u_t = -c z_t(f)                 (output of the backward solve at f)
+    ||u||^2 = c^2 dt sum_t E|z_t(f)|^2 = c^2 f^T Q f,
 
-Because the tree recursions are exact adjoints, the synthesis satisfies
-machine-checkable identities rather than asymptotic bounds:
-
-    x(T; u, x_s) = delta * f                    (leafwise)
-    ||u||^2      = c ( <G f, f> - delta E|f|^2 )
-
-and the quantitative bounds
+which the recursion does not use, so both are machine checks of the
+synthesis (tree recursions are exact adjoints), together with the
+quantitative bounds
 
     E|x(T)|^2 <= delta |x_s|^2,
     E|f|^2    <= (1/delta) |x_s|^2,
@@ -32,14 +29,18 @@ analogue, so a failure against it is a genuine failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import NumericalFailure
 from .moments import growth_constant_c0
-from .observability import ObservabilityForms, assemble_forms, is_delta_observable, optimal_constant
+from .observability import (
+    ObservabilityForms,
+    _lq_p0,
+    assemble_forms,
+    is_delta_observable,
+    optimal_constant,
+)
 from .systems import HorizonConfig, StochasticSystem
 from .trees import (
     AdaptedField,
@@ -48,55 +49,25 @@ from .trees import (
     build_tree,
     control_energy,
     control_pairing,
+    simulate_feedback,
     simulate_forward,
     solve_bsde,
     terminal_expectation_sq,
 )
 
 
-@dataclass
-class GramianMatrix:
-    """Factorized c Q + delta N with solves in the L^2 inner product."""
-
-    G_form: np.ndarray
-    c: float
-    delta: float
-    N_diag: np.ndarray
-    _cho: tuple = field(repr=False, default=None)
-
-    @classmethod
-    def build(cls, forms: ObservabilityForms, c: float, delta: float):
-        G = c * forms.Q + delta * np.diag(forms.N_diag)
-        try:
-            cho = cho_factor(G)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"Gramian factorization failed: {exc}") from exc
-        return cls(G_form=G, c=c, delta=delta, N_diag=forms.N_diag, _cho=cho)
-
-    def solve(self, xi_leaf: np.ndarray) -> np.ndarray:
-        """f with G f = xi in L^2: coordinates solve (cQ+dN) f' = N xi'."""
-        xi = np.asarray(xi_leaf, dtype=float)
-        shape = xi.shape
-        f = cho_solve(self._cho, self.N_diag * xi.ravel())
-        return f.reshape(shape)
-
-    def weighted_lambda_min(self) -> float:
-        """lambda_min of N^{-1/2} G N^{-1/2}; >= delta by construction."""
-        inv = 1.0 / np.sqrt(self.N_diag)
-        M = inv[:, None] * self.G_form * inv[None, :]
-        return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
-
-    def l2_pairing(self, f_leaf: np.ndarray, g_leaf: np.ndarray) -> float:
-        """<G f, g> in the L^2 inner product = f'^T (cQ + dN) g'."""
-        return float(np.asarray(f_leaf).ravel() @ self.G_form @ np.asarray(g_leaf).ravel())
-
-
-def assemble_gramian(forms: ObservabilityForms, c: float, delta: float) -> GramianMatrix:
+def _feedback_gains(forms: ObservabilityForms, c: float, delta: float) -> np.ndarray:
+    """Gains L_k, shape (K, m, n), of min ||u||^2 / c + E|x_T|^2 / delta."""
     if not c > 0:
         raise ValueError(f"need c > 0, got {c}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"need delta in (0, 1), got {delta}")
-    return GramianMatrix.build(forms, c, delta)
+    return _lq_p0(forms, c, 1.0 / delta, 1e-10, gains=True)[1]
+
+
+# perfbench/tracing.py looks this name up to time the synthesis solve; it
+# goes when the benchmark's tracer stops listing it
+assemble_gramian = _feedback_gains
 
 
 @dataclass(frozen=True)
@@ -127,25 +98,21 @@ def synthesize_control(
     c: float,
     delta: float,
     forms: ObservabilityForms,
-    gramian: GramianMatrix = None,
     c0: float = None,
     check_constant: bool = True,
 ) -> SynthesisResult:
-    """Build f, u_f and the controlled trajectory; verify every bound."""
+    """Build u, the controlled trajectory and f; verify every bound."""
     x_s = np.atleast_1d(np.asarray(x_s, dtype=float))
     if check_constant and not is_delta_observable(forms, delta, c):
         raise ValueError(
             f"(c={c}, delta={delta}) is not a valid observability pair for "
             "this tree/system: is_delta_observable returned False"
         )
-    if gramian is None:
-        gramian = assemble_gramian(forms, c, delta)
-    free = simulate_forward(tree, sys, x_s)
-    xi = free.terminal  # x(T; 0, x_s)
-    f = gramian.solve(xi)
+    gains = _feedback_gains(forms, c, delta)
+    ctrl, u = simulate_feedback(tree, sys, x_s, gains)
+    f = ctrl.terminal / delta
     bw = solve_bsde(tree, sys, f)
-    u = AdaptedField([-c * zk for zk in bw.z.values])
-    ctrl = simulate_forward(tree, sys, x_s, u)
+    xi = simulate_forward(tree, sys, x_s).terminal  # x(T; 0, x_s)
 
     xs2 = float(x_s @ x_s)
     e_u = control_energy(tree, u)
@@ -156,9 +123,10 @@ def synthesize_control(
         c0 = growth_constant_c0(sys, tree.T).c0
     tree_growth = e_free / xs2 if xs2 > 0 else 0.0
 
-    term_resid = float(np.abs(ctrl.terminal - delta * f).max()) if f.size else 0.0
-    gff = gramian.l2_pairing(f, f)
-    energy_resid = abs(e_u - c * (gff - delta * e_f))
+    term_resid = max(
+        float(np.abs(uk + c * zk).max()) for uk, zk in zip(u.values, bw.z.values)
+    )
+    energy_resid = abs(e_u - c**2 * forms.quad_Q(f.ravel()))
 
     tol = 1e-12
     bounds = {
@@ -199,13 +167,14 @@ def synthesize_control(
 
 @dataclass(frozen=True)
 class ControlKernel:
-    """Per-node m x n gains mapping interval-initial state to control.
+    """Per-step m x n feedback gains of the interval synthesis.
 
-    gains[k] has shape (b^k, m, n); applying the kernel to x_s reproduces
-    synthesize_control(x_s).u by linearity of the synthesis in x_s.
+    gains[k] has shape (m, n) and acts on the state at depth k of every
+    node: running u_k = gains[k] x_k along the tree from x_s reproduces
+    synthesize_control(x_s).u.
     """
 
-    gains: tuple  # length K
+    gains: np.ndarray  # (K, m, n)
     tree: NoiseTree
     c: float
     delta: float
@@ -213,12 +182,6 @@ class ControlKernel:
     @property
     def T(self) -> float:
         return self.tree.T
-
-    def control_field(self, x_s) -> AdaptedField:
-        x_s = np.atleast_1d(np.asarray(x_s, dtype=float))
-        return AdaptedField(
-            [np.einsum("pmn,n->pm", g, x_s) for g in self.gains]
-        )
 
 
 def control_kernel(
@@ -228,23 +191,15 @@ def control_kernel(
     delta: float,
     forms: ObservabilityForms,
 ) -> ControlKernel:
-    """Assemble the state-linear kernel from the n basis syntheses."""
+    """The Riccati feedback gains of a valid observability pair (c, delta)."""
     if not is_delta_observable(forms, delta, c):
         raise ValueError(
             f"(c={c}, delta={delta}) is not a valid observability pair: "
             "is_delta_observable returned False"
         )
-    gramian = assemble_gramian(forms, c, delta)
-    gains = [np.zeros((tree.b**k, sys.m, sys.n)) for k in range(tree.K)]
-    for i in range(sys.n):
-        e = np.zeros(sys.n)
-        e[i] = 1.0
-        res = synthesize_control(
-            tree, sys, e, c, delta, forms, gramian=gramian, check_constant=False
-        )
-        for k in range(tree.K):
-            gains[k][:, :, i] = res.u.values[k]
-    return ControlKernel(gains=tuple(gains), tree=tree, c=c, delta=delta)
+    return ControlKernel(
+        gains=_feedback_gains(forms, c, delta), tree=tree, c=c, delta=delta
+    )
 
 
 @dataclass(frozen=True)
@@ -317,7 +272,6 @@ def verify_theorem_5_1(
             applicable=False, delta=delta, T=tree.T, c_opt=rep.c_opt
         )
     c_used = c if c is not None else max(rep.c_opt, 1e-12)
-    gramian = assemble_gramian(forms, c_used, delta)
     c0 = growth_constant_c0(sys, tree.T).c0
     details = []
     controls = []
@@ -325,8 +279,7 @@ def verify_theorem_5_1(
         e = np.zeros(sys.n)
         e[i] = 1.0
         res = synthesize_control(
-            tree, sys, e, c_used, delta, forms,
-            gramian=gramian, c0=c0, check_constant=False,
+            tree, sys, e, c_used, delta, forms, c0=c0, check_constant=False
         )
         controls.append(res.u)
         details.append(

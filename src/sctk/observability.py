@@ -71,7 +71,6 @@ class ObservabilityForms:
     N_diag: np.ndarray = field(repr=False)
     S0: np.ndarray = field(repr=False)  # (n, nL)
     F: sp.csr_matrix = field(repr=False)  # (r, nL), rows sqrt(dt*pi_v)-scaled
-    max_dense_dim: int = DEFAULT_MAX_DENSE_DIM
     # system and branch template; None on synthetic forms
     system: StochasticSystem = field(default=None, repr=False)
     branch_increments: np.ndarray = field(default=None, repr=False)  # (b, d)
@@ -89,10 +88,10 @@ class ObservabilityForms:
     # -- dense views (guarded; small trees and diagnostics only) ----------
 
     def _check_dense(self):
-        if self.nL > self.max_dense_dim:
+        if self.nL > DEFAULT_MAX_DENSE_DIM:
             raise BudgetExceeded(
                 f"dense {self.nL} x {self.nL} form exceeds budget "
-                f"{self.max_dense_dim}"
+                f"{DEFAULT_MAX_DENSE_DIM}"
             )
 
     @property
@@ -168,7 +167,6 @@ def assemble_forms(
     tree: NoiseTree,
     sys: StochasticSystem,
     max_gram_dim: int = DEFAULT_MAX_GRAM_DIM,
-    max_dense_dim: int = DEFAULT_MAX_DENSE_DIM,
 ) -> ObservabilityForms:
     """Backward sweep over linear maps from leaf data to node values.
 
@@ -247,7 +245,6 @@ def assemble_forms(
         N_diag=np.repeat(tree.leaf_probs, n),
         S0=Smap[0],
         F=F,
-        max_dense_dim=max_dense_dim,
         system=sys,
         branch_increments=xi,
         branch_probs=probs,
@@ -277,7 +274,6 @@ def forms_from_matrices(M0, Q, N_diag, T: float = 1.0) -> ObservabilityForms:
         N_diag=N_diag,
         S0=S0,
         F=sp.csr_matrix(Fd),
-        max_dense_dim=max(nL, DEFAULT_MAX_DENSE_DIM),
     )
 
 
@@ -308,7 +304,13 @@ def _branch_maps(forms: ObservabilityForms) -> np.ndarray:
     return forms._cache["branch_maps"]
 
 
-def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, rank_rtol: float):
+def _lq_p0(
+    forms: ObservabilityForms,
+    c: float,
+    p_terminal: float,
+    rank_rtol: float,
+    gains: bool = False,
+):
     """P_0 of min_u ||u||^2 / c + p_terminal E|x_T|^2 on the tree.
 
     ||u||^2 = dt sum_k E|u_k|^2.  Each step sums H = sum_j p_j M_j^T P M_j
@@ -316,12 +318,15 @@ def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, rank_rtol: fl
     complement P = H_xx - H_ux^T H_uu^{-1} H_ux.  c = 0 means u = 0 and
     c = inf drops the control cost, with the pseudo-inverse of H_uu;
     eigenvalues of H_uu below rank_rtol times the largest count as kernel.
+    With gains=True, returns (P_0, L) where L[k] = -H_uu^+ H_ux, shape
+    (K, m, n), is the optimal feedback u_k = L[k] x_k at depth k.
     """
     maps = _branch_maps(forms)
     n = forms.n
     reg = math.inf if c == 0 else forms.delta_t / c
     P = p_terminal * np.eye(n)
-    for _ in range(forms.K):
+    L = np.zeros((forms.K, forms.m, n)) if gains else None
+    for k in range(forms.K - 1, -1, -1):
         H = np.einsum("j,jak,jal->kl", forms.branch_probs, maps, P @ maps)
         if math.isinf(reg):
             P = H[:n, :n]
@@ -329,10 +334,13 @@ def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, rank_rtol: fl
             w, V = np.linalg.eigh(H[n:, n:])
             w = np.clip(w, 0.0, None) + reg
             keep = w > rank_rtol * w[-1]
-            R = (V[:, keep].T @ H[n:, :n]) / np.sqrt(w[keep])[:, None]
+            root = np.sqrt(w[keep])[:, None]
+            R = (V[:, keep].T @ H[n:, :n]) / root
             P = H[:n, :n] - R.T @ R
+            if gains:
+                L[k] = -V[:, keep] @ (R / root)
         P = 0.5 * (P + P.T)
-    return P
+    return (P, L) if gains else P
 
 
 def _null_controllable(forms: ObservabilityForms, rank_rtol: float) -> bool:

@@ -224,11 +224,12 @@ def constant_control(tree: NoiseTree, value) -> AdaptedField:
     )
 
 
-def simulate_forward(
-    tree: NoiseTree, sys: StochasticSystem, x0, u: AdaptedField | None = None
-) -> AdaptedField:
-    """Euler step per branch:
+def _sweep(tree: NoiseTree, sys: StochasticSystem, x0, control):
+    """Forward Euler sweep; control(k, x_k) gives the depth-k controls or None.
+
+    Euler step per branch:
     x_child = x + dt (A x + B u) + sum_i (C_i x + D_i u) xi_i(child).
+    Returns the state layers and the control layers.
     """
     if sys.d != tree.d:
         raise InvalidConfig(f"system d={sys.d} != tree d={tree.d}")
@@ -236,9 +237,11 @@ def simulate_forward(
     dt = tree.delta_t
     xi = tree.branch_increments  # (b, d)
     layers = [np.tile(x0, (1, 1))]
+    controls = []
     for k in range(tree.K):
         xk = layers[k]
-        uk = u.values[k] if u is not None else None
+        uk = control(k, xk)
+        controls.append(uk)
         drift = xk + dt * (xk @ sys.A.T)
         if uk is not None:
             drift = drift + dt * (uk @ sys.B.T)
@@ -252,7 +255,28 @@ def simulate_forward(
         )
         child = drift[:, None, :] + np.einsum("dpn,jd->pjn", G, xi)
         layers.append(child.reshape(-1, sys.n))
+    return layers, controls
+
+
+def simulate_forward(
+    tree: NoiseTree, sys: StochasticSystem, x0, u: AdaptedField | None = None
+) -> AdaptedField:
+    """State field under the open-loop control u (None means u = 0)."""
+    layers, _ = _sweep(
+        tree, sys, x0, lambda k, xk: None if u is None else u.values[k]
+    )
     return AdaptedField(layers)
+
+
+def simulate_feedback(
+    tree: NoiseTree, sys: StochasticSystem, x0, gains
+) -> tuple[AdaptedField, AdaptedField]:
+    """State and control fields under the feedback u_k = gains[k] x_k.
+
+    gains has shape (K, m, n): one gain per depth, shared by its nodes.
+    """
+    layers, controls = _sweep(tree, sys, x0, lambda k, xk: xk @ gains[k].T)
+    return AdaptedField(layers), AdaptedField(controls)
 
 
 @dataclass(frozen=True)

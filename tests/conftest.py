@@ -5,6 +5,7 @@ import pytest
 
 from sctk.corpus import m0, s1, s2, s3, s4
 from sctk.systems import make_system
+from sctk.trees import simulate_forward, solve_bsde
 
 
 @pytest.fixture
@@ -71,3 +72,17 @@ def dense_copt_oracle(M0, Q, N_diag, delta, rank_rtol=1e-10):
         else:
             lo = mid
     return hi
+
+
+def dense_gram_control(tree, sys_, forms, x_s, c, delta):
+    """Reference synthesis through the dense Gramian c Q + delta N.
+
+    With xi = x(T; 0, x_s) in leaf-major coordinates, f solves
+    (c Q + delta N) f = N xi and the control is u = -c z(f), the optimum
+    of min ||u||^2 / c + E|x_T|^2 / delta written through the duality
+    x_T = delta f.  Dense solve of size nL; returns the control layers.
+    """
+    xi = simulate_forward(tree, sys_, x_s).terminal
+    f = np.linalg.solve(c * forms.Q + delta * forms.N, forms.N_diag * xi.ravel())
+    z = solve_bsde(tree, sys_, f.reshape(xi.shape)).z
+    return [-c * zk for zk in z.values]

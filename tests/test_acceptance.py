@@ -137,7 +137,7 @@ def test_c02_theorem51_forward_identity():
     _verdict(
         2,
         ok,
-        f"synthesis terminal field = delta*f (worst {worst_identity:.2e}), "
+        f"synthesis control u = -c z(f) (worst residual {worst_identity:.2e}), "
         f"{violations} bound violations on 20 observable instances",
         time.time() - t0,
         30,

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sctk.nullcontrol import (
-    assemble_gramian,
-    control_kernel,
-    synthesize_control,
-    verify_theorem_5_1,
-)
-from sctk.observability import assemble_forms, forms_from_matrices, optimal_constant
+from sctk.nullcontrol import control_kernel, synthesize_control, verify_theorem_5_1
+from sctk.observability import assemble_forms, optimal_constant
 from sctk.systems import HorizonConfig, make_system
-from sctk.trees import TreeDriver, build_tree
-from tests.conftest import random_system
+from sctk.trees import (
+    AdaptedField,
+    TreeDriver,
+    build_tree,
+    control_energy,
+    simulate_forward,
+    terminal_expectation_sq,
+)
+from tests.conftest import dense_gram_control, random_system
 
 
 def martingale(n=1):
@@ -29,38 +33,6 @@ def observable_instance(rng, delta_range=(0.3, 0.7)):
         rep = optimal_constant(forms, delta)
         if rep.observable and rep.c_opt > 0:
             return sys_, tree, forms, delta, rep.c_opt
-
-
-class TestGramian:
-    def test_zero_output_reduces_to_delta_n(self, rng):
-        nL = 8
-        N_diag = np.full(nL, 1 / nL)
-        forms = forms_from_matrices(np.zeros((nL, nL)), np.zeros((nL, nL)), N_diag)
-        delta = 0.25
-        g = assemble_gramian(forms, c=1.0, delta=delta)
-        assert np.allclose(g.G_form, delta * np.diag(N_diag), atol=1e-15)
-        # inverse acts as delta^{-1} identity in the weighted geometry and
-        # saturates the operator-norm bound
-        xi = rng.standard_normal(nL)
-        assert np.allclose(g.solve(xi), xi / delta, atol=1e-12)
-        assert g.weighted_lambda_min() == pytest.approx(delta, abs=1e-12)
-
-    def test_weighted_floor_near_one(self, rng):
-        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=3), 1)
-        forms = assemble_forms(tree, martingale())
-        delta = 1.0 - 1e-6
-        g = assemble_gramian(forms, c=1.0, delta=delta)
-        assert g.weighted_lambda_min() >= delta - 1e-10
-
-    def test_weighted_floor_random_forms(self, rng):
-        # random PSD output form: weighted lambda_min >= delta
-        nL = 10
-        W = rng.standard_normal((nL, nL))
-        Q = W @ W.T / nL
-        N_diag = rng.uniform(0.05, 0.3, nL)
-        forms = forms_from_matrices(np.zeros((nL, nL)), Q, N_diag)
-        g = assemble_gramian(forms, c=0.7, delta=0.3)
-        assert g.weighted_lambda_min() >= 0.3 - 1e-10
 
 
 class TestSynthesis:
@@ -101,6 +73,49 @@ class TestSynthesis:
             # the tree's own growth factor is the exact discrete constant
             assert res.bounds["control_energy"]["holds_tree"]
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(
+            [TreeDriver.bernoulli(), TreeDriver.trinomial(), TreeDriver.quantized_gaussian(4)]
+        ),
+        st.integers(2, 4),
+        st.floats(0.05, 0.9),
+    )
+    def test_recursion_matches_dense_gram_synthesis(self, seed, driver, K, delta):
+        rng = np.random.default_rng(seed)
+        sys_ = random_system(rng, n_max=3, m_max=2, d_max=2)
+        # the oracle solves a dense nL x nL system: keep nL <= 300 by
+        # lowering K, and skip draws where K = 2 is too big
+        b = driver.support.size ** sys_.d
+        while K > 2 and sys_.n * b**K > 300:
+            K -= 1
+        assume(sys_.n * b**K <= 300)
+        tree = build_tree(driver, HorizonConfig(T=1.0, K=K), sys_.d)
+        forms = assemble_forms(tree, sys_)
+        rep = optimal_constant(forms, delta)
+        # the LQ optimum exists for every c > 0; use c_opt where it is finite
+        c = rep.c_opt if rep.observable and rep.c_opt > 0 else float(rng.uniform(0.1, 10))
+        x_s = rng.standard_normal(sys_.n)
+        res = synthesize_control(tree, sys_, x_s, c, delta, forms, check_constant=False)
+        want = dense_gram_control(tree, sys_, forms, x_s, c, delta)
+        scale = max(float(np.abs(w).max()) for w in want)
+        for got_k, want_k in zip(res.u.values, want):
+            assert np.abs(got_k - want_k).max() <= 1e-10 * scale
+        # the bound verdicts of the oracle's control are the synthesis's
+        x_T = simulate_forward(tree, sys_, x_s, AdaptedField(want)).terminal
+        e_term = terminal_expectation_sq(tree, x_T)
+        e_u = control_energy(tree, AdaptedField(want))
+        oracle = {
+            "control_energy": e_u,
+            "terminal_energy": e_term,
+            "f_energy": e_term / delta**2,
+        }
+        for name, value in oracle.items():
+            bound = res.bounds[name]
+            assert bound["value"] == pytest.approx(value, rel=1e-9, abs=1e-14)
+            assert bound["holds"] == (value <= bound["limit"] + 1e-12)
+
     def test_invalid_constant_is_rejected(self, rng):
         sys_, tree, forms, delta, c_opt = observable_instance(rng)
         with pytest.raises(ValueError, match="is_delta_observable"):
@@ -125,15 +140,26 @@ class TestSynthesis:
             assert res.terminal_energy <= delta * float(x_s @ x_s) + 1e-12
 
 
+def controls_along_tree(tree, sys_, gains, x_s):
+    """u_k = gains[k] x_k, each x_k from an open-loop sweep under u_0..u_{k-1}."""
+    u = [np.zeros((tree.b**k, sys_.m)) for k in range(tree.K)]
+    for k in range(tree.K):
+        x = simulate_forward(tree, sys_, x_s, AdaptedField(u))
+        u[k] = x.values[k] @ gains[k].T
+    return u
+
+
 class TestKernel:
-    def test_scalar_kernel_column_is_the_basis_control(self):
-        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=3), 1)
+    def test_martingale_gains_closed_form(self):
+        # A = C = D = 0, B = 1: the Riccati step gives 1/P_k = 1/P_{k+1} + c dt
+        # from P_K = 1/delta, and L_k = -c P_k = -c / (delta + c (T - t_k))
+        T, K, c, delta = 1.0, 4, 1.3, 0.5
+        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=T, K=K), 1)
         sys_ = martingale()
-        forms = assemble_forms(tree, sys_)
-        ker = control_kernel(tree, sys_, 1.0, 0.5, forms)
-        res = synthesize_control(tree, sys_, [1.0], 1.0, 0.5, forms)
-        for k in range(tree.K):
-            assert np.allclose(ker.gains[k][:, :, 0], res.u.values[k], atol=1e-14)
+        ker = control_kernel(tree, sys_, c, delta, assemble_forms(tree, sys_))
+        want = [-c / (delta + c * (T - k * tree.delta_t)) for k in range(K)]
+        assert ker.gains.shape == (K, 1, 1)
+        assert np.allclose(ker.gains[:, 0, 0], want, rtol=1e-13, atol=0.0)
 
     def test_kernel_reproduces_synthesis_linearly(self, rng):
         sys_, tree, forms, delta, c_opt = observable_instance(rng)
@@ -143,17 +169,16 @@ class TestKernel:
             res = synthesize_control(
                 tree, sys_, x_s, c_opt * 1.000001, delta, forms, check_constant=False
             )
-            uk = ker.control_field(x_s)
-            dev = max(
-                np.abs(uk.values[k] - res.u.values[k]).max() for k in range(tree.K)
-            )
+            uk = controls_along_tree(tree, sys_, ker.gains, x_s)
+            dev = max(np.abs(uk[k] - res.u.values[k]).max() for k in range(tree.K))
             assert dev < 1e-10
 
     def test_zero_state_zero_control(self, rng):
         sys_, tree, forms, delta, c_opt = observable_instance(rng)
         ker = control_kernel(tree, sys_, c_opt * 1.000001, delta, forms)
-        u0 = ker.control_field(np.zeros(sys_.n))
-        assert all(not layer.any() for layer in u0.values)
+        assert np.all(np.isfinite(ker.gains))
+        u0 = controls_along_tree(tree, sys_, ker.gains, np.zeros(sys_.n))
+        assert all(not layer.any() for layer in u0)
 
 
 class TestTheorem51:

@@ -7,6 +7,7 @@ from sctk.riccati import lq_value, solve_sare
 from sctk.stabilizer import equivalence_harness, run_piecewise, run_riccati_feedback
 from sctk.systems import HorizonConfig, make_system
 from sctk.trees import TreeDriver, build_tree
+from tests.conftest import random_system
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -121,6 +122,17 @@ class TestEquivalence:
             )
             assert rep.agreement, (name, rep.verdicts)
             assert rep.riccati_solvable == expected[name], name
+
+    @pytest.mark.parametrize("draw", [9, 10])
+    def test_d3_draws_get_verdicts(self, draw):
+        # d = 3 at K = 4 means 8^4 leaves; the synthesis builds no dense
+        # nL x nL form, so these draws are decided within the budgets
+        rng = np.random.default_rng(7)
+        sys_ = [random_system(rng) for _ in range(draw + 1)][draw]
+        assert sys_.d == 3
+        rep = equivalence_harness(sys_, [0.5, 1.0], [0.3, 0.6, 0.9])
+        assert rep.verdicts == (True, True, True, True)
+        assert rep.agreement
 
     def test_empty_grid_rejected(self, corpus):
         with pytest.raises(ValueError):
