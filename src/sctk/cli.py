@@ -27,12 +27,7 @@ from .corpus import CORPUS, EXPECTED_STABILIZABLE
 from .errors import BudgetExceeded, InvalidConfig, NumericalFailure
 from .moments import build_generator, growth_constant_c0, spectral_abscissa
 from .nullcontrol import control_kernel, synthesize_control, verify_theorem_5_1
-from .observability import (
-    DEFAULT_MAX_GRAM_DIM,
-    assemble_forms,
-    invariance_experiment,
-    optimal_constant,
-)
+from .observability import assemble_forms, invariance_experiment, optimal_constant
 from .riccati import NotSolvable, lq_value, solve_sare
 from .stabilizer import equivalence_harness, run_piecewise, run_riccati_feedback
 from .systems import HorizonConfig, StochasticSystem, hautus_stabilizability, validate_system
@@ -63,7 +58,6 @@ _KNOWN_KEYS = {
     "paths": int,
     "k_max": int,
     "max_leaves": int,
-    "max_gram_dim": int,
 }
 
 
@@ -86,7 +80,6 @@ class RunConfig:
     paths: int = 10_000
     k_max: int = 5
     max_leaves: int = DEFAULT_MAX_LEAVES
-    max_gram_dim: int = DEFAULT_MAX_GRAM_DIM
 
 
 def _reshape(name, flat, rows, cols):
@@ -136,11 +129,6 @@ def parse_config(data: dict) -> RunConfig:
     if x0.shape != (n,):
         raise InvalidConfig(f"x0 must have {n} entries")
 
-    def _env_cap(env, key, default):
-        if os.environ.get(env):
-            return int(os.environ[env])
-        return int(data.get(key, default))
-
     return RunConfig(
         raw=data,
         system=system,
@@ -156,8 +144,9 @@ def parse_config(data: dict) -> RunConfig:
         seed=int(data.get("seed", 0)),
         paths=int(data.get("paths", 10_000)),
         k_max=int(data.get("k_max", 5)),
-        max_leaves=_env_cap("SCTK_MAX_LEAVES", "max_leaves", DEFAULT_MAX_LEAVES),
-        max_gram_dim=_env_cap("SCTK_MAX_GRAM_DIM", "max_gram_dim", DEFAULT_MAX_GRAM_DIM),
+        max_leaves=int(
+            os.environ.get("SCTK_MAX_LEAVES") or data.get("max_leaves", DEFAULT_MAX_LEAVES)
+        ),
     )
 
 
@@ -259,7 +248,7 @@ def _cmd_riccati(cfg: RunConfig):
 
 def _build_forms(cfg: RunConfig):
     tree = build_tree(cfg.driver, cfg.horizon, cfg.system.d, cfg.max_leaves)
-    forms = assemble_forms(tree, cfg.system, max_gram_dim=cfg.max_gram_dim)
+    forms = assemble_forms(tree, cfg.system)
     return tree, forms
 
 
@@ -294,7 +283,6 @@ def _cmd_invariance(cfg: RunConfig, out_dir):
         drivers,
         cfg.K_grid,
         max_leaves=cfg.max_leaves,
-        max_gram_dim=cfg.max_gram_dim,
     )
     payload = {
         "rows": table.rows,

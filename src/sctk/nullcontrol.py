@@ -11,7 +11,7 @@ synthesis runs the closed-loop tree sweep u_k = L_k x_k from x_s.  The
 terminal variable is f = x_T / delta; by duality the optimum satisfies
 
     u_t = -c z_t(f)                 (output of the backward solve at f)
-    ||u||^2 = c^2 dt sum_t E|z_t(f)|^2 = c^2 f^T Q f,
+    ||u||^2 = c^2 ||z(f)||^2 = c^2 dt sum_t E|z_t(f)|^2,
 
 which the recursion does not use, so both are machine checks of the
 synthesis (tree recursions are exact adjoints), together with the
@@ -126,7 +126,7 @@ def synthesize_control(
     term_resid = max(
         float(np.abs(uk + c * zk).max()) for uk, zk in zip(u.values, bw.z.values)
     )
-    energy_resid = abs(e_u - c**2 * forms.quad_Q(f.ravel()))
+    energy_resid = abs(e_u - c**2 * control_energy(tree, bw.z))
 
     tol = 1e-12
     bounds = {

@@ -135,6 +135,25 @@ class TestCommands:
         }))
         assert main(["observe", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
+    def test_removed_gram_budget_key_exits_1(self, corpus_dir, tmp_path, capsys):
+        cfg = json.loads((corpus_dir / "m0.json").read_text())
+        cfg["max_gram_dim"] = 4000
+        path = tmp_path / "m0_gram.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["observe", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown config key 'max_gram_dim'" in capsys.readouterr().err
+
+    def test_delta0_past_the_old_gram_budget(self, corpus_dir, tmp_path):
+        # 2^14 leaves: 16383 output rows, once past the 4000-row Gram budget
+        cfg = json.loads((corpus_dir / "m0.json").read_text())
+        cfg.update({"K": 14, "delta": 0.0})
+        path = tmp_path / "m0_k14.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["observe", "--config", str(path), "--out", str(out)]) == 0
+        rep = json.loads((out / "observe_report.json").read_text())["report"]
+        assert rep["c_opt"] == pytest.approx(1.0 / cfg["T"], abs=1e-10)
+
     def test_env_var_tightens_budget(self, corpus_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("SCTK_MAX_LEAVES", "4")
         code = main(["observe", "--config", str(corpus_dir / "s2.json"),

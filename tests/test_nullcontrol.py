@@ -98,7 +98,7 @@ class TestSynthesis:
         c = rep.c_opt if rep.observable and rep.c_opt > 0 else float(rng.uniform(0.1, 10))
         x_s = rng.standard_normal(sys_.n)
         res = synthesize_control(tree, sys_, x_s, c, delta, forms, check_constant=False)
-        want = dense_gram_control(tree, sys_, forms, x_s, c, delta)
+        want = dense_gram_control(tree, sys_, x_s, c, delta)
         scale = max(float(np.abs(w).max()) for w in want)
         for got_k, want_k in zip(res.u.values, want):
             assert np.abs(got_k - want_k).max() <= 1e-10 * scale
