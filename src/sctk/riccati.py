@@ -25,15 +25,31 @@ seed: the zero gain, then the deterministic LQR gain, which stabilizes a
 noise-free system whenever one can be stabilized, so there the exact
 Hautus test gives the verdict.  A noisy system goes on to value
 iteration of the Euler recursion of the same unit-weight problem from
-P = 0.  Its iterates are bounded exactly when the discretized problem is
-stabilizable, which implies continuous stabilizability but, for a stiff
-system, does not follow from it; so growth past ``VI_GROWTH_CAP`` is
-evidence, not proof, for a ``NotSolvable`` verdict, and its
-``diagnostics`` give the step count, the horizon and the growth.
+P = 0, V_{k+1} = R(V_k), testing the gain of every ``VI_CHECK_EVERY``-th
+iterate.  Its iterates are bounded exactly when the discretized problem
+is stabilizable, which implies continuous stabilizability but, for a
+stiff system, does not follow from it.
+
+``NotSolvable`` rests on a proof that the Euler value is unbounded.  Let
+R0 be the one-step map without running cost,
+R0(Q) = inf_u sum_j [x; u]^T M_j^T Q M_j [x; u], with M_j the drift and
+noise maps of one Euler step.  R0 is monotone and positively
+homogeneous, R >= R0, and V_k >= V_1 = dt I.  So a Q >= 0, Q != 0 with
+R0(Q) >= rho Q, rho > 1, gives V_{k+j} >= c rho^j Q for some c > 0: the
+value grows without bound.  At each gain test the normalised iterate and
+its truncations to the eigen-directions above ``CERT_TRUNCATIONS`` times
+its largest eigenvalue are tried as Q (``_growth_factor``), and the
+verdict's ``diagnostics`` report ``evidence: "certificate"`` with Q, rho
+and the rank of Q.  When no certificate is found before the value passes
+``VI_GROWTH_CAP``, growth past the cap is the evidence
+(``evidence: "cap"``), which is not a proof.  Either way the gain of R0's
+minimiser at Q is tested last: it stands in for the gains of the later
+iterates the early stop skips, which on a stiff system can stabilize
+the continuous lift although the Euler value grows.
 ``NumericalFailure`` (not a verdict) is raised when value iteration
-reaches neither a gain nor the cap in ``VI_MAX_STEPS`` steps, or when
-Newton-Kleinman stalls or ends outside the positive-definite
-stabilizing class.
+reaches neither a gain, a certificate nor the cap in ``VI_MAX_STEPS``
+steps, or when Newton-Kleinman stalls or ends outside the
+positive-definite stabilizing class.
 """
 
 from __future__ import annotations
@@ -50,7 +66,9 @@ from .systems import StochasticSystem, hautus_stabilizability
 VI_DT = 0.01  # Euler step of the value iteration
 VI_GROWTH_CAP = 1e9  # largest |P_ij| below which the value counts as bounded
 VI_MAX_STEPS = 200_000
-VI_CHECK_EVERY = 100  # steps between tests of the iterate's feedback gain
+VI_CHECK_EVERY = 100  # steps between tests of the iterate's gain and growth
+CERT_TRUNCATIONS = (0.0, 1e-3, 1e-2, 1e-1)  # eigenvalue cuts of Q over its largest
+CERT_ROUNDING = 64.0  # safety factor on the rounding bound of the growth factor
 
 
 @dataclass(frozen=True)
@@ -161,6 +179,7 @@ def find_stabilizing_gain(sys: StochasticSystem, margin: float = 1e-9, evidence=
     Mt = M.transpose(0, 2, 1)
     running = VI_DT * np.eye(n + m)
     P = np.zeros((n, n))
+    rho = None
     for step in range(1, VI_MAX_STEPS + 1):
         H = running + (Mt @ P @ M).sum(axis=0)
         P = H[:n, :n] - H[n:, :n].T @ np.linalg.solve(H[n:, n:], H[n:, :n])
@@ -169,19 +188,119 @@ def find_stabilizing_gain(sys: StochasticSystem, margin: float = 1e-9, evidence=
         capped = not growth <= VI_GROWTH_CAP
         # the capped iterate is tested too: on a stiff system the value can
         # pass the cap before the first periodic test
-        if capped or step % VI_CHECK_EVERY == 0:
-            F = feedback_gain(P, sys)
-            alpha = closed_loop_abscissa(sys, F)
-            if alpha < -margin:
-                return F, alpha
-        if capped:
+        if not (capped or step % VI_CHECK_EVERY == 0):
+            continue
+        F = feedback_gain(P, sys)
+        alpha = closed_loop_abscissa(sys, F)
+        if alpha < -margin:
+            return F, alpha
+        if not np.isfinite(growth):
+            break
+        lam, V = np.linalg.eigh(P)
+        lam = lam / lam[-1]
+        ranks = sorted({int((lam > t).sum()) for t in CERT_TRUNCATIONS}, reverse=True)
+        for r in ranks:
+            rho = _growth_factor(M, lam[n - r:], V[:, n - r:], V[:, : n - r])
+            if rho is not None:
+                break
+        else:
+            r = ranks[0]
+        if rho is not None or capped:
             break
     else:
         raise NumericalFailure(
-            f"value iteration reached neither a stabilizing gain nor the growth "
-            f"cap in {step} steps (value growth {growth:.3e})"
+            f"value iteration reached neither a stabilizing gain, a growth "
+            f"certificate nor the cap in {step} steps (value growth {growth:.3e})"
         )
-    evidence.update(value_iteration_steps=step, horizon=step * VI_DT, value_growth=growth)
+    if np.isfinite(growth):
+        # the gain of R0's minimiser at Q stands in for the gains of the
+        # later iterates that the early stop skips
+        S = np.sqrt(lam[n - r:])[:, None] * V[:, n - r:].T  # Q = S^T S
+        F = _minimiser_gain(M, S)
+        alpha = closed_loop_abscissa(sys, F)
+        if alpha < -margin:
+            return F, alpha
+    evidence.update(
+        evidence="cap" if rho is None else "certificate",
+        value_iteration_steps=step,
+        horizon=step * VI_DT,
+        value_growth=growth,
+    )
+    if rho is not None:
+        evidence.update(
+            certificate_growth=rho, certificate_rank=r, certificate_Q=(S.T @ S).tolist()
+        )
+    return None
+
+
+def _weighted_maps(M, S):
+    """Stack the one-step maps S M_j; |S y|^2 is the Q-weighted norm of y."""
+    n = S.shape[1]
+    G = (S @ M).reshape(-1, M.shape[2])
+    return G[:, :n], G[:, n:]
+
+
+def _unit_columns(Y):
+    """Drop the zero columns of Y and scale the rest to unit norm.
+
+    Neither changes the range, so the least-squares residual stays the
+    same; but a control acting at 1e-9 of the others' scale keeps its
+    weight against rounding instead of falling under a rank cut.
+    """
+    norms = np.linalg.norm(Y, axis=0)
+    used = norms > 0
+    return Y[:, used] / norms[used], used, norms[used]
+
+
+def _minimiser_gain(M, S):
+    """The gain u = F x of R0's minimiser at Q = S^T S."""
+    Gx, Gu = _weighted_maps(M, S)
+    Y, used, norms = _unit_columns(Gu)
+    F = np.zeros((Gu.shape[1], Gx.shape[1]))
+    if used.any():
+        F[used] = -np.linalg.lstsq(Y, Gx, rcond=None)[0] / norms[:, None]
+    return F
+
+
+def _growth_factor(M, lam, V, W):
+    """Proved growth rho > 1 of R0 at Q = V diag(lam) V^T, or None.
+
+    V (n x r) and W (n x (n - r)) are orthonormal and complementary, and
+    0 < lam <= 1.  With x = V lam^(-1/2) w + W b, so that x^T Q x = |w|^2,
+    R0(Q) >= rho Q says that min over (b, u) of |X w + Y [b; u]|^2 is at
+    least rho |w|^2, where X and Y are the stacked maps lam^(1/2) V^T M_j
+    applied to w and to the free directions (b, u).  So rho is the
+    smallest squared singular value of X projected off range(Y).
+
+    The projection is made without a rank cut: every left singular vector
+    of the column-scaled Y is removed, which can only lower rho (sound).
+    Rounding then moves rho by at most about eps (rows + n + m) |X|^2 for
+    the products and the two singular value decompositions, times
+    1 + 1/s_min for the turn of range(Y) under a columnwise relative
+    perturbation of eps (the projector moves by |dY| / s_min, Stewart
+    1977), where s_min is Y's smallest singular value and
+    |X|^2 <= sum_j |M_j|^2 / min(lam).  rho is accepted only above 1 plus
+    ``CERT_ROUNDING`` times that bound.  A Y that leaves fewer than r
+    directions outside its range, or has s_min = 0, proves nothing.
+    """
+    n, r = V.shape
+    Gx, Gu = _weighted_maps(M, np.sqrt(lam)[:, None] * V.T)
+    X = Gx @ (V / np.sqrt(lam))
+    Y, _, _ = _unit_columns(np.hstack([Gx @ W, Gu]))
+    rows, k = Y.shape
+    if rows - k < r:
+        return None
+    turn = 0.0
+    if k:
+        U, s, _ = np.linalg.svd(Y)
+        if not s[-1] > 0:
+            return None
+        X = U[:, k:].T @ X
+        turn = 1.0 / s[-1]
+    rho = float(np.linalg.svd(X, compute_uv=False)[-1]) ** 2
+    bound = np.finfo(float).eps * (rows + M.shape[2]) * float((M**2).sum()) / lam[0]
+    if rho - CERT_ROUNDING * bound * (1.0 + turn) > 1.0:
+        return rho
     return None
 
 

@@ -325,8 +325,11 @@ def equivalence_harness(
         stabilizable = abscissa < 0
         details["feedback_abscissa"] = abscissa
     else:
-        # the gain search behind NotSolvable is deterministic, so it also
-        # settles verdict (b)
+        # the gain search behind NotSolvable is deterministic and, past the
+        # Hautus test, ends on a proof that the Euler value is unbounded
+        # (or on growth past the cap when no proof is found), so it also
+        # settles verdict (b); a stiff system can still be stabilizable
+        # although its Euler step is not
         details["riccati"] = {"verdict": sol.reason}
         stabilizable = False
 

@@ -107,6 +107,25 @@ class TestCommands:
         doc = json.loads((out / "riccati_report.json").read_text())
         assert doc["report"]["solvable"] is False
 
+    def test_riccati_not_solvable_with_noise_reports_certificate(self, tmp_path):
+        # 2a + c^2 = 2.25 > 0 and no control: value iteration proves growth
+        cfg = tmp_path / "noisy.json"
+        cfg.write_text(json.dumps(
+            {"n": 1, "m": 1, "d": 1, "A": [1.0], "B": [0.0], "C": [[0.5]],
+             "D": [[0.0]], "T": 1.0, "K": 2}
+        ))
+        out = tmp_path / "o"
+        assert main(["riccati", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "riccati_report.json").read_text())
+        schema = json.loads(
+            (Path(sctk.__file__).parent / "report_schema.json").read_text()
+        )
+        jsonschema.Draft7Validator(schema).validate(doc)
+        diag = doc["report"]["diagnostics"]
+        assert doc["report"]["solvable"] is False
+        assert diag["evidence"] == "certificate"
+        assert diag["certificate_growth"] > 1
+
     def test_observe_record_schema(self, corpus_dir, tmp_path):
         out = tmp_path / "o"
         assert main(["observe", "--config", str(corpus_dir / "m0.json"),

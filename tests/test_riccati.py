@@ -104,13 +104,47 @@ class TestDeterministicSearch:
         assert find_stabilizing_gain(corpus["S3"]) is None
         assert solve_sare(corpus["S3"]).diagnostics == {"hautus": False}
 
-    def test_not_solvable_reports_value_growth(self):
-        # 2a + c^2 = 2.25 > 0 and no control
-        sys_ = make_system([[1.0]], [[0.0]], C=[[[0.5]]], D=[[[0.0]]])
+    @pytest.mark.parametrize(
+        "system",
+        [
+            # 2a + c^2 = 2.25 > 0 and no control
+            lambda: make_system([[1.0]], [[0.0]], C=[[[0.5]]], D=[[[0.0]]]),
+            lambda: _draw(7, 45),  # n = 2, proved on a rank-1 Q
+            lambda: _draw(7, 22),  # n = m = d = 3
+        ],
+        ids=["scalar", "draw45", "draw22"],
+    )
+    def test_not_solvable_carries_a_growth_certificate(self, system):
+        sys_ = system()
         diag = solve_sare(sys_).diagnostics
-        assert diag["value_growth"] > 1e9
-        assert diag["value_iteration_steps"] > 0
+        assert diag["evidence"] == "certificate"
+        assert diag["value_growth"] < 1e9
         assert diag["horizon"] == pytest.approx(0.01 * diag["value_iteration_steps"])
+        Q = np.array(diag["certificate_Q"])
+        rho = diag["certificate_growth"]
+        assert rho > 1
+        assert np.linalg.matrix_rank(Q) == diag["certificate_rank"]
+        # R0(Q) = min_u sum_j |Q^(1/2) M_j [x; u]|^2 over the Euler maps
+        # M_j, recomputed by least squares over the stacked control maps
+        dt, n = 0.01, sys_.n
+        lam, V = np.linalg.eigh(Q)
+        S = np.sqrt(np.clip(lam, 0.0, None))[:, None] * V.T
+        Gx = np.vstack([S @ (np.eye(n) + dt * sys_.A)]
+                       + [np.sqrt(dt) * S @ Ci for Ci in sys_.C])
+        Gu = np.vstack([dt * S @ sys_.B] + [np.sqrt(dt) * S @ Di for Di in sys_.D])
+        res = Gx - Gu @ np.linalg.lstsq(Gu, Gx, rcond=None)[0]
+        R0 = res.T @ res
+        eps = 0.5 * (rho - 1)
+        assert np.linalg.eigvalsh(R0 - (1 + eps) * Q)[0] >= -1e-12 * np.linalg.norm(R0)
+
+    def test_cap_is_the_fallback_evidence(self):
+        # the growth direction of draw 130 leaves R0(Q) - Q singular, so no
+        # certificate is found before the value passes the cap
+        diag = solve_sare(_draw(7, 130)).diagnostics
+        assert diag["evidence"] == "cap"
+        assert diag["value_growth"] > 1e9
+        assert diag["horizon"] == pytest.approx(0.01 * diag["value_iteration_steps"])
+        assert "certificate_Q" not in diag
 
     def test_stiff_system_whose_euler_step_is_not_stabilizable(self):
         # the value passes the cap near step 23, before the first periodic
@@ -125,16 +159,32 @@ class TestDeterministicSearch:
     @given(st.integers(0, 10_000))
     def test_scalar_verdict_matches_quadratic_criterion(self, seed):
         sys_ = random_system(np.random.default_rng(seed), 1, 3, 3)
+        solvable = not isinstance(solve_sare(sys_), NotSolvable)
+        assert solvable == (_scalar_margin(sys_) < 0)
+
+    @pytest.mark.parametrize("seed", [655, 7342])
+    def test_near_marginal_scalar_seeds_are_decided(self, seed):
+        # margins 0.0051 and 0.0070: the value grows too slowly to pass the
+        # cap within the step limit, but R0(1) > 1 proves that it grows
+        sys_ = random_system(np.random.default_rng(seed), 1, 3, 3)
         margin = _scalar_margin(sys_)
-        try:
-            solvable = not isinstance(solve_sare(sys_), NotSolvable)
-        except NumericalFailure:
-            # undecided, not a verdict: a value growing at rate ~|margin|
-            # needs |margin| above ~0.008 to pass the cap within the
-            # value-iteration horizon of 2000 (seeds 655 and 7342 do not)
-            assert abs(margin) < 0.02
-            return
-        assert solvable == (margin < 0)
+        verdict = solve_sare(sys_)
+        assert isinstance(verdict, NotSolvable) == (margin > 0)
+        assert verdict.diagnostics["evidence"] == "certificate"
+
+    def test_tiny_control_column_is_not_rank_cut(self):
+        # only column 1 is useful, at scale 1e-9 (column 2 just adds noise):
+        # min_f 2(1 + f) + (0.5 + 0.98 f)^2 = -0.0616 < 0 with u_1 = 1e9 f x,
+        # a rank cut that drops column 1 would overstate R0(1) as 1.0226 > 1
+        # and lose the only stabilizing gain
+        sys_ = make_system(
+            [[1.0]], [[1e-9, 0.0]],
+            C=[[[0.5]], [[0.0]]], D=[[[0.98e-9, 0.0]], [[0.0, 1.0]]],
+        )
+        assert _scalar_margin(sys_) < 0
+        sol = solve_sare(sys_)
+        assert not isinstance(sol, NotSolvable)
+        assert closed_loop_abscissa(sys_, sol.F) < 0
 
 
 class TestGainAndValue:
