@@ -2,8 +2,9 @@
 """Two stabilization routes side by side.
 
 Piecewise route: the interval control kernel applied afresh each interval
-(Monte Carlo estimate of decay and control energy).  Feedback route: the
-Riccati gain with the exact lift decay curve and quadratic cost.
+(exact second moments, control energies and the spectral radius of the
+interval map).  Feedback route: the Riccati gain with the exact lift decay
+curve and quadratic cost.
 """
 
 import argparse
@@ -26,8 +27,6 @@ def main():
     ap.add_argument("--K", type=int, default=4)
     ap.add_argument("--delta", type=float, default=0.5)
     ap.add_argument("--k-max", type=int, default=5)
-    ap.add_argument("--paths", type=int, default=10_000)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     sys_ = CORPUS[args.system]()
@@ -41,14 +40,20 @@ def main():
         print(f"{args.system} is not {args.delta}-observable at T={args.T}")
         return
     kernel = control_kernel(tree, sys_, rep.c_opt, args.delta, forms)
-    run = run_piecewise(sys_, kernel, x0, args.k_max, args.paths, seed=args.seed)
+    run = run_piecewise(sys_, kernel, x0, args.k_max)
     print(f"piecewise (c={rep.c_opt:.6g}, delta={args.delta}):")
+    prev = None
     for r in run.records:
+        ratio = f", ratio {r.msq / prev:.6g}" if prev else ""
         print(
-            f"  k={r.k}: E|x_k|^2 = {r.msq:.6g} (+-{3*r.msq_se:.2g}), "
+            f"  k={r.k}: E|x_k|^2 = {r.msq:.6g}{ratio}, "
             f"cumulative energy {r.cum_energy:.6g}"
         )
-    print(f"  fitted decay slope {run.decay_slope:.4f} vs log(delta) {np.log(args.delta):.4f}")
+        prev = r.msq
+    print(
+        f"  interval contraction rho(Phi) = {run.interval_contraction:.6g} "
+        f"vs delta {args.delta}"
+    )
 
     sol = solve_sare(sys_)
     if isinstance(sol, NotSolvable):

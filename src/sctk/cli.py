@@ -3,8 +3,8 @@
 Config files are flat JSON with typed keys; matrices are row-major lists
 with shapes implied by (n, m, d).  Every command writes a JSON report of
 the form {"meta": {...}, "report": {...}} where only the meta header
-carries the timestamp: identical config and seed reproduce the report
-section byte for byte.  Exit status: 0 completed analysis (verdicts are
+carries the timestamp: an identical config reproduces the report section
+byte for byte.  Exit status: 0 completed analysis (verdicts are
 data), 1 invalid config, 2 numerical failure, 3 budget exceeded.
 """
 
@@ -54,6 +54,8 @@ _KNOWN_KEYS = {
     "T_grid": list,
     "c": (int, float),
     "x0": list,
+    # accepted for configs written for the Monte Carlo stabilizer; no
+    # result depends on either
     "seed": int,
     "paths": int,
     "k_max": int,
@@ -76,8 +78,7 @@ class RunConfig:
     K_grid: list = field(default_factory=lambda: [4, 6, 8])
     c: float = None
     x0: np.ndarray = None
-    seed: int = 0
-    paths: int = 10_000
+    seed: int = 0  # fills meta.seed only; no result depends on it
     k_max: int = 5
     max_leaves: int = DEFAULT_MAX_LEAVES
 
@@ -142,7 +143,6 @@ def parse_config(data: dict) -> RunConfig:
         c=float(data["c"]) if "c" in data else None,
         x0=x0,
         seed=int(data.get("seed", 0)),
-        paths=int(data.get("paths", 10_000)),
         k_max=int(data.get("k_max", 5)),
         max_leaves=int(
             os.environ.get("SCTK_MAX_LEAVES") or data.get("max_leaves", DEFAULT_MAX_LEAVES)
@@ -376,27 +376,28 @@ def _cmd_stabilize(cfg: RunConfig, out_dir):
     tree, forms = _build_forms(cfg)
     c = _pick_constant(cfg, forms)
     kernel = control_kernel(tree, cfg.system, c, cfg.delta, forms)
-    run = run_piecewise(
-        cfg.system, kernel, cfg.x0, cfg.k_max, cfg.paths, seed=cfg.seed
-    )
+    run = run_piecewise(cfg.system, kernel, cfg.x0, cfg.k_max)
+    # the moments are exact; the *_se fields and columns stay at 0.0 for
+    # readers of the earlier Monte Carlo reports
+    records = [
+        {"k": r.k, "msq": r.msq, "msq_se": 0.0, "energy": r.energy,
+         "energy_se": 0.0, "cum_energy": r.cum_energy, "cum_energy_se": 0.0}
+        for r in run.records
+    ]
     csv_path = Path(out_dir) / "piecewise_decay.csv"
     with open(csv_path, "w") as fh:
-        fh.write("k,msq,msq_se,energy,energy_se,cum_energy,cum_energy_se\n")
-        for r in run.records:
-            fh.write(
-                f"{r.k},{r.msq},{r.msq_se},{r.energy},{r.energy_se},"
-                f"{r.cum_energy},{r.cum_energy_se}\n"
-            )
+        fh.write(",".join(records[0]) + "\n")
+        for rec in records:
+            fh.write(",".join(str(v) for v in rec.values()) + "\n")
     payload = {
         "c": c,
         "delta": cfg.delta,
-        "paths": run.paths,
-        "seed": run.seed,
-        "records": [vars(r) for r in run.records],
+        "records": records,
         "decay_slope": run.decay_slope,
         "log_delta": float(np.log(cfg.delta)),
+        "interval_contraction": run.interval_contraction,
         "total_energy": run.total_energy,
-        "total_energy_se": run.total_energy_se,
+        "total_energy_se": 0.0,
     }
     sol = solve_sare(cfg.system)
     if not isinstance(sol, NotSolvable):
@@ -408,8 +409,8 @@ def _cmd_stabilize(cfg: RunConfig, out_dir):
             "control_norm_T": fb.control_norm_T,
         }
     return payload, (
-        f"stabilize: decay slope {run.decay_slope:.4f} vs log(delta) "
-        f"{np.log(cfg.delta):.4f}, total energy {run.total_energy:.6g}"
+        f"stabilize: interval contraction {run.interval_contraction:.4g} vs "
+        f"delta {cfg.delta:.4g}, total energy {run.total_energy:.6g}"
     )
 
 

@@ -102,19 +102,25 @@ def _lam_max(sym_mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (sym_mat + sym_mat.T))[-1])
 
 
-def _branch_maps(forms: ObservabilityForms) -> np.ndarray:
+def branch_maps(sys_: StochasticSystem, dt: float, xi: np.ndarray) -> np.ndarray:
     """One-step maps M_j = [I + dt A + sum_i xi_ji C_i, dt B + sum_i xi_ji D_i].
 
-    Shape (b, n, n + m): on branch j the Euler step is x' = M_j [x; u].
+    Shape (b, n, n + m) for increments xi of shape (b, d): on branch j the
+    Euler step is x' = M_j [x; u].
     """
+    drift = np.hstack([np.eye(sys_.n) + dt * sys_.A, dt * sys_.B])
+    maps = np.repeat(drift[None], xi.shape[0], axis=0)
+    for i in range(sys_.d):
+        maps += xi[:, i, None, None] * np.hstack([sys_.C[i], sys_.D[i]])
+    return maps
+
+
+def _branch_maps(forms: ObservabilityForms) -> np.ndarray:
+    """The forms' branch_maps, computed once."""
     if "branch_maps" not in forms._cache:
-        sys_ = forms.system
-        dt, xi = forms.delta_t, forms.branch_increments
-        drift = np.hstack([np.eye(sys_.n) + dt * sys_.A, dt * sys_.B])
-        maps = np.repeat(drift[None], xi.shape[0], axis=0)
-        for i in range(sys_.d):
-            maps += xi[:, i, None, None] * np.hstack([sys_.C[i], sys_.D[i]])
-        forms._cache["branch_maps"] = maps
+        forms._cache["branch_maps"] = branch_maps(
+            forms.system, forms.delta_t, forms.branch_increments
+        )
     return forms._cache["branch_maps"]
 
 

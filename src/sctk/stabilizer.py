@@ -1,8 +1,8 @@
 """Infinite-horizon stabilization by two routes, and their reconciliation.
 
-Route 1 (piecewise): concatenate the interval synthesis.  Within each
-interval of length T the state-linear control kernel is applied fresh
-from the path's current state; at interval ends the recursion restarts.
+Route 1 (piecewise, exact): concatenate the interval synthesis.  Within
+each interval of length T the state-linear control kernel is applied
+fresh from the current state; at interval ends the recursion restarts.
 This realizes the adapted concatenation of interval controls: per
 interval the terminal second moment contracts by delta and the control
 energy bill is a geometric series,
@@ -10,8 +10,12 @@ energy bill is a geometric series,
     E|x_k|^2 <= delta^k |x0|^2,
     total ||u||^2 <= c delta^{-1} c0(T) (1 - delta)^{-1} |x0|^2.
 
-Estimates are Monte Carlo over sampled tree paths with reported standard
-errors; seeds are fixed inputs.
+The closed-loop interval map X -> Phi(X) on second moments is linear, so
+the moments, the energies and the contraction rate are exact: with
+A_tj = I + dt (A + B L_t) + sum_i xi_ji (C_i + D_i L_t) on branch j of
+step t, one step maps X to sum_j p_j A_tj X A_tj^T and adds
+dt tr(L_t X L_t^T) to the energy; E|x_k|^2 = tr Phi^k(x0 x0^T), and the
+spectral radius rho(Phi) <= delta certifies the per-interval contraction.
 
 Route 2 (feedback): the constant Riccati gain.  The closed-loop second
 moment evolves deterministically on the lift, so the decay curve and the
@@ -38,40 +42,52 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import BudgetExceeded
 from .moments import build_generator, spectral_abscissa, unvec, vec
 from .nullcontrol import ControlKernel, verify_theorem_5_1
-from .observability import assemble_forms, optimal_constant
+from .observability import assemble_forms, branch_maps, optimal_constant
 from .riccati import NotSolvable, solve_sare
 from .systems import HorizonConfig, StochasticSystem
 from .trees import TreeDriver, build_tree
-
-DEFAULT_MAX_PATH_DRAWS = 50_000_000
 
 
 @dataclass(frozen=True)
 class IntervalRecord:
     k: int
-    msq: float  # E|x_k|^2 estimate at the interval start
-    msq_se: float
+    msq: float  # E|x_k|^2 at the interval start
     energy: float  # E ||u_k||^2 over the interval
-    energy_se: float
     cum_energy: float
-    cum_energy_se: float
 
 
 @dataclass(frozen=True)
 class StabilizerRun:
     records: tuple
     k_max: int
-    paths: int
-    seed: int
     delta: float
     c: float
     T: float
     decay_slope: float  # least-squares slope of log E|x_k|^2 vs k
+    interval_contraction: float  # spectral radius of the interval map Phi
     total_energy: float
-    total_energy_se: float
+
+
+def _interval_map(sys: StochasticSystem, kernel: ControlKernel):
+    """The interval map Phi and energy functional e on row-major vec(X).
+
+    Phi (n^2 x n^2) is the product over the steps of
+    sum_j p_j kron(A_tj, A_tj), and e . vec(X) is the interval's control
+    energy dt sum_t tr(L_t X_t L_t^T) from X_0 = X.
+    """
+    tree, n = kernel.tree, sys.n
+    dt, p = tree.delta_t, tree.branch_probs
+    maps = branch_maps(sys, dt, tree.branch_increments)
+    Phi = np.eye(n * n)
+    e = np.zeros(n * n)
+    for L in kernel.gains:
+        e += Phi.T @ (dt * (L.T @ L)).ravel()
+        Acl = maps[:, :, :n] + maps[:, :, n:] @ L  # (b, n, n)
+        step = np.einsum("j,jab,jcd->acbd", p, Acl, Acl).reshape(n * n, n * n)
+        Phi = step @ Phi
+    return Phi, e
 
 
 def run_piecewise(
@@ -79,70 +95,39 @@ def run_piecewise(
     kernel: ControlKernel,
     x0,
     k_max: int,
-    paths: int,
-    seed: int = 0,
-    max_draws: int = DEFAULT_MAX_PATH_DRAWS,
+    paths: int = 0,
 ) -> StabilizerRun:
-    """Monte Carlo of the concatenated interval controls.
+    """Exact second moments of the concatenated interval controls.
 
-    Each path walks the tree afresh every interval: the control at step t
-    of an interval is the kernel's step-t gain applied to the path's
-    current state, which keeps the concatenated control adapted.
+    The control at step t of every interval is the kernel's step-t gain
+    applied to the current state, which keeps the concatenated control
+    adapted; the moments are exact on the tree's branch template, whatever
+    its driver.  ``paths`` is ignored; it remains for callers that bind it.
     """
-    tree = kernel.tree
-    if paths * k_max * tree.K > max_draws:
-        raise BudgetExceeded(
-            f"{paths} paths x {k_max} intervals x {tree.K} steps exceeds "
-            f"draw budget {max_draws}"
-        )
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    rng = np.random.default_rng(seed)
-    dt = tree.delta_t
-    states = np.tile(x0, (paths, 1))
+    Phi, e = _interval_map(sys, kernel)
+    trace = np.eye(sys.n).ravel()
+    v = np.outer(x0, x0).ravel()
     records = []
     cum = 0.0
-    cum_var = 0.0
-    msq_series = []
     for k in range(k_max + 1):
-        sq = np.einsum("pn,pn->p", states, states)
-        msq = float(sq.mean())
-        msq_se = float(sq.std(ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
-        msq_series.append(max(msq, 1e-300))
-        if k == k_max:
-            records.append(
-                IntervalRecord(k, msq, msq_se, 0.0, 0.0, cum, np.sqrt(cum_var))
-            )
-            break
-        energy = np.zeros(paths)
-        for t in range(tree.K):
-            u = states @ kernel.gains[t].T
-            energy += dt * np.einsum("pm,pm->p", u, u)
-            j = rng.choice(tree.b, size=paths, p=tree.branch_probs)
-            xi = tree.branch_increments[j]  # (paths, d)
-            nxt = states + dt * (states @ sys.A.T + u @ sys.B.T)
-            for i in range(sys.d):
-                nxt = nxt + (states @ sys.C[i].T + u @ sys.D[i].T) * xi[:, i : i + 1]
-            states = nxt
-        e_mean = float(energy.mean())
-        e_se = float(energy.std(ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
-        cum += e_mean
-        cum_var += e_se**2
-        records.append(
-            IntervalRecord(k, msq, msq_se, e_mean, e_se, cum, np.sqrt(cum_var))
-        )
-    ks = np.arange(len(msq_series))
-    slope = float(np.polyfit(ks, np.log(msq_series), 1)[0]) if len(ks) > 1 else 0.0
+        msq = float(trace @ v)
+        energy = float(e @ v) if k < k_max else 0.0
+        cum += energy
+        records.append(IntervalRecord(k, msq, energy, cum))
+        v = Phi @ v
+    log_msq = np.log([max(r.msq, 1e-300) for r in records])
+    ks = np.arange(len(records))
+    slope = float(np.polyfit(ks, log_msq, 1)[0]) if len(ks) > 1 else 0.0
     return StabilizerRun(
         records=tuple(records),
         k_max=k_max,
-        paths=paths,
-        seed=seed,
         delta=kernel.delta,
         c=kernel.c,
         T=kernel.T,
         decay_slope=slope,
+        interval_contraction=float(np.max(np.abs(np.linalg.eigvals(Phi)))),
         total_energy=cum,
-        total_energy_se=float(np.sqrt(cum_var)),
     )
 
 

@@ -158,3 +158,73 @@ def dense_gram_control(tree, sys_, x_s, c, delta):
     f = np.linalg.solve(c * forms.Q + delta * forms.N, forms.N_diag * xi.ravel())
     z = solve_bsde(tree, sys_, f.reshape(xi.shape)).z
     return [-c * zk for zk in z.values]
+
+
+@dataclass(frozen=True)
+class PiecewiseMoments:
+    """Per-interval E|x_k|^2 (k = 0..k_max) and interval energies (k < k_max)."""
+
+    msq: np.ndarray
+    energy: np.ndarray
+    msq_se: np.ndarray = None
+    energy_se: np.ndarray = None
+
+
+def _closed_loop_step(sys_, tree, gain, states, xi):
+    """One Euler step of u = gain x on rows of states with increments xi."""
+    u = states @ gain.T
+    nxt = states + tree.delta_t * (states @ sys_.A.T + u @ sys_.B.T)
+    for i in range(sys_.d):
+        nxt = nxt + (states @ sys_.C[i].T + u @ sys_.D[i].T) * xi[:, i : i + 1]
+    return nxt, tree.delta_t * np.einsum("pm,pm->p", u, u)
+
+
+def enumerate_piecewise(sys_, kernel, x0, k_max):
+    """Exhaustive enumeration of all b^(K k_max) paths of the concatenation.
+
+    Every interval restarts the kernel's gains from the current state; the
+    moments are probability-weighted sums over the leaves, so they share no
+    code with the second-moment recursion of sctk.stabilizer.
+    """
+    tree = kernel.tree
+    states = np.atleast_2d(np.asarray(x0, dtype=float))
+    weights = np.ones(1)
+    msq, energy = [], []
+    for k in range(k_max + 1):
+        msq.append(weights @ np.einsum("pn,pn->p", states, states))
+        if k == k_max:
+            break
+        spent = np.zeros(weights.size)
+        for t in range(tree.K):
+            states = np.repeat(states, tree.b, axis=0)
+            spent = np.repeat(spent, tree.b)
+            weights = (weights[:, None] * tree.branch_probs[None, :]).ravel()
+            xi = np.tile(tree.branch_increments, (states.shape[0] // tree.b, 1))
+            states, e = _closed_loop_step(sys_, tree, kernel.gains[t], states, xi)
+            spent += e
+        energy.append(weights @ spent)
+    return PiecewiseMoments(np.array(msq), np.array(energy))
+
+
+def monte_carlo_piecewise(sys_, kernel, x0, k_max, paths=20_000, seed=909):
+    """Monte Carlo of the concatenation over sampled tree paths, with standard errors."""
+    tree = kernel.tree
+    rng = np.random.default_rng(seed)
+    states = np.tile(np.asarray(x0, dtype=float), (paths, 1))
+    msq, msq_se, energy, energy_se = [], [], [], []
+    for k in range(k_max + 1):
+        sq = np.einsum("pn,pn->p", states, states)
+        msq.append(sq.mean())
+        msq_se.append(sq.std(ddof=1) / np.sqrt(paths))
+        if k == k_max:
+            break
+        spent = np.zeros(paths)
+        for t in range(tree.K):
+            j = rng.choice(tree.b, size=paths, p=tree.branch_probs)
+            states, e = _closed_loop_step(
+                sys_, tree, kernel.gains[t], states, tree.branch_increments[j]
+            )
+            spent += e
+        energy.append(spent.mean())
+        energy_se.append(spent.std(ddof=1) / np.sqrt(paths))
+    return PiecewiseMoments(*map(np.array, (msq, energy, msq_se, energy_se)))

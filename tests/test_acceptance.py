@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.  Every
-tolerance is fixed here; Monte Carlo assertions carry a three-standard-
-error allowance and fixed seeds.
+tolerance is fixed here.
 """
 
 import math
@@ -278,19 +277,17 @@ def test_c09_piecewise_stabilizer(name, factory):
     rep = optimal_constant(forms, delta)
     kernel = control_kernel(tree, sys_, rep.c_opt, delta, forms)
     x0 = np.ones(sys_.n)
-    run = run_piecewise(sys_, kernel, x0, k_max=5, paths=10_000, seed=909)
+    run = run_piecewise(sys_, kernel, x0, k_max=5)
     xs2 = float(x0 @ x0)
-    decay_ok = all(
-        r.msq <= delta**r.k * xs2 + 3 * r.msq_se for r in run.records
-    )
+    decay_ok = all(r.msq <= delta**r.k * xs2 for r in run.records)
     c0 = growth_constant_c0(sys_, T).c0
     energy_limit = rep.c_opt / delta * c0 / (1 - delta) * xs2
-    energy_ok = run.total_energy <= energy_limit + 3 * run.total_energy_se
+    energy_ok = run.total_energy <= energy_limit
     _verdict(
         9,
         decay_ok and energy_ok,
         f"{name}: E|x_k|^2 <= delta^k (k <= 5) and total energy "
-        f"{run.total_energy:.4g} <= {energy_limit:.4g} (10^4 paths)",
+        f"{run.total_energy:.4g} <= {energy_limit:.4g}",
         time.time() - t0,
         120,
     )

@@ -213,6 +213,7 @@ class TestCommands:
         assert main(["stabilize", "--config", str(path), "--out", str(out)]) == 0
         data = np.loadtxt(out / "piecewise_decay.csv", delimiter=",", skiprows=1)
         assert data.shape[0] == 4
+        assert not data[:, [2, 4, 6]].any()  # the *_se columns: exact moments
 
     def test_theorem51_report(self, corpus_dir, tmp_path):
         out = tmp_path / "o"
@@ -245,6 +246,20 @@ class TestReproducibility:
             d2["report"], sort_keys=True
         )
         assert d1["meta"]["config_hash"] == d2["meta"]["config_hash"]
+
+    def test_stabilize_report_ignores_seed_and_paths(self, corpus_dir, tmp_path):
+        reports, tables = [], []
+        for i, extra in enumerate(({}, {"seed": 7, "paths": 50})):
+            cfg = dict(json.loads((corpus_dir / "s4.json").read_text()), **extra)
+            path = tmp_path / f"s4_{i}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"o{i}"
+            assert main(["stabilize", "--config", str(path), "--out", str(out)]) == 0
+            reports.append(json.loads((out / "stabilize_report.json").read_text()))
+            tables.append((out / "piecewise_decay.csv").read_text())
+        assert reports[0]["report"] == reports[1]["report"]
+        assert tables[0] == tables[1]
+        assert [r["meta"]["seed"] for r in reports] == [0, 7]
 
 
 class TestReportSchema:

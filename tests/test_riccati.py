@@ -73,11 +73,16 @@ def _scalar_margin(sys_):
     The system is stabilizable iff this is negative.  The objective is
     const + 2 g F + F^T H F with g = b + sum c_i d_i and H = sum d_i^T d_i;
     it is unbounded below when g leaves range(H), and otherwise its
-    minimum is const + g F at F = -H^+ g.
+    minimum is const + g F at F = -H^+ g.  The control columns are scaled
+    to unit norm in [b; d_1; ...; d_d] first (F = S F~), so that the rank
+    decision of lstsq does not depend on the units of a control.
     """
     g = sys_.B[0] + sum(Ci[0, 0] * Di[0] for Ci, Di in zip(sys_.C, sys_.D))
     H = sum(np.outer(Di[0], Di[0]) for Di in sys_.D)
     const = 2.0 * sys_.A[0, 0] + sum(Ci[0, 0] ** 2 for Ci in sys_.C)
+    cols = np.linalg.norm(np.vstack([sys_.B[0], *(Di[0] for Di in sys_.D)]), axis=0)
+    S = np.where(cols > 0, 1.0 / np.where(cols > 0, cols, 1.0), 1.0)
+    g, H = S * g, S[:, None] * H * S[None, :]
     F = -np.linalg.lstsq(H, g, rcond=None)[0]
     if np.linalg.norm(H @ F + g) > 1e-9 * max(1.0, np.linalg.norm(g)):
         return -np.inf
@@ -172,16 +177,18 @@ class TestDeterministicSearch:
         assert isinstance(verdict, NotSolvable) == (margin > 0)
         assert verdict.diagnostics["evidence"] == "certificate"
 
-    def test_tiny_control_column_is_not_rank_cut(self):
-        # only column 1 is useful, at scale 1e-9 (column 2 just adds noise):
-        # min_f 2(1 + f) + (0.5 + 0.98 f)^2 = -0.0616 < 0 with u_1 = 1e9 f x,
-        # a rank cut that drops column 1 would overstate R0(1) as 1.0226 > 1
-        # and lose the only stabilizing gain
+    @pytest.mark.parametrize("scale", [1e-9, 1e-10, 1e-12])
+    def test_tiny_control_column_is_not_rank_cut(self, scale):
+        # only column 1 is useful, at the given scale (column 2 just adds
+        # noise): min_f 2(1 + f) + (0.5 + 0.98 f)^2 = -0.0616 < 0 with
+        # u_1 = f x / scale, a rank cut that drops column 1 would overstate
+        # R0(1) as 1.0226 > 1 and lose the only stabilizing gain
         sys_ = make_system(
-            [[1.0]], [[1e-9, 0.0]],
-            C=[[[0.5]], [[0.0]]], D=[[[0.98e-9, 0.0]], [[0.0, 1.0]]],
+            [[1.0]], [[scale, 0.0]],
+            C=[[[0.5]], [[0.0]]], D=[[[0.98 * scale, 0.0]], [[0.0, 1.0]]],
         )
-        assert _scalar_margin(sys_) < 0
+        # 2a + c^2 - (b + c d)^2 / d^2 in the units f = scale * F_1
+        assert _scalar_margin(sys_) == pytest.approx(2.25 - 1.49**2 / 0.98**2, abs=1e-9)
         sol = solve_sare(sys_)
         assert not isinstance(sol, NotSolvable)
         assert closed_loop_abscissa(sys_, sol.F) < 0

@@ -7,7 +7,7 @@ from sctk.riccati import lq_value, solve_sare
 from sctk.stabilizer import equivalence_harness, run_piecewise, run_riccati_feedback
 from sctk.systems import HorizonConfig, make_system
 from sctk.trees import TreeDriver, build_tree
-from tests.conftest import random_system
+from tests.conftest import enumerate_piecewise, monte_carlo_piecewise, random_system
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -21,54 +21,133 @@ def martingale_kernel(delta=0.5, T=1.0, K=4):
     return sys_, control_kernel(tree, sys_, 1.0 / T, delta, forms)
 
 
+def valid_kernel(sys_, driver, K, delta=0.5, T=1.0, scale=1.0):
+    """Kernel at scale * c_opt, or None unless 0 < c_opt < inf."""
+    tree = build_tree(driver, HorizonConfig(T=T, K=K), sys_.d)
+    forms = assemble_forms(tree, sys_)
+    c_opt = optimal_constant(forms, delta).c_opt
+    if not 0.0 < c_opt < np.inf:
+        return None
+    return control_kernel(tree, sys_, scale * c_opt, delta, forms)
+
+
+ENUMERATION_MESHES = [
+    (TreeDriver.bernoulli(), 4),
+    (TreeDriver.trinomial(), 3),
+    (TreeDriver.quantized_gaussian(4), 2),
+]
+
+
+def _controlled_draws(delta=0.9):
+    """One draw per (n, d) in (1, 2), (2, 1), (2, 2), m <= 2, that needs
+    control (c_opt > 0) on every enumeration mesh."""
+    rng = np.random.default_rng(2024)
+    draws = {}
+    while len(draws) < 3:
+        sys_ = random_system(rng, 2, 2, 2)
+        shape = (sys_.n, sys_.d)
+        if shape != (1, 1) and shape not in draws and all(
+            valid_kernel(sys_, dr, K, delta) for dr, K in ENUMERATION_MESHES
+        ):
+            draws[shape] = sys_
+    return [draws[shape] for shape in ((1, 2), (2, 1), (2, 2))]
+
+
 class TestPiecewise:
     def test_zero_start_stays_zero(self):
         sys_, ker = martingale_kernel()
-        run = run_piecewise(sys_, ker, [0.0], k_max=3, paths=200, seed=0)
+        run = run_piecewise(sys_, ker, [0.0], k_max=3)
         assert run.total_energy == 0.0
         assert all(r.msq == 0.0 for r in run.records)
 
     def test_martingale_decay_matches_closed_form(self):
         delta = 0.5
         sys_, ker = martingale_kernel(delta=delta)
-        run = run_piecewise(sys_, ker, [1.0], k_max=4, paths=2000, seed=3)
+        run = run_piecewise(sys_, ker, [1.0], k_max=4)
         per_interval = delta**2 / (1 + delta) ** 2
         for r in run.records:
-            expect = per_interval**r.k
-            assert r.msq <= delta**r.k * (1 + 3 * max(r.msq_se, 0) / max(r.msq, 1e-300))
-            assert r.msq == pytest.approx(expect, rel=1e-9)
-        assert run.decay_slope == pytest.approx(np.log(per_interval), abs=1e-6)
+            assert r.msq == pytest.approx(per_interval**r.k, rel=1e-12)
+        assert run.interval_contraction == pytest.approx(per_interval, rel=1e-12)
+        assert run.decay_slope == pytest.approx(np.log(per_interval), rel=1e-12)
 
     def test_cumulative_energy_is_nondecreasing(self, corpus):
-        sys_ = corpus["S2"]
-        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=4), 1)
-        forms = assemble_forms(tree, sys_)
-        rep = optimal_constant(forms, 0.5)
-        ker = control_kernel(tree, sys_, rep.c_opt, 0.5, forms)
-        run = run_piecewise(sys_, ker, [1.0], k_max=4, paths=3000, seed=5)
+        ker = valid_kernel(corpus["S2"], TreeDriver.bernoulli(), 4)
+        run = run_piecewise(corpus["S2"], ker, [1.0], k_max=4)
+        assert all(r.energy >= 0 for r in run.records)
         cums = [r.cum_energy for r in run.records]
-        assert all(b >= a - 1e-15 for a, b in zip(cums, cums[1:]))
-        assert all(r.msq_se >= 0 for r in run.records)
+        assert all(b >= a for a, b in zip(cums, cums[1:]))
 
-    def test_seed_reproducibility(self):
-        sys_, ker = martingale_kernel()
-        a = run_piecewise(sys_, ker, [1.0], k_max=3, paths=500, seed=9)
-        b = run_piecewise(sys_, ker, [1.0], k_max=3, paths=500, seed=9)
-        assert a.records == b.records
+    def test_run_is_deterministic(self, corpus):
+        ker = valid_kernel(corpus["S4"], TreeDriver.bernoulli(), 4)
+        a = run_piecewise(corpus["S4"], ker, [1.0, 0.0], k_max=3)
+        b = run_piecewise(corpus["S4"], ker, [1.0, 0.0], k_max=3, paths=500)
+        assert a == b
 
     def test_noisy_system_decay_within_allowance(self, corpus):
         delta = 0.5
-        sys_ = corpus["S2"]
-        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=4), 1)
-        forms = assemble_forms(tree, sys_)
-        rep = optimal_constant(forms, delta)
-        ker = control_kernel(tree, sys_, rep.c_opt, delta, forms)
-        run = run_piecewise(sys_, ker, [1.0], k_max=5, paths=5000, seed=7)
+        ker = valid_kernel(corpus["S2"], TreeDriver.bernoulli(), 4, delta)
+        run = run_piecewise(corpus["S2"], ker, [1.0], k_max=5)
         for r in run.records:
-            assert r.msq <= delta**r.k + 3 * r.msq_se + 1e-12
-        # geometric decay: fitted slope at least as steep as log(delta),
-        # with a sampling allowance
-        assert run.decay_slope <= np.log(delta) + 0.25
+            assert r.msq <= delta**r.k * (1 + 1e-12)
+        assert run.decay_slope <= np.log(delta)
+
+    @pytest.mark.parametrize(
+        "driver,K", ENUMERATION_MESHES, ids=lambda v: getattr(v, "kind", v)
+    )
+    @pytest.mark.parametrize("name", ["S2", "S4", "draw0", "draw1", "draw2"])
+    def test_moments_match_exhaustive_enumeration(self, corpus, driver, K, name):
+        if name.startswith("draw"):
+            sys_, delta, scale = _controlled_draws()[int(name[4:])], 0.9, 1.5
+        else:
+            sys_, delta, scale = corpus[name], 0.5, 1.0
+        ker = valid_kernel(sys_, driver, K, delta, scale=scale)
+        assert ker is not None
+        x0 = np.linspace(1.0, -0.5, sys_.n)
+        run = run_piecewise(sys_, ker, x0, k_max=2)
+        oracle = enumerate_piecewise(sys_, ker, x0, k_max=2)
+        msq = [r.msq for r in run.records]
+        energy = [r.energy for r in run.records[:-1]]
+        np.testing.assert_allclose(msq, oracle.msq, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(energy, oracle.energy, rtol=1e-12, atol=0)
+        assert run.total_energy == pytest.approx(oracle.energy.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["S2", "S4"])
+    def test_moments_within_monte_carlo_band(self, corpus, name):
+        # three intervals: from the fourth on, S2's mean square is carried by
+        # paths of probability below 1 / paths, so the sample standard error
+        # no longer measures the Monte Carlo error
+        sys_ = corpus[name]
+        ker = valid_kernel(sys_, TreeDriver.bernoulli(), 4)
+        x0 = np.ones(sys_.n)
+        run = run_piecewise(sys_, ker, x0, k_max=3)
+        mc = monte_carlo_piecewise(sys_, ker, x0, k_max=3)
+        for r in run.records:
+            assert abs(r.msq - mc.msq[r.k]) <= 4 * mc.msq_se[r.k] + 1e-15
+            if r.k < run.k_max:
+                assert abs(r.energy - mc.energy[r.k]) <= 4 * mc.energy_se[r.k]
+
+    @pytest.mark.parametrize(
+        "driver,K",
+        [(TreeDriver.bernoulli(), 4), (TreeDriver.bernoulli(), 10),
+         (TreeDriver.trinomial(), 7), (TreeDriver.quantized_gaussian(3), 3)],
+        ids=lambda v: getattr(v, "kind", v),
+    )
+    def test_interval_contraction_at_most_delta(self, corpus, driver, K):
+        for delta in (0.3, 0.5, 0.9):
+            for name in ("S1", "S2", "S4", "M0"):
+                ker = valid_kernel(corpus[name], driver, K, delta)
+                run = run_piecewise(corpus[name], ker, np.ones(corpus[name].n), 1)
+                assert 0 < run.interval_contraction <= delta * (1 + 1e-9), name
+
+    @pytest.mark.parametrize("name", ["S2", "S4"])
+    def test_interval_ratios_converge_to_contraction(self, corpus, name):
+        ker = valid_kernel(corpus[name], TreeDriver.bernoulli(), 10)
+        run = run_piecewise(corpus[name], ker, np.ones(corpus[name].n), k_max=40)
+        msq = np.array([r.msq for r in run.records])
+        ratios = msq[1:] / msq[:-1]
+        gaps = np.abs(ratios - run.interval_contraction)
+        assert gaps[-1] <= 1e-9 * run.interval_contraction
+        assert gaps[-1] <= gaps[0]
 
 
 class TestFeedback:
@@ -152,8 +231,8 @@ class TestEquivalence:
         assert all(flags[first:])
 
     def test_both_stabilization_routes_certify_decay(self, corpus):
-        # Riccati feedback (exact lift) and piecewise control (Monte Carlo)
-        # must agree that the state energy contracts on the same system
+        # Riccati feedback (exact lift) and piecewise control (exact interval
+        # moments) must agree that the state energy contracts on the same system
         sys_ = corpus["S2"]
         sol = solve_sare(sys_)
         fb = run_riccati_feedback(sys_, sol.F, [1.0])
@@ -162,6 +241,6 @@ class TestEquivalence:
         forms = assemble_forms(tree, sys_)
         rep = optimal_constant(forms, 0.5)
         ker = control_kernel(tree, sys_, rep.c_opt, 0.5, forms)
-        run = run_piecewise(sys_, ker, [1.0], k_max=4, paths=4000, seed=1)
+        run = run_piecewise(sys_, ker, [1.0], k_max=4)
         assert run.decay_slope < 0
         assert run.records[-1].msq < run.records[0].msq
