@@ -5,7 +5,11 @@ with shapes implied by (n, m, d).  Every command writes a JSON report of
 the form {"meta": {...}, "report": {...}} where only the meta header
 carries the timestamp: an identical config reproduces the report section
 byte for byte.  Exit status: 0 completed analysis (verdicts are
-data), 1 invalid config, 2 numerical failure, 3 budget exceeded.
+data), 1 invalid config, 2 numerical failure, 3 budget exceeded.  The
+one budget is max_leaves (or SCTK_MAX_LEAVES): it caps the leaf count of
+the tree that synthesize sweeps node by node for control_field.csv and
+the duality residuals.  Every other command works on the branch template
+and the n x n recursions alone, at any K.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import hashlib
 import json
 import os
 import sys as _sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,7 +35,9 @@ from .observability import assemble_forms, invariance_experiment, optimal_consta
 from .riccati import NotSolvable, lq_value, solve_sare
 from .stabilizer import equivalence_harness, run_piecewise, run_riccati_feedback
 from .systems import HorizonConfig, StochasticSystem, hautus_stabilizability, validate_system
-from .trees import DEFAULT_MAX_LEAVES, TreeDriver, build_tree, field_to_rows
+from .trees import TreeDriver, build_tree, field_to_rows
+
+DEFAULT_MAX_LEAVES = 200_000
 
 _KNOWN_KEYS = {
     "name": str,
@@ -80,7 +86,7 @@ class RunConfig:
     x0: np.ndarray = None
     seed: int = 0  # fills meta.seed only; no result depends on it
     k_max: int = 5
-    max_leaves: int = DEFAULT_MAX_LEAVES
+    max_leaves: int = DEFAULT_MAX_LEAVES  # guards synthesize only
 
 
 def _reshape(name, flat, rows, cols):
@@ -247,7 +253,7 @@ def _cmd_riccati(cfg: RunConfig):
 
 
 def _build_forms(cfg: RunConfig):
-    tree = build_tree(cfg.driver, cfg.horizon, cfg.system.d, cfg.max_leaves)
+    tree = build_tree(cfg.driver, cfg.horizon, cfg.system.d)
     forms = assemble_forms(tree, cfg.system)
     return tree, forms
 
@@ -255,15 +261,7 @@ def _build_forms(cfg: RunConfig):
 def _cmd_observe(cfg: RunConfig):
     tree, forms = _build_forms(cfg)
     rep = optimal_constant(forms, cfg.delta)
-    payload = {
-        "driver": tree.driver.kind,
-        "K": tree.K,
-        "delta": rep.delta,
-        "T": rep.T,
-        "c_opt": rep.c_opt,
-        "observable": rep.observable,
-        "diagnostics": rep.diagnostics,
-    }
+    payload = dict(asdict(rep), driver=tree.driver.kind, K=tree.K)
     return payload, (
         f"observe: c_opt({cfg.delta}) = "
         f"{'inf' if not rep.observable else format(rep.c_opt, '.10g')}"
@@ -282,7 +280,6 @@ def _cmd_invariance(cfg: RunConfig, out_dir):
         cfg.delta,
         drivers,
         cfg.K_grid,
-        max_leaves=cfg.max_leaves,
     )
     payload = {
         "rows": table.rows,
@@ -315,6 +312,11 @@ def _pick_constant(cfg: RunConfig, forms):
 
 def _cmd_synthesize(cfg: RunConfig, out_dir):
     tree, forms = _build_forms(cfg)
+    if tree.leaf_count > cfg.max_leaves:
+        raise BudgetExceeded(
+            f"tree with b={tree.b}, K={tree.K} has {tree.leaf_count} leaves "
+            f"(budget {cfg.max_leaves})"
+        )
     c = _pick_constant(cfg, forms)
     res = synthesize_control(tree, cfg.system, cfg.x0, c, cfg.delta, forms)
     rows = field_to_rows(tree, res.u)
@@ -342,26 +344,9 @@ def _cmd_synthesize(cfg: RunConfig, out_dir):
 
 def _cmd_theorem51(cfg: RunConfig):
     rep = verify_theorem_5_1(
-        cfg.system, cfg.horizon, cfg.delta, driver=cfg.driver, c=cfg.c,
-        max_leaves=cfg.max_leaves,
+        cfg.system, cfg.horizon, cfg.delta, driver=cfg.driver, c=cfg.c
     )
-    payload = {
-        "applicable": rep.applicable,
-        "delta": rep.delta,
-        "T": rep.T,
-        "c_opt": rep.c_opt,
-        "c_used": rep.c_used,
-        "c0": rep.c0,
-        "forward_pass": rep.forward_pass,
-        "forward_details": rep.forward_details,
-        "measured_cost": rep.measured_cost,
-        "measured_cost_basis_max": rep.measured_cost_basis_max,
-        "converse_pair": rep.converse_pair,
-        "converse_pass": rep.converse_pass,
-        "converse_pair_linear": rep.converse_pair_linear,
-        "converse_pass_linear": rep.converse_pass_linear,
-        "cost_vs_bound_ratio": rep.cost_vs_bound_ratio,
-    }
+    payload = asdict(rep)
     if not rep.applicable:
         return payload, "theorem51: not applicable (not observable at this delta)"
     return payload, (
@@ -422,16 +407,7 @@ def _cmd_equivalence(cfg: RunConfig):
         horizon_K=cfg.horizon.K,
         driver=cfg.driver,
     )
-    payload = {
-        "riccati_solvable": rep.riccati_solvable,
-        "feedback_stabilizable": rep.feedback_stabilizable,
-        "weakly_observable": rep.weakly_observable,
-        "null_controllable_with_cost": rep.null_controllable_with_cost,
-        "agreement": rep.agreement,
-        "grid_point": rep.grid_point,
-        "refined": rep.refined,
-        "details": rep.details,
-    }
+    payload = asdict(rep)
     return payload, (
         f"equivalence: verdicts {rep.verdicts}, agreement "
         f"{'yes' if rep.agreement else 'NO'}"

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .systems import StochasticSystem
+from .systems import HorizonConfig, StochasticSystem
 from .trees import NoiseTree, TreeDriver, build_tree
 
 
@@ -314,7 +314,6 @@ def invariance_experiment(
     delta: float,
     drivers: list,
     K_list: list,
-    max_leaves: int = None,
 ) -> InvarianceTable:
     """Optimal constants across drivers and mesh sizes.
 
@@ -322,15 +321,11 @@ def invariance_experiment(
     constants must settle on a common limit under mesh refinement, so the
     max pairwise relative gap per K is the convergence diagnostic.
     """
-    from .systems import HorizonConfig
-    from .trees import DEFAULT_MAX_LEAVES
-
-    max_leaves = max_leaves or DEFAULT_MAX_LEAVES
     rows = []
     for K in K_list:
         for drv in drivers:
             driver = drv if isinstance(drv, TreeDriver) else TreeDriver.from_name(drv)
-            tree = build_tree(driver, HorizonConfig(T=T, K=K), sys.d, max_leaves)
+            tree = build_tree(driver, HorizonConfig(T=T, K=K), sys.d)
             rep = optimal_constant(assemble_forms(tree, sys), delta)
             rows.append(
                 {

@@ -16,6 +16,10 @@ A_tj = I + dt (A + B L_t) + sum_i xi_ji (C_i + D_i L_t) on branch j of
 step t, one step maps X to sum_j p_j A_tj X A_tj^T and adds
 dt tr(L_t X L_t^T) to the energy; E|x_k|^2 = tr Phi^k(x0 x0^T), and the
 spectral radius rho(Phi) <= delta certifies the per-interval contraction.
+Phi comes from nullcontrol._interval_map, the second-moment propagator
+behind the Theorem 5.1 check too.  Neither route sweeps the tree, so no
+result here depends on its leaf count, and the max_leaves budget (exit 3)
+that guards synthesize's per-node output does not apply.
 
 Route 2 (feedback): the constant Riccati gain.  The closed-loop second
 moment evolves deterministically on the lift, so the decay curve and the
@@ -43,8 +47,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .moments import build_generator, spectral_abscissa, unvec, vec
-from .nullcontrol import ControlKernel, verify_theorem_5_1
-from .observability import assemble_forms, branch_maps, optimal_constant
+from .nullcontrol import ControlKernel, _interval_map, verify_theorem_5_1
+from .observability import assemble_forms, optimal_constant
 from .riccati import NotSolvable, solve_sare
 from .systems import HorizonConfig, StochasticSystem
 from .trees import TreeDriver, build_tree
@@ -70,26 +74,6 @@ class StabilizerRun:
     total_energy: float
 
 
-def _interval_map(sys: StochasticSystem, kernel: ControlKernel):
-    """The interval map Phi and energy functional e on row-major vec(X).
-
-    Phi (n^2 x n^2) is the product over the steps of
-    sum_j p_j kron(A_tj, A_tj), and e . vec(X) is the interval's control
-    energy dt sum_t tr(L_t X_t L_t^T) from X_0 = X.
-    """
-    tree, n = kernel.tree, sys.n
-    dt, p = tree.delta_t, tree.branch_probs
-    maps = branch_maps(sys, dt, tree.branch_increments)
-    Phi = np.eye(n * n)
-    e = np.zeros(n * n)
-    for L in kernel.gains:
-        e += Phi.T @ (dt * (L.T @ L)).ravel()
-        Acl = maps[:, :, :n] + maps[:, :, n:] @ L  # (b, n, n)
-        step = np.einsum("j,jab,jcd->acbd", p, Acl, Acl).reshape(n * n, n * n)
-        Phi = step @ Phi
-    return Phi, e
-
-
 def run_piecewise(
     sys: StochasticSystem,
     kernel: ControlKernel,
@@ -105,7 +89,7 @@ def run_piecewise(
     its driver.  ``paths`` is ignored; it remains for callers that bind it.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    Phi, e = _interval_map(sys, kernel)
+    Phi, e = _interval_map(sys, kernel.tree, kernel.gains)
     trace = np.eye(sys.n).ravel()
     v = np.outer(x0, x0).ravel()
     records = []

@@ -30,10 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvalidConfig
+from .errors import InvalidConfig
 from .systems import HorizonConfig, StochasticSystem
-
-DEFAULT_MAX_LEAVES = 200_000
 
 
 @dataclass(frozen=True)
@@ -178,27 +176,17 @@ class NoiseTree:
         return (self.b**k - 1) // (self.b - 1)
 
 
-def build_tree(
-    driver: TreeDriver,
-    horizon: HorizonConfig,
-    d: int,
-    max_leaves: int = DEFAULT_MAX_LEAVES,
-) -> NoiseTree:
+def build_tree(driver: TreeDriver, horizon: HorizonConfig, d: int) -> NoiseTree:
     """Materialize the branch template for a d-dimensional driver.
 
     The branch set is the cartesian product of the scalar support across
-    components, component 0 varying slowest.
+    components, component 0 varying slowest.  Nothing leaf-sized is
+    allocated here; only the per-node sweeps below scale with leaf_count.
     """
     if d < 1:
         raise InvalidConfig(f"noise dimension must be >= 1, got {d}")
     s = driver.support.shape[0]
     b = s**d
-    leaves = b**horizon.K
-    if leaves > max_leaves:
-        raise BudgetExceeded(
-            f"tree with b={b}, K={horizon.K} has {leaves} leaves "
-            f"(budget {max_leaves})"
-        )
     dt = horizon.delta_t
     multi = np.unravel_index(np.arange(b), (s,) * d)
     increments = np.stack(
@@ -214,13 +202,6 @@ def build_tree(
         driver=driver,
         branch_increments=increments,
         branch_probs=probs,
-    )
-
-
-def constant_control(tree: NoiseTree, value) -> AdaptedField:
-    value = np.atleast_1d(np.asarray(value, dtype=float))
-    return AdaptedField(
-        [np.tile(value, (tree.b**k, 1)) for k in range(tree.K)]
     )
 
 
@@ -389,14 +370,7 @@ def duality_residual(
     lhs = terminal_inner(tree, x.terminal, bw.y.values[-1])
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     pairing = float(x0 @ bw.y0)
-    cross = 0.0
-    if u is not None:
-        for k in range(tree.K):
-            cross += float(
-                tree.depth_probs(k)
-                @ np.einsum("pm,pm->p", u.values[k], bw.z.values[k])
-            )
-        cross *= tree.delta_t
+    cross = 0.0 if u is None else control_pairing(tree, u, bw.z)
     return abs(lhs - pairing - cross)
 
 
@@ -410,9 +384,3 @@ def field_to_rows(tree: NoiseTree, f: AdaptedField) -> np.ndarray:
         )
     return np.vstack(rows)
 
-
-def save_field_csv(path, tree: NoiseTree, f: AdaptedField) -> None:
-    rows = field_to_rows(tree, f)
-    dim = f.dim
-    header = "node,depth," + ",".join(f"v{i}" for i in range(dim))
-    np.savetxt(path, rows, delimiter=",", header=header, comments="")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sctk
+import sctk.cli as cli
 from sctk.cli import COMMANDS, emit_corpus, load_config, main, parse_config
 from sctk.errors import InvalidConfig
 
@@ -75,6 +76,16 @@ class TestEmitCorpus:
         finally:
             os.chmod(ro, stat.S_IRWXU)
         assert code == 2
+
+
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Fail, instead of sweeping 2^40 leaves, if the budget guard is gone."""
+
+    def refuse(tree, *args, **kwargs):
+        raise AssertionError(f"synthesis swept a tree with {tree.leaf_count} leaves")
+
+    monkeypatch.setattr(cli, "synthesize_control", refuse)
 
 
 class TestCommands:
@@ -146,13 +157,49 @@ class TestCommands:
         assert rep["null_controllable_with_cost"] is False
         assert rep["agreement"] is True
 
-    def test_budget_exceeded_exits_3(self, tmp_path):
+    def test_budget_exceeded_exits_3(self, tmp_path, capsys, no_sweep):
+        # only synthesize sweeps the tree node by node, so only it has a budget
         cfg = tmp_path / "big.json"
         cfg.write_text(json.dumps({
             "n": 1, "m": 1, "d": 1, "A": [0.0], "B": [1.0],
             "C": [[0.0]], "D": [[0.0]], "T": 1.0, "K": 40,
         }))
-        assert main(["observe", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        out = tmp_path / "o"
+        assert main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "budget 200000" in capsys.readouterr().err
+        assert not (out / "control_field.csv").exists()
+
+    def test_m0_past_the_leaf_budget(self, tmp_path):
+        # A = C = D = 0, B = 1 on 2^40 leaves: c_opt = (1 - delta) / T
+        # exactly at every K, and nothing but synthesize builds per-node data
+        cfg = tmp_path / "m0_k40.json"
+        cfg.write_text(json.dumps({
+            "n": 1, "m": 1, "d": 1, "A": [0.0], "B": [1.0],
+            "C": [[0.0]], "D": [[0.0]], "T": 1.0, "K": 40, "delta": 0.5,
+        }))
+        out = tmp_path / "o"
+        assert main(["observe", "--config", str(cfg), "--out", str(out)]) == 0
+        rep = json.loads((out / "observe_report.json").read_text())["report"]
+        assert rep["c_opt"] == pytest.approx(0.5, abs=1e-10)
+        assert main(["theorem51", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["stabilize", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_s4_at_k64_past_the_leaf_budget(self, corpus_dir, tmp_path, no_sweep):
+        cfg = json.loads((corpus_dir / "s4.json").read_text())
+        cfg["K"] = 64
+        path = tmp_path / "s4_k64.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+
+        def report(command):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+            return json.loads((out / f"{command}_report.json").read_text())["report"]
+
+        assert np.isfinite(report("observe")["c_opt"])
+        t51 = report("theorem51")
+        assert t51["applicable"] and t51["forward_pass"]
+        assert report("stabilize")["interval_contraction"] <= cfg["delta"]
+        assert main(["synthesize", "--config", str(path), "--out", str(out)]) == 3
 
     def test_removed_gram_budget_key_exits_1(self, corpus_dir, tmp_path, capsys):
         cfg = json.loads((corpus_dir / "m0.json").read_text())
@@ -175,9 +222,13 @@ class TestCommands:
 
     def test_env_var_tightens_budget(self, corpus_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("SCTK_MAX_LEAVES", "4")
-        code = main(["observe", "--config", str(corpus_dir / "s2.json"),
+        code = main(["synthesize", "--config", str(corpus_dir / "s2.json"),
                      "--out", str(tmp_path / "o")])
         assert code == 3
+        # the budget concerns the per-node output only
+        code = main(["theorem51", "--config", str(corpus_dir / "s2.json"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
 
     def test_synthesize_unobservable_system_exits_1(self, corpus_dir, tmp_path):
         # S3 has no output at all, so no constant can exist at any delta

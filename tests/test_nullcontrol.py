@@ -11,6 +11,7 @@ from sctk.trees import (
     TreeDriver,
     build_tree,
     control_energy,
+    control_pairing,
     simulate_forward,
     terminal_expectation_sq,
 )
@@ -140,6 +141,10 @@ class TestSynthesis:
             assert res.terminal_energy <= delta * float(x_s @ x_s) + 1e-12
 
 
+def _rel_gap(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
 def controls_along_tree(tree, sys_, gains, x_s):
     """u_k = gains[k] x_k, each x_k from an open-loop sweep under u_0..u_{k-1}."""
     u = [np.zeros((tree.b**k, sys_.m)) for k in range(tree.K)]
@@ -211,3 +216,55 @@ class TestTheorem51:
             )
             if rep.applicable:
                 assert rep.cost_vs_bound_ratio <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            TreeDriver.bernoulli(),
+            TreeDriver.trinomial(),
+            TreeDriver.quantized_gaussian(4),
+            # mean 0 but variance 2: the moments hold on any branch template
+            TreeDriver("unmatched", [-1.0, 2.0], [2 / 3, 1 / 3]),
+        ],
+        ids=lambda d: d.kind,
+    )
+    def test_moments_match_tree_syntheses(self, driver):
+        # every per-basis energy, limit_tree, kappa and the basis maximum
+        # equal the tree sweeps of synthesize_control on each basis vector
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for _ in range(12):
+            sys_ = random_system(rng, n_max=3, m_max=2, d_max=2)
+            b = driver.support.size**sys_.d
+            K = 4 if b**4 <= 4096 else 3 if b**3 <= 4096 else 2
+            horizon = HorizonConfig(T=1.0, K=K)
+            delta = float(rng.uniform(0.2, 0.9))
+            rep = verify_theorem_5_1(sys_, horizon, delta, driver=driver)
+            if not rep.applicable:
+                continue
+            checked += 1
+            tree = build_tree(driver, horizon, sys_.d)
+            forms = assemble_forms(tree, sys_)
+            controls = []
+            for i, det in enumerate(rep.forward_details):
+                res = synthesize_control(
+                    tree, sys_, np.eye(sys_.n)[i], rep.c_used, delta, forms,
+                    c0=rep.c0, check_constant=False,
+                )
+                controls.append(res.u)
+                for name, want in res.bounds.items():
+                    got = det["bounds"][name]
+                    assert got.keys() == want.keys()
+                    for key in ("value", "limit", "limit_tree"):
+                        if key in want:
+                            assert _rel_gap(got[key], want[key]) <= 1e-12
+                    assert got["holds"] == want["holds"]
+                assert det["all_hold"] == res.all_bounds_hold
+            gram = np.array(
+                [[control_pairing(tree, u, v) for v in controls] for u in controls]
+            )
+            kappa = np.sqrt(np.linalg.eigvalsh(0.5 * (gram + gram.T))[-1])
+            assert _rel_gap(rep.measured_cost, kappa) <= 1e-12
+            basis_max = np.sqrt(gram.diagonal().max())
+            assert _rel_gap(rep.measured_cost_basis_max, basis_max) <= 1e-12
+        assert checked >= 4

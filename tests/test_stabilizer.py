@@ -204,14 +204,29 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("draw", [9, 10])
     def test_d3_draws_get_verdicts(self, draw):
-        # d = 3 at K = 4 means 8^4 leaves; the synthesis builds no dense
-        # nL x nL form, so these draws are decided within the budgets
+        # d = 3 at K = 4 means 8^4 leaves; the harness works on the branch
+        # template and n x n recursions only, so no leaf count limits it
         rng = np.random.default_rng(7)
         sys_ = [random_system(rng) for _ in range(draw + 1)][draw]
         assert sys_.d == 3
         rep = equivalence_harness(sys_, [0.5, 1.0], [0.3, 0.6, 0.9])
         assert rep.verdicts == (True, True, True, True)
         assert rep.agreement
+
+    def test_all_d3_draws_of_the_first_40_get_verdicts(self):
+        # the 2K retry at d = 3 is an 8^8-leaf tree, which the harness
+        # never sweeps; draws 17 and 39 are left to the coarse-mesh problem
+        rng = np.random.default_rng(7)
+        draws = [random_system(rng) for _ in range(40)]
+        reports = {
+            i: equivalence_harness(s, [0.5, 1.0], [0.3, 0.6, 0.9])
+            for i, s in enumerate(draws)
+            if s.d == 3
+        }
+        assert {17, 20, 29, 39} <= reports.keys()
+        for i in (20, 29):
+            assert reports[i].verdicts == (True, True, True, True), i
+            assert reports[i].refined, i
 
     def test_empty_grid_rejected(self, corpus):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sctk.errors import BudgetExceeded
 from sctk.systems import HorizonConfig, make_system
 from sctk.trees import (
     AdaptedField,
@@ -11,7 +10,6 @@ from sctk.trees import (
     build_tree,
     duality_residual,
     field_to_rows,
-    save_field_csv,
     simulate_forward,
     solve_bsde,
     terminal_expectation_sq,
@@ -81,10 +79,6 @@ class TestBuild:
         leaves = np.arange(tree.leaf_count)
         parents = tree.parent_index(leaves)
         assert np.all(np.bincount(parents) == tree.b)
-
-    def test_budget_guard(self):
-        with pytest.raises(BudgetExceeded):
-            build_tree(TreeDriver.trinomial(), HorizonConfig(T=1.0, K=6), 3)
 
 
 class TestForward:
@@ -237,12 +231,3 @@ class TestSerialization:
         assert rows.shape == (tree.node_count, 2 + sys_.n)
         assert rows[0, 0] == 0 and rows[0, 1] == 0
         assert rows[-1, 1] == tree.K
-
-    def test_csv_roundtrip(self, tmp_path, rng):
-        sys_ = random_system(rng, n_max=2)
-        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=3), sys_.d)
-        x = simulate_forward(tree, sys_, np.ones(sys_.n))
-        path = tmp_path / "field.csv"
-        save_field_csv(path, tree, x)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.allclose(data, field_to_rows(tree, x), atol=1e-12)
