@@ -5,10 +5,10 @@ with shapes implied by (n, m, d).  Every command writes a JSON report of
 the form {"meta": {...}, "report": {...}} where only the meta header
 carries the timestamp: an identical config reproduces the report section
 byte for byte.  Exit status: 0 completed analysis (verdicts are
-data), 1 invalid config, 2 numerical failure, 3 budget exceeded.  The
-one budget is max_leaves (or SCTK_MAX_LEAVES): it caps the leaf count of
-the tree that synthesize sweeps node by node for control_field.csv and
-the duality residuals.  Every other command works on the branch template
+data), 1 invalid config, 2 numerical failure or an unwritable --out,
+3 budget exceeded.  The one budget is max_leaves (or SCTK_MAX_LEAVES):
+it caps the leaf count of the tree that synthesize sweeps node by node
+for control_field.csv and the duality residuals.  Every other command works on the branch template
 and the n x n recursions alone, at any K.
 """
 
@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys as _sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -77,16 +77,16 @@ class RunConfig:
     system: StochasticSystem
     horizon: HorizonConfig
     driver: TreeDriver
-    name: str = "unnamed"
-    delta: float = 0.5
-    delta_grid: list = field(default_factory=lambda: [0.3, 0.6, 0.9])
-    T_grid: list = field(default_factory=lambda: [0.5, 1.0])
-    K_grid: list = field(default_factory=lambda: [4, 6, 8])
-    c: float = None
-    x0: np.ndarray = None
-    seed: int = 0  # fills meta.seed only; no result depends on it
-    k_max: int = 5
-    max_leaves: int = DEFAULT_MAX_LEAVES  # guards synthesize only
+    name: str
+    delta: float
+    delta_grid: list
+    T_grid: list
+    K_grid: list
+    c: float  # None: use the optimal constant
+    x0: np.ndarray
+    seed: int  # fills meta.seed only; no result depends on it
+    k_max: int
+    max_leaves: int  # guards synthesize only
 
 
 def _reshape(name, flat, rows, cols):
@@ -253,15 +253,13 @@ def _cmd_riccati(cfg: RunConfig):
 
 
 def _build_forms(cfg: RunConfig):
-    tree = build_tree(cfg.driver, cfg.horizon, cfg.system.d)
-    forms = assemble_forms(tree, cfg.system)
-    return tree, forms
+    return assemble_forms(build_tree(cfg.driver, cfg.horizon, cfg.system.d), cfg.system)
 
 
 def _cmd_observe(cfg: RunConfig):
-    tree, forms = _build_forms(cfg)
+    forms = _build_forms(cfg)
     rep = optimal_constant(forms, cfg.delta)
-    payload = dict(asdict(rep), driver=tree.driver.kind, K=tree.K)
+    payload = dict(asdict(rep), driver=forms.driver_kind, K=forms.K)
     return payload, (
         f"observe: c_opt({cfg.delta}) = "
         f"{'inf' if not rep.observable else format(rep.c_opt, '.10g')}"
@@ -311,14 +309,15 @@ def _pick_constant(cfg: RunConfig, forms):
 
 
 def _cmd_synthesize(cfg: RunConfig, out_dir):
-    tree, forms = _build_forms(cfg)
+    forms = _build_forms(cfg)
+    tree = forms.tree
     if tree.leaf_count > cfg.max_leaves:
         raise BudgetExceeded(
             f"tree with b={tree.b}, K={tree.K} has {tree.leaf_count} leaves "
             f"(budget {cfg.max_leaves})"
         )
     c = _pick_constant(cfg, forms)
-    res = synthesize_control(tree, cfg.system, cfg.x0, c, cfg.delta, forms)
+    res = synthesize_control(forms, cfg.x0, c, cfg.delta)
     rows = field_to_rows(tree, res.u)
     csv_path = Path(out_dir) / "control_field.csv"
     header = "node,depth," + ",".join(f"u{i}" for i in range(cfg.system.m))
@@ -358,10 +357,10 @@ def _cmd_theorem51(cfg: RunConfig):
 def _cmd_stabilize(cfg: RunConfig, out_dir):
     if not (0.0 < cfg.delta < 1.0):
         raise InvalidConfig("stabilize needs delta in (0, 1)")
-    tree, forms = _build_forms(cfg)
+    forms = _build_forms(cfg)
     c = _pick_constant(cfg, forms)
-    kernel = control_kernel(tree, cfg.system, c, cfg.delta, forms)
-    run = run_piecewise(cfg.system, kernel, cfg.x0, cfg.k_max)
+    kernel = control_kernel(forms, c, cfg.delta)
+    run = run_piecewise(kernel, cfg.x0, cfg.k_max)
     # the moments are exact; the *_se fields and columns stay at 0.0 for
     # readers of the earlier Monte Carlo reports
     records = [
@@ -447,16 +446,13 @@ def _corpus_config(name: str) -> dict:
 def emit_corpus(out_dir) -> list:
     """Write the bundled S1..S4 and M0 configs; deterministic bytes."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        paths = []
-        for name in ("S1", "S2", "S3", "S4", "M0"):
-            path = out / f"{name.lower()}.json"
-            path.write_text(json.dumps(_corpus_config(name), sort_keys=True, indent=2) + "\n")
-            paths.append(path)
-        return paths
-    except OSError as exc:
-        raise NumericalFailure(f"corpus emission failed: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name in ("S1", "S2", "S3", "S4", "M0"):
+        path = out / f"{name.lower()}.json"
+        path.write_text(json.dumps(_corpus_config(name), sort_keys=True, indent=2) + "\n")
+        paths.append(path)
+    return paths
 
 
 # command -> (handler, whether it writes files into --out besides the report)
@@ -512,6 +508,10 @@ def main(argv=None) -> int:
     except (InvalidConfig, ValueError) as exc:
         print(f"invalid config: {exc}", file=_sys.stderr)
         return 1
+    except OSError as exc:
+        # an unreadable config is InvalidConfig; what is left is --out
+        print(f"cannot write output: {exc}", file=_sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -49,7 +49,6 @@ from .observability import (
     _lam_max,
     _lq_p0,
     assemble_forms,
-    branch_maps,
     is_delta_observable,
     optimal_constant,
 )
@@ -81,18 +80,19 @@ def _feedback_gains(forms: ObservabilityForms, c: float, delta: float) -> np.nda
 assemble_gramian = _feedback_gains
 
 
-def _interval_map(sys: StochasticSystem, tree: NoiseTree, gains: np.ndarray):
+def _interval_map(forms: ObservabilityForms, gains: np.ndarray):
     """The closed-loop second-moment map Phi and energy functional e.
 
-    Both act on row-major vec(X).  With
-    A_tj = I + dt (A + B L_t) + sum_i xi_ji (C_i + D_i L_t) on branch j of
-    step t, Phi (n^2 x n^2) is the product over the steps of
+    Both act on row-major vec(X).  With the forms' branch maps
+    M_j = [M_j^x, M_j^u], step t on branch j is
+    A_tj = M_j^x + M_j^u L_t = I + dt (A + B L_t) + sum_i xi_ji (C_i + D_i L_t),
+    Phi (n^2 x n^2) is the product over the steps of
     sum_j p_j kron(A_tj, A_tj), so Phi vec(X_0) = vec(X_K), and
     e . vec(X_0) is the control energy dt sum_t tr(L_t X_t L_t^T).
     """
-    n = sys.n
-    dt, p = tree.delta_t, tree.branch_probs
-    maps = branch_maps(sys, dt, tree.branch_increments)
+    n = forms.system.n
+    dt, p = forms.tree.delta_t, forms.tree.branch_probs
+    maps = forms.maps
     Phi = np.eye(n * n)
     e = np.zeros(n * n)
     for L in gains:
@@ -149,16 +149,15 @@ class SynthesisResult:
 
 
 def synthesize_control(
-    tree: NoiseTree,
-    sys: StochasticSystem,
+    forms: ObservabilityForms,
     x_s,
     c: float,
     delta: float,
-    forms: ObservabilityForms,
     c0: float = None,
     check_constant: bool = True,
 ) -> SynthesisResult:
-    """Build u, the controlled trajectory and f; verify every bound."""
+    """Build u, the controlled trajectory and f on forms.tree; verify every bound."""
+    tree, sys = forms.tree, forms.system
     x_s = np.atleast_1d(np.asarray(x_s, dtype=float))
     if check_constant and not is_delta_observable(forms, delta, c):
         raise ValueError(
@@ -203,30 +202,30 @@ def synthesize_control(
 
 @dataclass(frozen=True)
 class ControlKernel:
-    """Per-step m x n feedback gains of the interval synthesis.
+    """Per-step m x n feedback gains of the interval synthesis on forms.
 
     gains[k] has shape (m, n) and acts on the state at depth k of every
-    node: running u_k = gains[k] x_k along the tree from x_s reproduces
-    synthesize_control(x_s).u.
+    node of forms.tree: running u_k = gains[k] x_k along the tree from x_s
+    reproduces synthesize_control(forms, x_s, c, delta).u.  The kernel
+    carries its forms, so the gains, the tree and the system they were
+    computed for cannot come apart.
     """
 
+    forms: ObservabilityForms
     gains: np.ndarray  # (K, m, n)
-    tree: NoiseTree
     c: float
     delta: float
 
     @property
+    def tree(self) -> NoiseTree:
+        return self.forms.tree
+
+    @property
     def T(self) -> float:
-        return self.tree.T
+        return self.forms.T
 
 
-def control_kernel(
-    tree: NoiseTree,
-    sys: StochasticSystem,
-    c: float,
-    delta: float,
-    forms: ObservabilityForms,
-) -> ControlKernel:
+def control_kernel(forms: ObservabilityForms, c: float, delta: float) -> ControlKernel:
     """The Riccati feedback gains of a valid observability pair (c, delta)."""
     if not is_delta_observable(forms, delta, c):
         raise ValueError(
@@ -234,7 +233,7 @@ def control_kernel(
             "is_delta_observable returned False"
         )
     return ControlKernel(
-        gains=_feedback_gains(forms, c, delta), tree=tree, c=c, delta=delta
+        forms=forms, gains=_feedback_gains(forms, c, delta), c=c, delta=delta
     )
 
 
@@ -322,8 +321,8 @@ def verify_theorem_5_1(
     c0 = growth_constant_c0(sys, tree.T).c0
     n = sys.n
     gains = _feedback_gains(forms, c_used, delta)
-    Phi, e = _interval_map(sys, tree, gains)
-    Phi_free, _ = _interval_map(sys, tree, np.zeros_like(gains))
+    Phi, e = _interval_map(forms, gains)
+    Phi_free, _ = _interval_map(forms, np.zeros_like(gains))
     identity = np.eye(n).ravel()
     W_u = e.reshape(n, n)
     W_T = (Phi.T @ identity).reshape(n, n)

@@ -41,37 +41,42 @@ from .systems import HorizonConfig, StochasticSystem
 from .trees import NoiseTree, TreeDriver, build_tree
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservabilityForms:
-    """System and branch template of one (tree, system) pair."""
+    """One (tree, system) pair and its branch maps.
 
-    K: int
-    delta_t: float
-    T: float
-    driver_kind: str
+    maps = branch_maps(system, tree.delta_t, tree.branch_increments), shape
+    (b, n, n + m), is computed once by assemble_forms; every recursion on
+    the pair (c_opt, the synthesis gains, the interval second-moment map)
+    reads the tree, the system and the maps from here alone.
+    """
+
+    tree: NoiseTree
     system: StochasticSystem = field(repr=False)
-    branch_increments: np.ndarray = field(repr=False)  # (b, d)
-    branch_probs: np.ndarray = field(repr=False)  # (b,)
-    _cache: dict = field(default_factory=dict, repr=False)
+    maps: np.ndarray = field(repr=False)
 
     @property
-    def n(self) -> int:
-        return self.system.n
+    def K(self) -> int:
+        return self.tree.K
 
     @property
-    def m(self) -> int:
-        return self.system.m
+    def T(self) -> float:
+        return self.tree.T
+
+    @property
+    def driver_kind(self) -> str:
+        return self.tree.driver.kind
 
     # sizes of the leaf-indexed forms, which are no longer built; the
     # benchmark's tracer (perfbench/tracing.py) still counts them
     @property
     def nL(self) -> int:
-        return self.n * self.branch_probs.size**self.K
+        return self.system.n * self.tree.b**self.K
 
     @property
     def gram_dim(self) -> int:
-        b = self.branch_probs.size
-        return self.m * (b**self.K - 1) // (b - 1)
+        b = self.tree.b
+        return self.system.m * (b**self.K - 1) // (b - 1)
 
 
 @dataclass(frozen=True)
@@ -84,16 +89,9 @@ class ObservabilityReport:
 
 
 def assemble_forms(tree: NoiseTree, sys: StochasticSystem) -> ObservabilityForms:
-    """Bundle the system with the tree's branch template."""
-    return ObservabilityForms(
-        K=tree.K,
-        delta_t=tree.delta_t,
-        T=tree.T,
-        driver_kind=tree.driver.kind,
-        system=sys,
-        branch_increments=tree.branch_increments,
-        branch_probs=tree.branch_probs,
-    )
+    """Bundle the tree and the system with their branch maps."""
+    maps = branch_maps(sys, tree.delta_t, tree.branch_increments)
+    return ObservabilityForms(tree=tree, system=sys, maps=maps)
 
 
 def _lam_max(sym_mat: np.ndarray) -> float:
@@ -115,15 +113,6 @@ def branch_maps(sys_: StochasticSystem, dt: float, xi: np.ndarray) -> np.ndarray
     return maps
 
 
-def _branch_maps(forms: ObservabilityForms) -> np.ndarray:
-    """The forms' branch_maps, computed once."""
-    if "branch_maps" not in forms._cache:
-        forms._cache["branch_maps"] = branch_maps(
-            forms.system, forms.delta_t, forms.branch_increments
-        )
-    return forms._cache["branch_maps"]
-
-
 def _lq_p0(
     forms: ObservabilityForms,
     c: float,
@@ -142,13 +131,13 @@ def _lq_p0(
     With gains=True, returns (P_0, L) where L[k] = -H_uu^+ H_ux, shape
     (K, m, n), is the optimal feedback u_k = L[k] x_k at depth k.
     """
-    maps = _branch_maps(forms)
-    n = forms.n
-    reg = math.inf if c == 0 else forms.delta_t / c
+    tree, maps = forms.tree, forms.maps
+    n = forms.system.n
+    reg = math.inf if c == 0 else tree.delta_t / c
     P = p_terminal * np.eye(n)
-    L = np.zeros((forms.K, forms.m, n)) if gains else None
-    for k in range(forms.K - 1, -1, -1):
-        H = np.einsum("j,jak,jal->kl", forms.branch_probs, maps, P @ maps)
+    L = np.zeros((tree.K, forms.system.m, n)) if gains else None
+    for k in range(tree.K - 1, -1, -1):
+        H = np.einsum("j,jak,jal->kl", tree.branch_probs, maps, P @ maps)
         if math.isinf(reg):
             P = H[:n, :n]
         else:
@@ -179,13 +168,13 @@ def _null_control_p0(forms: ObservabilityForms, rank_rtol: float):
     u-maps: once V_{k+1} = R^n the projected stack is rounding noise, so
     its own norm is no scale.
     """
-    maps = _branch_maps(forms)
-    n, m = forms.n, forms.m
+    tree, maps = forms.tree, forms.maps
+    n, m = forms.system.n, forms.system.m
     tol_x = rank_rtol * np.linalg.norm(maps[:, :, :n].reshape(-1, n), 2)
     tol_u = rank_rtol * np.linalg.norm(maps[:, :, n:].reshape(-1, m), 2)
     U = np.zeros((n, 0))
     P = np.zeros((n, n))
-    for _ in range(forms.K):
+    for _ in range(tree.K):
         E = ((np.eye(n) - U @ U.T) @ maps).reshape(-1, n + m)
         Ex, Eu = E[:, :n], E[:, n:]
         W, s, Zt = np.linalg.svd(Eu)
@@ -194,8 +183,8 @@ def _null_control_p0(forms: ObservabilityForms, rank_rtol: float):
         G = -(Zt[:r].T / s[:r]) @ (Wr.T @ Ex)
         _, sx, Xt = np.linalg.svd(Ex - Wr @ (Wr.T @ Ex))
         U = Xt[int(np.sum(sx > tol_x)):].T
-        H = np.einsum("j,jak,jal->kl", forms.branch_probs, maps, P @ maps)
-        H[n:, n:] += forms.delta_t * np.eye(m)
+        H = np.einsum("j,jak,jal->kl", tree.branch_probs, maps, P @ maps)
+        H[n:, n:] += tree.delta_t * np.eye(m)
         # [x; u] = S [x; w] with S = [[I, 0], [G, N]]
         S = np.block([[np.eye(n), np.zeros((n, m - r))], [G, Zt[r:].T]])
         Hs = S.T @ H @ S
@@ -271,7 +260,7 @@ def _copt_riccati(forms, delta, rank_rtol):
 
 def _copt_null(forms, rank_rtol):
     U, P0 = _null_control_p0(forms, rank_rtol)
-    controllable = U.shape[1] == forms.n
+    controllable = U.shape[1] == forms.system.n
     diagnostics = {
         "method": "riccati",
         "null_controllable": controllable,
@@ -296,7 +285,7 @@ def is_delta_observable(
         P0 = _lq_p0(forms, c, 1.0 / delta, rank_rtol)
         return _lam_max(P0) <= 1.0 + 1e-10
     U, P0 = _null_control_p0(forms, rank_rtol)
-    return U.shape[1] == forms.n and c >= _lam_max(P0) * (1 - 1e-10)
+    return U.shape[1] == forms.system.n and c >= _lam_max(P0) * (1 - 1e-10)
 
 
 @dataclass(frozen=True)

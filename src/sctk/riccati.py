@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_continuous_are
 
-from .errors import InvalidConfig, NumericalFailure
+from .errors import NumericalFailure
 from .moments import build_generator, spectral_abscissa, unvec, vec
 from .systems import StochasticSystem, hautus_stabilizability
 
@@ -87,14 +87,8 @@ class NotSolvable:
     diagnostics: dict = field(default_factory=dict)
 
 
-def sare_residual(sys: StochasticSystem, P, convention: str = "standard") -> np.ndarray:
-    """Residual matrix of the algebraic Riccati operator at P.
-
-    convention="standard" is the equation documented above (minus sign on
-    the quadratic term, +I constant).  convention="printed" evaluates the
-    variant without the constant term and with a plus sign on the
-    quadratic term; it is exposed for side-by-side comparison only.
-    """
+def sare_residual(sys: StochasticSystem, P) -> np.ndarray:
+    """Residual matrix of the algebraic Riccati operator at P."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     lin = P @ sys.A + sys.A.T @ P
     for Ci in sys.C:
@@ -106,11 +100,7 @@ def sare_residual(sys: StochasticSystem, P, convention: str = "standard") -> np.
     for Ci, Di in zip(sys.C, sys.D):
         S += Ci.T @ P @ Di
     quad = S @ np.linalg.solve(G, S.T)
-    if convention == "standard":
-        return lin + np.eye(sys.n) - quad
-    if convention == "printed":
-        return lin + quad
-    raise InvalidConfig(f"unknown convention {convention!r}")
+    return lin + np.eye(sys.n) - quad
 
 
 def feedback_gain(P, sys: StochasticSystem) -> np.ndarray:
@@ -305,17 +295,15 @@ def _growth_factor(M, lam, V, W):
 
 
 def _lyapunov_solve(sys: StochasticSystem, F) -> np.ndarray:
-    """Solve (A+BF)^T P + P(A+BF) + sum (C+DF)^T P (C+DF) = -(I + F^T F)."""
+    """Solve (A+BF)^T P + P(A+BF) + sum (C+DF)^T P (C+DF) = -(I + F^T F).
+
+    The operator is the adjoint of the second-moment lift, so its matrix
+    is the transpose of build_generator(sys, F).L.
+    """
     n = sys.n
-    Acl = sys.A + sys.B @ F
-    I = np.eye(n)
-    M = np.kron(I, Acl.T) + np.kron(Acl.T, I)
-    for Ci, Di in zip(sys.C, sys.D):
-        Ccl = Ci + Di @ F
-        M += np.kron(Ccl.T, Ccl.T)
-    rhs = -vec(I + F.T @ F)
+    rhs = -vec(np.eye(n) + F.T @ F)
     try:
-        P = unvec(np.linalg.solve(M, rhs), n)
+        P = unvec(np.linalg.solve(build_generator(sys, F).L.T, rhs), n)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"lifted Lyapunov solve is singular: {exc}") from exc
     return 0.5 * (P + P.T)

@@ -74,23 +74,18 @@ class StabilizerRun:
     total_energy: float
 
 
-def run_piecewise(
-    sys: StochasticSystem,
-    kernel: ControlKernel,
-    x0,
-    k_max: int,
-    paths: int = 0,
-) -> StabilizerRun:
+def run_piecewise(kernel: ControlKernel, x0, k_max: int, paths: int = 0) -> StabilizerRun:
     """Exact second moments of the concatenated interval controls.
 
     The control at step t of every interval is the kernel's step-t gain
     applied to the current state, which keeps the concatenated control
-    adapted; the moments are exact on the tree's branch template, whatever
+    adapted.  The system and the branch template are the kernel's own
+    (kernel.forms), and the moments are exact on that template, whatever
     its driver.  ``paths`` is ignored; it remains for callers that bind it.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    Phi, e = _interval_map(sys, kernel.tree, kernel.gains)
-    trace = np.eye(sys.n).ravel()
+    Phi, e = _interval_map(kernel.forms, kernel.gains)
+    trace = np.eye(kernel.forms.system.n).ravel()
     v = np.outer(x0, x0).ravel()
     records = []
     cum = 0.0
@@ -133,6 +128,17 @@ class FeedbackRun:
     control_norm_T: dict = None
 
 
+def _msq_curve(gen, X0, times, dt_report) -> np.ndarray:
+    """trace X(t) on the report times, stepping the lift flow by dt_report."""
+    step = expm(dt_report * gen.L)
+    v = vec(X0)
+    curve = []
+    for _ in times:
+        curve.append(float(np.trace(unvec(v, gen.n))))
+        v = step @ v
+    return np.array(curve)
+
+
 def run_riccati_feedback(
     sys: StochasticSystem,
     F,
@@ -159,17 +165,11 @@ def run_riccati_feedback(
     if alpha >= 0:
         t_end = t_max or 10.0
         times = np.arange(0.0, t_end + 1e-12, dt_report)
-        step = expm(dt_report * gen.L)
-        v = vec(X0)
-        curve = []
-        for _ in times:
-            curve.append(float(np.trace(unvec(v, n))))
-            v = step @ v
         return FeedbackRun(
             diverged=True,
             abscissa=alpha,
             times=times,
-            msq_curve=np.array(curve),
+            msq_curve=_msq_curve(gen, X0, times, dt_report),
         )
 
     w = vec(np.eye(n) + F.T @ F)
@@ -198,13 +198,7 @@ def run_riccati_feedback(
     tail_exact = cost_full - cost_to_t
 
     times = np.arange(0.0, min(t_end, t_max or t_end) + 1e-12, dt_report)
-    step = expm(dt_report * gen.L)
-    v = vX0.copy()
-    curve = []
-    for _ in times:
-        curve.append(float(np.trace(unvec(v, n))))
-        v = step @ v
-    curve = np.array(curve)
+    curve = _msq_curve(gen, X0, times, dt_report)
 
     # measured finite-horizon control norm ||F x||_{L^2(0,T)} per unit |x0|
     # versus the bound from the fitted decay envelope c(a) e^{-a t}

@@ -118,14 +118,6 @@ class AdaptedField:
     def zeros(cls, tree: "NoiseTree", dim: int, depth: int) -> "AdaptedField":
         return cls([np.zeros((tree.b**k, dim)) for k in range(depth + 1)])
 
-    def __add__(self, other):
-        return AdaptedField([a + b for a, b in zip(self.values, other.values)])
-
-    def __mul__(self, scalar):
-        return AdaptedField([scalar * a for a in self.values])
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class NoiseTree:

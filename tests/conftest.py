@@ -179,14 +179,14 @@ def _closed_loop_step(sys_, tree, gain, states, xi):
     return nxt, tree.delta_t * np.einsum("pm,pm->p", u, u)
 
 
-def enumerate_piecewise(sys_, kernel, x0, k_max):
+def enumerate_piecewise(kernel, x0, k_max):
     """Exhaustive enumeration of all b^(K k_max) paths of the concatenation.
 
     Every interval restarts the kernel's gains from the current state; the
     moments are probability-weighted sums over the leaves, so they share no
     code with the second-moment recursion of sctk.stabilizer.
     """
-    tree = kernel.tree
+    sys_, tree = kernel.forms.system, kernel.tree
     states = np.atleast_2d(np.asarray(x0, dtype=float))
     weights = np.ones(1)
     msq, energy = [], []
@@ -206,9 +206,9 @@ def enumerate_piecewise(sys_, kernel, x0, k_max):
     return PiecewiseMoments(np.array(msq), np.array(energy))
 
 
-def monte_carlo_piecewise(sys_, kernel, x0, k_max, paths=20_000, seed=909):
+def monte_carlo_piecewise(kernel, x0, k_max, paths=20_000, seed=909):
     """Monte Carlo of the concatenation over sampled tree paths, with standard errors."""
-    tree = kernel.tree
+    sys_, tree = kernel.forms.system, kernel.tree
     rng = np.random.default_rng(seed)
     states = np.tile(np.asarray(x0, dtype=float), (paths, 1))
     msq, msq_se, energy, energy_se = [], [], [], []

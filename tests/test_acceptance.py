@@ -123,9 +123,7 @@ def test_c02_theorem51_forward_identity():
     rng = np.random.default_rng(2020)
     for sys_, tree, forms, delta, c_opt in instances:
         x_s = rng.standard_normal(sys_.n)
-        res = synthesize_control(
-            tree, sys_, x_s, c_opt, delta, forms, check_constant=False
-        )
+        res = synthesize_control(forms, x_s, c_opt, delta, check_constant=False)
         worst_identity = max(worst_identity, res.terminal_identity_residual)
         if not (
             res.bounds["control_energy"]["holds"]
@@ -275,9 +273,9 @@ def test_c09_piecewise_stabilizer(name, factory):
     tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=T, K=K), sys_.d)
     forms = assemble_forms(tree, sys_)
     rep = optimal_constant(forms, delta)
-    kernel = control_kernel(tree, sys_, rep.c_opt, delta, forms)
+    kernel = control_kernel(forms, rep.c_opt, delta)
     x0 = np.ones(sys_.n)
-    run = run_piecewise(sys_, kernel, x0, k_max=5)
+    run = run_piecewise(kernel, x0, k_max=5)
     xs2 = float(x0 @ x0)
     decay_ok = all(r.msq <= delta**r.k * xs2 for r in run.records)
     c0 = growth_constant_c0(sys_, T).c0

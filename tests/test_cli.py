@@ -59,11 +59,19 @@ class TestEmitCorpus:
             pb = b / pa.name
             assert pa.read_bytes() == pb.read_bytes()
 
-    def test_unwritable_destination_exits_2(self, tmp_path):
+    def test_unwritable_destination_exits_2(self, corpus_dir, tmp_path, capsys):
+        # every command, whether it writes CSVs or only its report, turns
+        # an --out it cannot create into exit 2 and one line on stderr
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
-        code = main(["emit-corpus", "--out", str(blocker / "sub")])
-        assert code == 2
+        config = ["--config", str(corpus_dir / "s2.json")]
+        for command in COMMANDS:
+            extra = [] if command == "emit-corpus" else config
+            code = main([command, *extra, "--out", str(blocker / "sub")])
+            err = capsys.readouterr().err
+            assert code == 2, command
+            assert err.startswith("cannot write output:"), command
+            assert err.count("\n") == 1, command
 
     def test_read_only_directory_exits_2(self, tmp_path):
         if os.geteuid() == 0:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -40,7 +42,7 @@ class TestSynthesis:
     def test_zero_state_zero_everything(self):
         tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=3), 1)
         forms = assemble_forms(tree, martingale())
-        res = synthesize_control(tree, martingale(), [0.0], 1.0, 0.5, forms)
+        res = synthesize_control(forms, [0.0], 1.0, 0.5)
         assert not res.f.any()
         assert res.control_energy == 0.0
         assert res.terminal_energy == 0.0
@@ -54,7 +56,7 @@ class TestSynthesis:
         sys_ = martingale()
         forms = assemble_forms(tree, sys_)
         x_s = 1.3
-        res = synthesize_control(tree, sys_, [x_s], 1.0 / T, delta, forms)
+        res = synthesize_control(forms, [x_s], 1.0 / T, delta)
         assert np.allclose(res.f, x_s / (1 + delta), atol=1e-12)
         expect_term = delta**2 * x_s**2 / (1 + delta) ** 2
         assert res.terminal_energy == pytest.approx(expect_term, rel=1e-12)
@@ -65,8 +67,7 @@ class TestSynthesis:
         for _ in range(8):
             sys_, tree, forms, delta, c_opt = observable_instance(rng)
             x_s = rng.standard_normal(sys_.n)
-            res = synthesize_control(tree, sys_, x_s, c_opt, delta, forms,
-                                     check_constant=False)
+            res = synthesize_control(forms, x_s, c_opt, delta, check_constant=False)
             assert res.terminal_identity_residual < 1e-8
             assert res.energy_identity_residual < 1e-9
             assert res.bounds["terminal_energy"]["holds"]
@@ -98,7 +99,7 @@ class TestSynthesis:
         # the LQ optimum exists for every c > 0; use c_opt where it is finite
         c = rep.c_opt if rep.observable and rep.c_opt > 0 else float(rng.uniform(0.1, 10))
         x_s = rng.standard_normal(sys_.n)
-        res = synthesize_control(tree, sys_, x_s, c, delta, forms, check_constant=False)
+        res = synthesize_control(forms, x_s, c, delta, check_constant=False)
         want = dense_gram_control(tree, sys_, x_s, c, delta)
         scale = max(float(np.abs(w).max()) for w in want)
         for got_k, want_k in zip(res.u.values, want):
@@ -120,7 +121,7 @@ class TestSynthesis:
     def test_invalid_constant_is_rejected(self, rng):
         sys_, tree, forms, delta, c_opt = observable_instance(rng)
         with pytest.raises(ValueError, match="is_delta_observable"):
-            synthesize_control(tree, sys_, np.ones(sys_.n), c_opt * 0.5, delta, forms)
+            synthesize_control(forms, np.ones(sys_.n), c_opt * 0.5, delta)
 
     def test_null_controllability_tracks_initial_observability(self, rng):
         # initially observable system: shrinking delta drives the terminal
@@ -135,9 +136,7 @@ class TestSynthesis:
         x_s = np.ones(sys_.n)
         for delta in (0.1, 0.01):
             rep = optimal_constant(forms, delta)
-            res = synthesize_control(
-                tree, sys_, x_s, rep.c_opt, delta, forms, check_constant=False
-            )
+            res = synthesize_control(forms, x_s, rep.c_opt, delta, check_constant=False)
             assert res.terminal_energy <= delta * float(x_s @ x_s) + 1e-12
 
 
@@ -161,26 +160,34 @@ class TestKernel:
         T, K, c, delta = 1.0, 4, 1.3, 0.5
         tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=T, K=K), 1)
         sys_ = martingale()
-        ker = control_kernel(tree, sys_, c, delta, assemble_forms(tree, sys_))
+        ker = control_kernel(assemble_forms(tree, sys_), c, delta)
         want = [-c / (delta + c * (T - k * tree.delta_t)) for k in range(K)]
         assert ker.gains.shape == (K, 1, 1)
         assert np.allclose(ker.gains[:, 0, 0], want, rtol=1e-13, atol=0.0)
 
     def test_kernel_reproduces_synthesis_linearly(self, rng):
         sys_, tree, forms, delta, c_opt = observable_instance(rng)
-        ker = control_kernel(tree, sys_, c_opt * 1.000001, delta, forms)
+        ker = control_kernel(forms, c_opt * 1.000001, delta)
         for _ in range(5):
             x_s = rng.standard_normal(sys_.n)
-            res = synthesize_control(
-                tree, sys_, x_s, c_opt * 1.000001, delta, forms, check_constant=False
-            )
+            res = synthesize_control(forms, x_s, c_opt * 1.000001, delta, check_constant=False)
             uk = controls_along_tree(tree, sys_, ker.gains, x_s)
             dev = max(np.abs(uk[k] - res.u.values[k]).max() for k in range(tree.K))
             assert dev < 1e-10
 
+    def test_kernel_carries_its_forms(self, rng):
+        # the gains, the tree and the system travel together: no caller can
+        # pair the gains with another tree or system
+        sys_, tree, forms, delta, c_opt = observable_instance(rng)
+        ker = control_kernel(forms, c_opt * 1.000001, delta)
+        assert ker.forms is forms and ker.tree is tree and ker.T == tree.T
+        assert ker.gains.shape == (tree.K, sys_.m, sys_.n)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            forms.tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=8), sys_.d)
+
     def test_zero_state_zero_control(self, rng):
         sys_, tree, forms, delta, c_opt = observable_instance(rng)
-        ker = control_kernel(tree, sys_, c_opt * 1.000001, delta, forms)
+        ker = control_kernel(forms, c_opt * 1.000001, delta)
         assert np.all(np.isfinite(ker.gains))
         u0 = controls_along_tree(tree, sys_, ker.gains, np.zeros(sys_.n))
         assert all(not layer.any() for layer in u0)
@@ -248,7 +255,7 @@ class TestTheorem51:
             controls = []
             for i, det in enumerate(rep.forward_details):
                 res = synthesize_control(
-                    tree, sys_, np.eye(sys_.n)[i], rep.c_used, delta, forms,
+                    forms, np.eye(sys_.n)[i], rep.c_used, delta,
                     c0=rep.c0, check_constant=False,
                 )
                 controls.append(res.u)

@@ -226,11 +226,6 @@ class TestResidualConventions:
         res = sare_residual(corpus["S2"], [[GOLDEN]])
         assert abs(res[0, 0]) < 1e-12
 
-    def test_printed_form_differs(self, corpus):
-        # plus-signed quadratic term, no constant: value phi + phi^2 at phi
-        res = sare_residual(corpus["S2"], [[GOLDEN]], convention="printed")
-        assert res[0, 0] == pytest.approx(GOLDEN + GOLDEN**2, abs=1e-12)
-
 
 class TestOptimality:
     def test_perturbed_gains_cost_more(self, corpus, rng):

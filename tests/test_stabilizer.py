@@ -17,8 +17,7 @@ def martingale_kernel(delta=0.5, T=1.0, K=4):
         [[0.0]], [[1.0]], C=[[[0.0]]], D=[[[0.0]]]
     )
     tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=T, K=K), 1)
-    forms = assemble_forms(tree, sys_)
-    return sys_, control_kernel(tree, sys_, 1.0 / T, delta, forms)
+    return control_kernel(assemble_forms(tree, sys_), 1.0 / T, delta)
 
 
 def valid_kernel(sys_, driver, K, delta=0.5, T=1.0, scale=1.0):
@@ -28,7 +27,7 @@ def valid_kernel(sys_, driver, K, delta=0.5, T=1.0, scale=1.0):
     c_opt = optimal_constant(forms, delta).c_opt
     if not 0.0 < c_opt < np.inf:
         return None
-    return control_kernel(tree, sys_, scale * c_opt, delta, forms)
+    return control_kernel(forms, scale * c_opt, delta)
 
 
 ENUMERATION_MESHES = [
@@ -55,15 +54,15 @@ def _controlled_draws(delta=0.9):
 
 class TestPiecewise:
     def test_zero_start_stays_zero(self):
-        sys_, ker = martingale_kernel()
-        run = run_piecewise(sys_, ker, [0.0], k_max=3)
+        ker = martingale_kernel()
+        run = run_piecewise(ker, [0.0], k_max=3)
         assert run.total_energy == 0.0
         assert all(r.msq == 0.0 for r in run.records)
 
     def test_martingale_decay_matches_closed_form(self):
         delta = 0.5
-        sys_, ker = martingale_kernel(delta=delta)
-        run = run_piecewise(sys_, ker, [1.0], k_max=4)
+        ker = martingale_kernel(delta=delta)
+        run = run_piecewise(ker, [1.0], k_max=4)
         per_interval = delta**2 / (1 + delta) ** 2
         for r in run.records:
             assert r.msq == pytest.approx(per_interval**r.k, rel=1e-12)
@@ -72,21 +71,21 @@ class TestPiecewise:
 
     def test_cumulative_energy_is_nondecreasing(self, corpus):
         ker = valid_kernel(corpus["S2"], TreeDriver.bernoulli(), 4)
-        run = run_piecewise(corpus["S2"], ker, [1.0], k_max=4)
+        run = run_piecewise(ker, [1.0], k_max=4)
         assert all(r.energy >= 0 for r in run.records)
         cums = [r.cum_energy for r in run.records]
         assert all(b >= a for a, b in zip(cums, cums[1:]))
 
     def test_run_is_deterministic(self, corpus):
         ker = valid_kernel(corpus["S4"], TreeDriver.bernoulli(), 4)
-        a = run_piecewise(corpus["S4"], ker, [1.0, 0.0], k_max=3)
-        b = run_piecewise(corpus["S4"], ker, [1.0, 0.0], k_max=3, paths=500)
+        a = run_piecewise(ker, [1.0, 0.0], k_max=3)
+        b = run_piecewise(ker, [1.0, 0.0], k_max=3, paths=500)
         assert a == b
 
     def test_noisy_system_decay_within_allowance(self, corpus):
         delta = 0.5
         ker = valid_kernel(corpus["S2"], TreeDriver.bernoulli(), 4, delta)
-        run = run_piecewise(corpus["S2"], ker, [1.0], k_max=5)
+        run = run_piecewise(ker, [1.0], k_max=5)
         for r in run.records:
             assert r.msq <= delta**r.k * (1 + 1e-12)
         assert run.decay_slope <= np.log(delta)
@@ -103,8 +102,8 @@ class TestPiecewise:
         ker = valid_kernel(sys_, driver, K, delta, scale=scale)
         assert ker is not None
         x0 = np.linspace(1.0, -0.5, sys_.n)
-        run = run_piecewise(sys_, ker, x0, k_max=2)
-        oracle = enumerate_piecewise(sys_, ker, x0, k_max=2)
+        run = run_piecewise(ker, x0, k_max=2)
+        oracle = enumerate_piecewise(ker, x0, k_max=2)
         msq = [r.msq for r in run.records]
         energy = [r.energy for r in run.records[:-1]]
         np.testing.assert_allclose(msq, oracle.msq, rtol=1e-12, atol=0)
@@ -119,8 +118,8 @@ class TestPiecewise:
         sys_ = corpus[name]
         ker = valid_kernel(sys_, TreeDriver.bernoulli(), 4)
         x0 = np.ones(sys_.n)
-        run = run_piecewise(sys_, ker, x0, k_max=3)
-        mc = monte_carlo_piecewise(sys_, ker, x0, k_max=3)
+        run = run_piecewise(ker, x0, k_max=3)
+        mc = monte_carlo_piecewise(ker, x0, k_max=3)
         for r in run.records:
             assert abs(r.msq - mc.msq[r.k]) <= 4 * mc.msq_se[r.k] + 1e-15
             if r.k < run.k_max:
@@ -136,13 +135,13 @@ class TestPiecewise:
         for delta in (0.3, 0.5, 0.9):
             for name in ("S1", "S2", "S4", "M0"):
                 ker = valid_kernel(corpus[name], driver, K, delta)
-                run = run_piecewise(corpus[name], ker, np.ones(corpus[name].n), 1)
+                run = run_piecewise(ker, np.ones(corpus[name].n), 1)
                 assert 0 < run.interval_contraction <= delta * (1 + 1e-9), name
 
     @pytest.mark.parametrize("name", ["S2", "S4"])
     def test_interval_ratios_converge_to_contraction(self, corpus, name):
         ker = valid_kernel(corpus[name], TreeDriver.bernoulli(), 10)
-        run = run_piecewise(corpus[name], ker, np.ones(corpus[name].n), k_max=40)
+        run = run_piecewise(ker, np.ones(corpus[name].n), k_max=40)
         msq = np.array([r.msq for r in run.records])
         ratios = msq[1:] / msq[:-1]
         gaps = np.abs(ratios - run.interval_contraction)
@@ -255,7 +254,7 @@ class TestEquivalence:
         tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=4), 1)
         forms = assemble_forms(tree, sys_)
         rep = optimal_constant(forms, 0.5)
-        ker = control_kernel(tree, sys_, rep.c_opt, 0.5, forms)
-        run = run_piecewise(sys_, ker, [1.0], k_max=4)
+        ker = control_kernel(forms, rep.c_opt, 0.5)
+        run = run_piecewise(ker, [1.0], k_max=4)
         assert run.decay_slope < 0
         assert run.records[-1].msq < run.records[0].msq
