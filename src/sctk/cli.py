@@ -8,14 +8,20 @@ byte for byte.  Exit status: 0 completed analysis (verdicts are
 data), 1 invalid config, 2 numerical failure or an unwritable --out,
 3 budget exceeded.  The one budget is max_leaves (or SCTK_MAX_LEAVES):
 it caps the leaf count of the tree that synthesize sweeps node by node
-for control_field.csv and the duality residuals.  Every other command works on the branch template
-and the n x n recursions alone, at any K.
+for control_field.csv and the duality residuals.  Every other command
+works on the branch template and the n x n recursions alone, at any K.
+
+A rerun into the same --out rewrites each report, CSV and emitted config
+in place, over the old file's bytes (see _write_text).  A crash mid-write
+therefore leaves old and new bytes mixed, not a truncated file; neither
+is a valid report, and a rerun regenerates it.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys as _sys
@@ -105,9 +111,8 @@ def parse_config(data: dict) -> RunConfig:
     for key, val in data.items():
         if key not in _KNOWN_KEYS:
             raise InvalidConfig(f"unknown config key {key!r}")
-        if not isinstance(val, _KNOWN_KEYS[key]) and not (
-            _KNOWN_KEYS[key] == (int, float) and isinstance(val, (int, float))
-        ):
+        # no key takes a boolean, and JSON true would pass as the int 1
+        if isinstance(val, bool) or not isinstance(val, _KNOWN_KEYS[key]):
             raise InvalidConfig(f"config key {key!r} has wrong type")
     for req in ("n", "m", "d", "A", "B", "T", "K"):
         if req not in data:
@@ -187,6 +192,30 @@ def _config_hash(raw: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _write_text(path: Path, text: str) -> Path:
+    """Write text to path over the file's old bytes; return the path.
+
+    The file is opened without O_TRUNC and cut to the new length after the
+    write, so rewriting a file of about the same size frees no disk block
+    (truncating first frees them all, and on a filesystem that discards
+    freed blocks each rewrite then costs tens of milliseconds).  Trade-off:
+    a crash mid-write leaves old and new bytes mixed instead of a truncated
+    file.  Neither is a valid report, and a rerun regenerates it.  Like
+    open(path, "w"), this follows symlinks and creates the file with the
+    umask applied to 0o666.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+    return path
+
+
 def write_report(out_dir, command, cfg_raw, seed, payload) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -205,8 +234,7 @@ def write_report(out_dir, command, cfg_raw, seed, payload) -> Path:
         "report": _jsonable(payload),
     }
     path = out_dir / f"{command.replace('-', '_')}_report.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return path
+    return _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +312,14 @@ def _cmd_invariance(cfg: RunConfig, out_dir):
         "gaps": {str(k): v for k, v in table.gaps.items()},
         "gaps_non_increasing": table.gaps_non_increasing,
     }
-    csv_path = Path(out_dir) / "invariance_table.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("driver,K,delta,T,c_opt,observable\n")
-        for row in table.rows:
-            fh.write(
-                f"{row['driver']},{row['K']},{row['delta']},{row['T']},"
-                f"{row['c_opt']},{row['observable']}\n"
-            )
+    _write_text(
+        Path(out_dir) / "invariance_table.csv",
+        "driver,K,delta,T,c_opt,observable\n" + "".join(
+            f"{row['driver']},{row['K']},{row['delta']},{row['T']},"
+            f"{row['c_opt']},{row['observable']}\n"
+            for row in table.rows
+        ),
+    )
     gap_str = ", ".join(f"K={k}: {v:.3e}" for k, v in sorted(table.gaps.items()))
     return payload, f"invariance: gaps {gap_str}"
 
@@ -319,9 +347,10 @@ def _cmd_synthesize(cfg: RunConfig, out_dir):
     c = _pick_constant(cfg, forms)
     res = synthesize_control(forms, cfg.x0, c, cfg.delta)
     rows = field_to_rows(tree, res.u)
-    csv_path = Path(out_dir) / "control_field.csv"
     header = "node,depth," + ",".join(f"u{i}" for i in range(cfg.system.m))
-    np.savetxt(csv_path, rows, delimiter=",", header=header, comments="")
+    buf = io.StringIO()
+    np.savetxt(buf, rows, delimiter=",", header=header, comments="")
+    _write_text(Path(out_dir) / "control_field.csv", buf.getvalue())
     payload = {
         "c": c,
         "delta": cfg.delta,
@@ -368,11 +397,11 @@ def _cmd_stabilize(cfg: RunConfig, out_dir):
          "energy_se": 0.0, "cum_energy": r.cum_energy, "cum_energy_se": 0.0}
         for r in run.records
     ]
-    csv_path = Path(out_dir) / "piecewise_decay.csv"
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(records[0]) + "\n")
-        for rec in records:
-            fh.write(",".join(str(v) for v in rec.values()) + "\n")
+    _write_text(
+        Path(out_dir) / "piecewise_decay.csv",
+        ",".join(records[0]) + "\n"
+        + "".join(",".join(str(v) for v in rec.values()) + "\n" for rec in records),
+    )
     payload = {
         "c": c,
         "delta": cfg.delta,
@@ -447,12 +476,13 @@ def emit_corpus(out_dir) -> list:
     """Write the bundled S1..S4 and M0 configs; deterministic bytes."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name in ("S1", "S2", "S3", "S4", "M0"):
-        path = out / f"{name.lower()}.json"
-        path.write_text(json.dumps(_corpus_config(name), sort_keys=True, indent=2) + "\n")
-        paths.append(path)
-    return paths
+    return [
+        _write_text(
+            out / f"{name.lower()}.json",
+            json.dumps(_corpus_config(name), sort_keys=True, indent=2) + "\n",
+        )
+        for name in ("S1", "S2", "S3", "S4", "M0")
+    ]
 
 
 # command -> (handler, whether it writes files into --out besides the report)

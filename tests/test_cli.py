@@ -1,3 +1,5 @@
+import builtins
+import io
 import json
 import os
 import stat
@@ -9,7 +11,7 @@ import pytest
 
 import sctk
 import sctk.cli as cli
-from sctk.cli import COMMANDS, emit_corpus, load_config, main, parse_config
+from sctk.cli import COMMANDS, _write_text, emit_corpus, load_config, main, parse_config
 from sctk.errors import InvalidConfig
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -45,6 +47,59 @@ class TestConfig:
         for path in sorted(corpus_dir.iterdir()):
             cfg = load_config(path)
             assert cfg.system.n >= 1
+
+    @pytest.mark.parametrize(
+        "key",
+        ["n", "m", "d", "T", "K", "delta", "c", "gh_levels", "seed", "paths",
+         "k_max", "max_leaves"],
+    )
+    def test_boolean_for_a_number_exits_1(self, corpus_dir, tmp_path, capsys, key):
+        # JSON true is a Python bool, and bool is a subclass of int
+        cfg = json.loads((corpus_dir / "s2.json").read_text())
+        cfg[key] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["observe", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"config key {key!r} has wrong type" in capsys.readouterr().err
+
+
+class TestWriteText:
+    @pytest.mark.parametrize(
+        "old_size, new_size",
+        [(3000, 100), (10_000, 100), (10_000, 4097), (100, 10_000), (4096, 4096)],
+    )
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old_size, new_size):
+        # shrinking within a 4 KiB block and across one, growing, same size
+        path = tmp_path / "f.csv"
+        path.write_text("x" * old_size)
+        inode = path.stat().st_ino
+        new = "".join(chr(ord("a") + i % 26) for i in range(new_size))
+        assert _write_text(path, new) == path
+        assert path.read_text() == new
+        assert path.stat().st_ino == inode  # rewritten in place, not replaced
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:1000]))
+        path = tmp_path / "f.csv"
+        new = "0123456789" * 1001
+        _write_text(path, new)
+        monkeypatch.undo()
+        assert path.read_text() == new
+
+    def test_missing_file_is_created(self, tmp_path):
+        path = tmp_path / "new.json"
+        _write_text(path, "{}\n")
+        assert path.read_text() == "{}\n"
+
+    def test_symlink_target_is_rewritten(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old contents, longer than the new ones\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        _write_text(link, "new\n")
+        assert link.is_symlink()
+        assert target.read_text() == "new\n"
 
 
 class TestEmitCorpus:
@@ -319,6 +374,64 @@ class TestReproducibility:
         assert reports[0]["report"] == reports[1]["report"]
         assert tables[0] == tables[1]
         assert [r["meta"]["seed"] for r in reports] == [0, 7]
+
+
+class TestRerun:
+    """A rerun into a used --out leaves what a run into a fresh one leaves."""
+
+    @pytest.mark.parametrize(
+        "command, key, values, table",
+        [("synthesize", "K", (8, 3), "control_field.csv"),
+         ("stabilize", "k_max", (8, 3), "piecewise_decay.csv")],
+    )
+    def test_shrinking_rerun_matches_fresh_run(
+        self, corpus_dir, tmp_path, command, key, values, table
+    ):
+        base = json.loads((corpus_dir / "s2.json").read_text())
+        paths = []
+        for v in values:
+            paths.append(tmp_path / f"{key}{v}.json")
+            paths[-1].write_text(json.dumps(dict(base, **{key: v})))
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        for path in paths:
+            assert main([command, "--config", str(path), "--out", str(reused)]) == 0
+        assert main([command, "--config", str(paths[-1]), "--out", str(fresh)]) == 0
+        assert (reused / table).read_bytes() == (fresh / table).read_bytes()
+        report = f"{command}_report.json"
+        docs = [json.loads((out / report).read_text()) for out in (reused, fresh)]
+        assert docs[0]["report"] == docs[1]["report"]
+        assert docs[0]["meta"]["config_hash"] == docs[1]["meta"]["config_hash"]
+
+    def test_every_file_goes_through_one_writer(self, corpus_dir, tmp_path, monkeypatch):
+        real_open = builtins.open
+
+        def read_only_open(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                raise AssertionError(f"open({file!r}, {mode!r}) bypasses _write_text")
+            return real_open(file, mode, *args, **kwargs)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{self} written outside _write_text")
+
+        monkeypatch.setattr(builtins, "open", read_only_open)
+        monkeypatch.setattr(io, "open", read_only_open)
+        monkeypatch.setattr(Path, "write_text", refuse)
+        monkeypatch.setattr(Path, "write_bytes", refuse)
+        tables = {"invariance": "invariance_table.csv",
+                  "synthesize": "control_field.csv",
+                  "stabilize": "piecewise_decay.csv"}
+        for command in COMMANDS:
+            out = tmp_path / command
+            if command == "emit-corpus":
+                assert main([command, "--out", str(out)]) == 0
+                assert sorted(p.name for p in out.iterdir()) == sorted(
+                    p.name for p in corpus_dir.iterdir()
+                )
+                continue
+            config = str(corpus_dir / "s2.json")
+            assert main([command, "--config", config, "--out", str(out)]) == 0, command
+            written = {p.name for p in out.iterdir()} - {f"{command}_report.json"}
+            assert written == ({tables[command]} if command in tables else set()), command
 
 
 class TestReportSchema:
