@@ -9,7 +9,7 @@ data), 1 invalid config, 2 numerical failure or an unwritable --out,
 3 budget exceeded.  The one budget is max_leaves (or SCTK_MAX_LEAVES):
 it caps the leaf count of the tree that synthesize sweeps node by node
 for control_field.csv and the duality residuals.  Every other command
-works on the branch template and the n x n recursions alone, at any K.
+works on the one-step maps and the n x n recursions alone, at any K.
 
 A rerun into the same --out rewrites each report, CSV and emitted config
 in place, over the old file's bytes (see _write_text).  A crash mid-write
@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys as _sys
 from dataclasses import asdict, dataclass
@@ -95,6 +96,34 @@ class RunConfig:
     max_leaves: int  # guards synthesize only
 
 
+def _is_number(v, kind) -> bool:
+    """True iff v is a finite number of the given kind and not a bool."""
+    if isinstance(v, bool) or not isinstance(v, kind):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _check_list(key, val):
+    """Reject a list-valued key whose elements are not finite real numbers.
+
+    C and D hold one flat list per noise component, K_grid holds integers,
+    and every other list is flat.  JSON true would pass as the number 1,
+    and Python's json module reads NaN and Infinity as floats.
+    """
+    nested, integer = key in ("C", "D"), key == "K_grid"
+    kind = int if integer else (int, float)
+    for row in val if nested else [val]:
+        if not isinstance(row, list) or not all(_is_number(v, kind) for v in row):
+            raise InvalidConfig(
+                f"config key {key!r} has wrong type: expected a list of "
+                + ("lists of " if nested else "")
+                + ("integers" if integer else "finite numbers")
+            )
+
+
 def _reshape(name, flat, rows, cols):
     arr = np.asarray(flat, dtype=float)
     if arr.size != rows * cols:
@@ -114,6 +143,8 @@ def parse_config(data: dict) -> RunConfig:
         # no key takes a boolean, and JSON true would pass as the int 1
         if isinstance(val, bool) or not isinstance(val, _KNOWN_KEYS[key]):
             raise InvalidConfig(f"config key {key!r} has wrong type")
+        if _KNOWN_KEYS[key] is list:
+            _check_list(key, val)
     for req in ("n", "m", "d", "A", "B", "T", "K"):
         if req not in data:
             raise InvalidConfig(f"missing required config key {req!r}")

@@ -29,8 +29,9 @@ analogue, so a failure against it is a genuine failure.
 Only synthesize_control sweeps the tree, because only it returns a
 per-node field (and the two duality residuals).  Every other number
 comes from the closed-loop second moment: one step maps X to
-sum_j p_j A_j X A_j^T with A_j = M_j [I; L_k], and _interval_map gives
-the K-step map and its energy functional on the branch template.  The
+sum_r A_r X A_r^T over the closed-loop step maps A_r = M_r [I; L_k] (the
+mean map and one noise map per component, observability.step_maps), and
+_interval_map gives the K-step map and its energy functional.  The
 Theorem 5.1 check takes the basis energies, the limits and the cost
 from three n x n matrices of that map, so it builds nothing leaf-sized,
 and the leaf budget (max_leaves, SCTK_MAX_LEAVES, exit 3) guards the CLI's
@@ -72,7 +73,7 @@ def _feedback_gains(forms: ObservabilityForms, c: float, delta: float) -> np.nda
         raise ValueError(f"need c > 0, got {c}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"need delta in (0, 1), got {delta}")
-    return _lq_p0(forms, c, 1.0 / delta, 1e-10, gains=True)[1]
+    return _lq_p0(forms, c, 1.0 / delta, gains=True)[1]
 
 
 # perfbench/tracing.py looks this name up to time the synthesis solve; it
@@ -83,22 +84,24 @@ assemble_gramian = _feedback_gains
 def _interval_map(forms: ObservabilityForms, gains: np.ndarray):
     """The closed-loop second-moment map Phi and energy functional e.
 
-    Both act on row-major vec(X).  With the forms' branch maps
-    M_j = [M_j^x, M_j^u], step t on branch j is
-    A_tj = M_j^x + M_j^u L_t = I + dt (A + B L_t) + sum_i xi_ji (C_i + D_i L_t),
-    Phi (n^2 x n^2) is the product over the steps of
-    sum_j p_j kron(A_tj, A_tj), so Phi vec(X_0) = vec(X_K), and
+    Both act on row-major vec(X).  With the forms' step maps
+    M_r = [M_r^x, M_r^u], the closed-loop step maps of step t are
+    A_tr = M_r^x + M_r^u L_t: the mean map
+    I + dt (A + B L_t) + mean sqrt(dt) sum_i (C_i + D_i L_t) and the noise
+    maps sqrt(dt var) (C_i + D_i L_t).  One step maps X to
+    E[A X A^T] = sum_r A_tr X A_tr^T, so Phi (n^2 x n^2) is the product
+    over the steps of sum_r kron(A_tr, A_tr), Phi vec(X_0) = vec(X_K), and
     e . vec(X_0) is the control energy dt sum_t tr(L_t X_t L_t^T).
     """
     n = forms.system.n
-    dt, p = forms.tree.delta_t, forms.tree.branch_probs
+    dt = forms.tree.delta_t
     maps = forms.maps
     Phi = np.eye(n * n)
     e = np.zeros(n * n)
     for L in gains:
         e += Phi.T @ (dt * (L.T @ L)).ravel()
-        Acl = maps[:, :, :n] + maps[:, :, n:] @ L  # (b, n, n)
-        step = np.einsum("j,jab,jcd->acbd", p, Acl, Acl).reshape(n * n, n * n)
+        Acl = maps[:, :, :n] + maps[:, :, n:] @ L  # (1 + d, n, n)
+        step = np.einsum("jab,jcd->acbd", Acl, Acl).reshape(n * n, n * n)
         Phi = step @ Phi
     return Phi, e
 

@@ -13,9 +13,12 @@ duality on the tree,
         = min_u ||u||^2 / c + E|x_T|^2 / delta = x0^T P_0(c) x0,
 
 so (c, delta) is valid iff lambda_max(P_0(c)) <= 1.  Every node of a tree
-carries the same branch template, so P_0(c) comes from K steps of an
-n x n recursion summed over the b branches (no moment matching is
-assumed); no leaf-indexed form is ever built.
+carries the same branch template, and one Euler step is linear in the
+increment, so the quadratic value E|M [x; u]|^2_P of a step depends on
+the driver only through its mean and variance: step_maps stacks the
+mean map and one map per noise component, and P_0(c) comes from K steps
+of an n x n recursion over that stack of 1 + d maps, whatever the
+number b of branches.  No leaf-indexed form is ever built.
 
 delta > 0: c_opt is found by brentq on log c.  c_opt = inf iff the
 c = inf limit of the recursion, started from P_K = I, ends with
@@ -35,20 +38,24 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 
+from .errors import InvalidConfig
 from .systems import HorizonConfig, StochasticSystem
 from .trees import NoiseTree, TreeDriver, build_tree
+
+RANK_RTOL = 1e-10  # relative rank cut of the c = inf and delta = 0 recursions
 
 
 @dataclass(frozen=True)
 class ObservabilityForms:
-    """One (tree, system) pair and its branch maps.
+    """One (tree, system) pair and its one-step maps.
 
-    maps = branch_maps(system, tree.delta_t, tree.branch_increments), shape
-    (b, n, n + m), is computed once by assemble_forms; every recursion on
-    the pair (c_opt, the synthesis gains, the interval second-moment map)
-    reads the tree, the system and the maps from here alone.
+    maps = step_maps(system, tree.delta_t, *tree.driver.moments), shape
+    (1 + d, n, n + m), is computed once by assemble_forms; every recursion
+    on the pair (c_opt, the synthesis gains, the interval second-moment
+    map) reads the tree, the system and the maps from here alone.
     """
 
     tree: NoiseTree
@@ -89,8 +96,10 @@ class ObservabilityReport:
 
 
 def assemble_forms(tree: NoiseTree, sys: StochasticSystem) -> ObservabilityForms:
-    """Bundle the tree and the system with their branch maps."""
-    maps = branch_maps(sys, tree.delta_t, tree.branch_increments)
+    """Bundle the tree and the system with their one-step maps."""
+    if sys.d != tree.d:
+        raise InvalidConfig(f"system d={sys.d} != tree d={tree.d}")
+    maps = step_maps(sys, tree.delta_t, *tree.driver.moments)
     return ObservabilityForms(tree=tree, system=sys, maps=maps)
 
 
@@ -100,78 +109,97 @@ def _lam_max(sym_mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (sym_mat + sym_mat.T))[-1])
 
 
-def branch_maps(sys_: StochasticSystem, dt: float, xi: np.ndarray) -> np.ndarray:
-    """One-step maps M_j = [I + dt A + sum_i xi_ji C_i, dt B + sum_i xi_ji D_i].
+def step_maps(
+    sys_: StochasticSystem, dt: float, mean: float = 0.0, var: float = 1.0
+) -> np.ndarray:
+    """One Euler step in moment form, shape (1 + d, n, n + m).
 
-    Shape (b, n, n + m) for increments xi of shape (b, d): on branch j the
-    Euler step is x' = M_j [x; u].
+    With per-component increments of mean mean sqrt(dt) and variance
+    var dt, the step x' = M [x; u] has
+    E[M^T P M] = sum_r maps[r]^T P maps[r] for every P, where
+    maps[0] = [I + dt A, dt B] + mean sqrt(dt) sum_i [C_i, D_i] is the mean
+    map and maps[1 + i] = sqrt(dt var) [C_i, D_i] the noise maps.
     """
-    drift = np.hstack([np.eye(sys_.n) + dt * sys_.A, dt * sys_.B])
-    maps = np.repeat(drift[None], xi.shape[0], axis=0)
-    for i in range(sys_.d):
-        maps += xi[:, i, None, None] * np.hstack([sys_.C[i], sys_.D[i]])
+    n = sys_.n
+    maps = np.empty((1 + sys_.d, n, n + sys_.m))
+    maps[1:, :, :n] = sys_.C
+    maps[1:, :, n:] = sys_.D
+    maps[0] = np.hstack([np.eye(n) + dt * sys_.A, dt * sys_.B])
+    maps[0] += mean * np.sqrt(dt) * maps[1:].sum(axis=0)
+    maps[1:] *= np.sqrt(dt * var)
     return maps
 
 
-def _lq_p0(
-    forms: ObservabilityForms,
-    c: float,
-    p_terminal: float,
-    rank_rtol: float,
-    gains: bool = False,
-):
+def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, gains: bool = False):
     """P_0 of min_u ||u||^2 / c + p_terminal E|x_T|^2 on the tree.
 
-    ||u||^2 = dt sum_k E|u_k|^2.  Each step sums H = sum_j p_j M_j^T P M_j
-    over the branches, adds (dt / c) I to H_uu and takes the Schur
-    complement P = H_xx - H_ux^T H_uu^{-1} H_ux.  c = 0 means u = 0.
-    For finite c > 0, H_uu + (dt / c) I >= (dt / c) I is inverted whole;
-    c = inf drops the control cost and takes the pseudo-inverse of H_uu,
-    whose eigenvalues below rank_rtol times the largest count as kernel.
-    With gains=True, returns (P_0, L) where L[k] = -H_uu^+ H_ux, shape
-    (K, m, n), is the optimal feedback u_k = L[k] x_k at depth k.
+    ||u||^2 = dt sum_k E|u_k|^2.  The value is carried as P = R^T R.  A
+    step stacks G = [R M_r]_r over the step maps, so G^T G = E[M^T P M],
+    and eliminates u.  Finite c > 0: the QR of
+    [[G_u, G_x], [sqrt(dt / c) I, 0]] is [[R_uu, R_ux], [0, R_x]], the
+    next R is R_x (its R_x^T R_x is the Schur complement over u) and the
+    gain is -R_uu^{-1} R_ux.  c = 0 means u = 0: the next R is the QR of
+    G_x.  c = inf drops the control cost: the SVD of G_u, with squared
+    singular values below RANK_RTOL times the largest as kernel, projects
+    G_x off range(G_u), the next R is the QR of that projection, and the
+    gain is -G_u^+ G_x.  With gains=True, returns (P_0, L), where L[k]
+    (m x n) is the optimal feedback u_k = L[k] x_k at depth k.
     """
-    tree, maps = forms.tree, forms.maps
-    n = forms.system.n
-    reg = math.inf if c == 0 else tree.delta_t / c
-    P = p_terminal * np.eye(n)
-    L = np.zeros((tree.K, forms.system.m, n)) if gains else None
-    for k in range(tree.K - 1, -1, -1):
-        H = np.einsum("j,jak,jal->kl", tree.branch_probs, maps, P @ maps)
-        if math.isinf(reg):
-            P = H[:n, :n]
-        else:
-            w, V = np.linalg.eigh(H[n:, n:])
-            w = np.clip(w, 0.0, None) + reg
-            keep = w > (rank_rtol * w[-1] if reg == 0 else 0.0)
-            root = np.sqrt(w[keep])[:, None]
-            R = (V[:, keep].T @ H[n:, :n]) / root
-            P = H[:n, :n] - R.T @ R
+    maps, m, K = forms.maps, forms.system.m, forms.K
+    s, n, _ = maps.shape
+    R = np.sqrt(p_terminal) * np.eye(n)
+    L = np.zeros((K, m, n)) if gains else None
+    if c == 0:
+        for _ in range(K):
+            R = np.linalg.qr((R @ maps[:, :, :n]).reshape(-1, n), mode="r")
+    elif math.isinf(c):
+        for k in range(K - 1, -1, -1):
+            G = (R @ maps).reshape(-1, n + m)
+            W, sv, Zt = np.linalg.svd(G[:, n:])
+            r = np.count_nonzero(sv**2 > RANK_RTOL * sv.max(initial=0.0) ** 2)
             if gains:
-                L[k] = -V[:, keep] @ (R / root)
-        P = 0.5 * (P + P.T)
+                L[k] = -(Zt[:r].T / sv[:r]) @ (W[:, :r].T @ G[:, :n])
+            # R can end up with fewer than n rows, even none; R^T R is n x n
+            R = np.linalg.qr(W[:, r:].T @ G[:, :n], mode="r")
+    else:
+        # u columns first, so that the QR eliminates u before x; the
+        # control-cost rows below the stack stay fixed
+        maps_ux = np.concatenate([maps[:, :, n:], maps[:, :, :n]], axis=2)
+        buf = np.zeros((s * n + m, m + n))
+        buf[s * n :, :m] = np.sqrt(forms.tree.delta_t / c) * np.eye(m)
+        stack = buf[: s * n].reshape(s, n, m + n)
+        for k in range(K - 1, -1, -1):
+            np.matmul(R, maps_ux, out=stack)
+            tri = np.linalg.qr(buf, mode="r")
+            R = tri[m:, m:]
+            if gains:
+                L[k] = -solve_triangular(tri[:m, :m], tri[:m, m:])
+    P = R.T @ R
     return (P, L) if gains else P
 
 
-def _null_control_p0(forms: ObservabilityForms, rank_rtol: float):
+def _null_control_p0(forms: ObservabilityForms):
     """(U_0, P^_0) of min{||u||^2 : x_K = 0 on every leaf}.
 
     U_k is an orthonormal basis of V_k, the states that some adapted
     control steers to 0 on every leaf from depth k, and x^T P^_k x is the
-    least energy that takes for x in V_k; V_K = {0}, P^_K = 0.  A step
-    stacks E = [(I - U U^T) M_j]_j = [E_x, E_u], so that M_j [x; u] lies
-    in V_{k+1} on every branch iff E_x x + E_u u = 0.  With u = G x + N w,
+    least energy that takes for x in V_k; V_K = {0}, P^_K = 0.  Branch j
+    maps by M_0 + sum_i a_ji M_{1+i}, where the a_j average to zero and
+    span R^d if the driver's variance is positive (else the noise maps
+    vanish), so the step lands in V_{k+1} on every branch iff each step
+    map M_r does: iff E_x x + E_u u = 0 for the stack
+    E = [(I - U U^T) M_r]_r = [E_x, E_u].  With u = G x + N w,
     G = -E_u^+ E_x and N a basis of null(E_u), V_k is the null space of
     the part of E_x outside range(E_u), and P^_k is the Schur complement
-    over w of dt |u|^2 + sum_j p_j |M_j [x; u]|^2_P.  Singular values
-    count as zero below rank_rtol times the norm of the unprojected x- or
+    over w of dt |u|^2 + sum_r |M_r [x; u]|^2_P.  Singular values count
+    as zero below RANK_RTOL times the norm of the unprojected x- or
     u-maps: once V_{k+1} = R^n the projected stack is rounding noise, so
     its own norm is no scale.
     """
     tree, maps = forms.tree, forms.maps
     n, m = forms.system.n, forms.system.m
-    tol_x = rank_rtol * np.linalg.norm(maps[:, :, :n].reshape(-1, n), 2)
-    tol_u = rank_rtol * np.linalg.norm(maps[:, :, n:].reshape(-1, m), 2)
+    tol_x = RANK_RTOL * np.linalg.norm(maps[:, :, :n].reshape(-1, n), 2)
+    tol_u = RANK_RTOL * np.linalg.norm(maps[:, :, n:].reshape(-1, m), 2)
     U = np.zeros((n, 0))
     P = np.zeros((n, n))
     for _ in range(tree.K):
@@ -183,7 +211,7 @@ def _null_control_p0(forms: ObservabilityForms, rank_rtol: float):
         G = -(Zt[:r].T / s[:r]) @ (Wr.T @ Ex)
         _, sx, Xt = np.linalg.svd(Ex - Wr @ (Wr.T @ Ex))
         U = Xt[int(np.sum(sx > tol_x)):].T
-        H = np.einsum("j,jak,jal->kl", tree.branch_probs, maps, P @ maps)
+        H = np.einsum("jak,jal->kl", maps, P @ maps)
         H[n:, n:] += tree.delta_t * np.eye(m)
         # [x; u] = S [x; w] with S = [[I, 0], [G, N]]
         S = np.block([[np.eye(n), np.zeros((n, m - r))], [G, Zt[r:].T]])
@@ -193,9 +221,7 @@ def _null_control_p0(forms: ObservabilityForms, rank_rtol: float):
     return U, P
 
 
-def optimal_constant(
-    forms: ObservabilityForms, delta: float, rank_rtol: float = 1e-10
-) -> ObservabilityReport:
+def optimal_constant(forms: ObservabilityForms, delta: float) -> ObservabilityReport:
     """Optimal constant c_opt(delta) of the delta-observability inequality.
 
     delta > 0: the backward Riccati recursion gives
@@ -213,9 +239,9 @@ def optimal_constant(
     if not (0.0 <= delta < 1.0):
         raise ValueError(f"delta must be in [0, 1), got {delta}")
     if delta > 0:
-        c_opt, diagnostics = _copt_riccati(forms, delta, rank_rtol)
+        c_opt, diagnostics = _copt_riccati(forms, delta)
     else:
-        c_opt, diagnostics = _copt_null(forms, rank_rtol)
+        c_opt, diagnostics = _copt_null(forms)
     return ObservabilityReport(
         delta=delta,
         T=forms.T,
@@ -225,18 +251,18 @@ def optimal_constant(
     )
 
 
-def _copt_riccati(forms, delta, rank_rtol):
-    lam_kernel = _lam_max(_lq_p0(forms, math.inf, 1.0, rank_rtol))
+def _copt_riccati(forms, delta):
+    lam_kernel = _lam_max(_lq_p0(forms, math.inf, 1.0))
     diagnostics = {"method": "riccati", "lam_kernel": lam_kernel}
     if lam_kernel > delta:
         return math.inf, diagnostics
-    if _lam_max(_lq_p0(forms, 0.0, 1.0 / delta, rank_rtol)) <= 1.0:
+    if _lam_max(_lq_p0(forms, 0.0, 1.0 / delta)) <= 1.0:
         return 0.0, diagnostics
     excess = {}  # log c -> lambda_max(P_0(c)) - 1, non-increasing
 
     def f(s):
         if s not in excess:
-            P0 = _lq_p0(forms, math.exp(s), 1.0 / delta, rank_rtol)
+            P0 = _lq_p0(forms, math.exp(s), 1.0 / delta)
             excess[s] = _lam_max(P0) - 1.0
         return excess[s]
 
@@ -258,20 +284,18 @@ def _copt_riccati(forms, delta, rank_rtol):
     return math.exp(min(s for s, v in excess.items() if v <= 0)), diagnostics
 
 
-def _copt_null(forms, rank_rtol):
-    U, P0 = _null_control_p0(forms, rank_rtol)
+def _copt_null(forms):
+    U, P0 = _null_control_p0(forms)
     controllable = U.shape[1] == forms.system.n
     diagnostics = {
         "method": "riccati",
         "null_controllable": controllable,
-        "lam_kernel": _lam_max(_lq_p0(forms, math.inf, 1.0, rank_rtol)),
+        "lam_kernel": _lam_max(_lq_p0(forms, math.inf, 1.0)),
     }
     return (max(0.0, _lam_max(P0)) if controllable else math.inf), diagnostics
 
 
-def is_delta_observable(
-    forms: ObservabilityForms, delta: float, c: float, rank_rtol: float = 1e-10
-) -> bool:
+def is_delta_observable(forms: ObservabilityForms, delta: float, c: float) -> bool:
     """True iff (c, delta) satisfies the observability inequality.
 
     delta > 0: lambda_max(P_0(c)) <= 1 + 1e-10 from the recursion behind
@@ -282,9 +306,9 @@ def is_delta_observable(
     if not (0.0 <= delta < 1.0) or c < 0:
         raise ValueError("need delta in [0,1) and c >= 0")
     if delta > 0:
-        P0 = _lq_p0(forms, c, 1.0 / delta, rank_rtol)
+        P0 = _lq_p0(forms, c, 1.0 / delta)
         return _lam_max(P0) <= 1.0 + 1e-10
-    U, P0 = _null_control_p0(forms, rank_rtol)
+    U, P0 = _null_control_p0(forms)
     return U.shape[1] == forms.system.n and c >= _lam_max(P0) * (1 - 1e-10)
 
 

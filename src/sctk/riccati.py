@@ -24,7 +24,8 @@ The first stabilizing gain comes from a deterministic search with no
 seed: the zero gain, then the deterministic LQR gain, which stabilizes a
 noise-free system whenever one can be stabilized, so there the exact
 Hautus test gives the verdict.  A noisy system goes on to value
-iteration of the Euler recursion of the same unit-weight problem from
+iteration of the Euler recursion of the same unit-weight problem, one
+step of ``observability.step_maps`` at dt = ``VI_DT`` per iterate, from
 P = 0, V_{k+1} = R(V_k), testing the gain of every ``VI_CHECK_EVERY``-th
 iterate.  Its iterates are bounded exactly when the discretized problem
 is stabilizable, which implies continuous stabilizability but, for a
@@ -32,8 +33,9 @@ stiff system, does not follow from it.
 
 ``NotSolvable`` rests on a proof that the Euler value is unbounded.  Let
 R0 be the one-step map without running cost,
-R0(Q) = inf_u sum_j [x; u]^T M_j^T Q M_j [x; u], with M_j the drift and
-noise maps of one Euler step.  R0 is monotone and positively
+R0(Q) = inf_u sum_j [x; u]^T M_j^T Q M_j [x; u], with M_j the step maps
+of one Euler step (``observability.step_maps``: the drift map and one
+noise map per component).  R0 is monotone and positively
 homogeneous, R >= R0, and V_k >= V_1 = dt I.  So a Q >= 0, Q != 0 with
 R0(Q) >= rho Q, rho > 1, gives V_{k+j} >= c rho^j Q for some c > 0: the
 value grows without bound.  At each gain test the normalised iterate and
@@ -61,6 +63,7 @@ from scipy.linalg import solve_continuous_are
 
 from .errors import NumericalFailure
 from .moments import build_generator, spectral_abscissa, unvec, vec
+from .observability import step_maps
 from .systems import StochasticSystem, hautus_stabilizability
 
 VI_DT = 0.01  # Euler step of the value iteration
@@ -159,13 +162,11 @@ def find_stabilizing_gain(sys: StochasticSystem, margin: float = 1e-9, evidence=
         evidence["hautus"] = False
         return None
 
-    # one Euler step maps (x, u) through the drift (I + dt A, dt B) and the
-    # noise loadings sqrt(dt) (C_i, D_i); the next value is the P-weighted
-    # sum of their squares plus the unit running cost dt (|x|^2 + |u|^2)
-    M = np.stack(
-        [np.hstack([np.eye(n) + VI_DT * sys.A, VI_DT * sys.B])]
-        + [np.sqrt(VI_DT) * np.hstack([Ci, Di]) for Ci, Di in zip(sys.C, sys.D)]
-    )
+    # the step maps of one Euler step of Brownian noise: the drift
+    # (I + dt A, dt B) and the noise loadings sqrt(dt) (C_i, D_i); the next
+    # value is the P-weighted sum of their squares plus the unit running
+    # cost dt (|x|^2 + |u|^2)
+    M = step_maps(sys, VI_DT)
     Mt = M.transpose(0, 2, 1)
     running = VI_DT * np.eye(n + m)
     P = np.zeros((n, n))

@@ -11,9 +11,11 @@ energy bill is a geometric series,
     total ||u||^2 <= c delta^{-1} c0(T) (1 - delta)^{-1} |x0|^2.
 
 The closed-loop interval map X -> Phi(X) on second moments is linear, so
-the moments, the energies and the contraction rate are exact: with
-A_tj = I + dt (A + B L_t) + sum_i xi_ji (C_i + D_i L_t) on branch j of
-step t, one step maps X to sum_j p_j A_tj X A_tj^T and adds
+the moments, the energies and the contraction rate are exact: with the
+closed-loop step maps A_tr of step t (the mean map
+I + dt (A + B L_t) + mean sqrt(dt) sum_i (C_i + D_i L_t) and the noise
+maps sqrt(dt var) (C_i + D_i L_t), from the driver's increment mean and
+variance), one step maps X to E[A X A^T] = sum_r A_tr X A_tr^T and adds
 dt tr(L_t X L_t^T) to the energy; E|x_k|^2 = tr Phi^k(x0 x0^T), and the
 spectral radius rho(Phi) <= delta certifies the per-interval contraction.
 Phi comes from nullcontrol._interval_map, the second-moment propagator
@@ -79,9 +81,9 @@ def run_piecewise(kernel: ControlKernel, x0, k_max: int, paths: int = 0) -> Stab
 
     The control at step t of every interval is the kernel's step-t gain
     applied to the current state, which keeps the concatenated control
-    adapted.  The system and the branch template are the kernel's own
-    (kernel.forms), and the moments are exact on that template, whatever
-    its driver.  ``paths`` is ignored; it remains for callers that bind it.
+    adapted.  The system and the step maps are the kernel's own
+    (kernel.forms), and the moments are exact for the tree's driver,
+    whatever its law.  ``paths`` is ignored; it remains for callers that bind it.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     Phi, e = _interval_map(kernel.forms, kernel.gains)

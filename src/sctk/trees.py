@@ -36,11 +36,14 @@ from .systems import HorizonConfig, StochasticSystem
 
 @dataclass(frozen=True)
 class TreeDriver:
-    """Per-component one-step increment law, stored with unit variance.
+    """Per-component one-step increment law.
 
     support points are in units of sqrt(time) and are scaled by
-    sqrt(delta_t) when a tree is built; probabilities are strictly
-    positive and sum to one.
+    sqrt(delta_t) when a tree is built; there are at least two of them,
+    and their probabilities are strictly positive and sum to one.  The
+    built-in drivers have mean 0 and variance 1, but nothing requires it:
+    the recursions of sctk.observability read the law only through
+    ``moments``, and the tree sweeps use the support itself.
     """
 
     kind: str
@@ -52,10 +55,21 @@ class TreeDriver:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.support.ndim != 1 or self.support.shape != self.probs.shape:
             raise InvalidConfig("driver support/probs must be matching 1-d arrays")
+        if self.support.size < 2:
+            raise InvalidConfig("driver needs at least two support points")
         if np.any(self.probs <= 0):
             raise InvalidConfig("driver probabilities must be strictly positive")
         if abs(self.probs.sum() - 1.0) > 1e-12:
             raise InvalidConfig("driver probabilities must sum to one")
+
+    @property
+    def moments(self) -> tuple[float, float]:
+        """(mean, var) of the support under probs.
+
+        An increment of a step dt has mean mean sqrt(dt) and variance var dt.
+        """
+        mean = float(self.probs @ self.support)
+        return mean, float(self.probs @ (self.support - mean) ** 2)
 
     @classmethod
     def bernoulli(cls) -> "TreeDriver":

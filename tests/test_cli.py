@@ -62,6 +62,40 @@ class TestConfig:
         assert main(["observe", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert f"config key {key!r} has wrong type" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("A", [True]),
+            ("B", ["1"]),
+            ("x0", [True]),
+            ("C", [[True]]),
+            ("C", [1.0]),
+            ("D", [[[0.0]]]),
+            ("K_grid", [True, 2]),
+            ("K_grid", [2.7, 3]),
+            ("delta_grid", [False, 0.5]),
+            ("delta_grid", [[0.5]]),
+            ("T_grid", [None]),
+            ("x0", [float("inf")]),
+            ("A", [float("nan")]),
+            ("A", [10**400]),
+            ("K_grid", [10**400]),
+        ],
+    )
+    def test_bad_list_element_exits_1(self, corpus_dir, tmp_path, capsys, key, value):
+        # each element was passed to float() or int() unchecked: booleans
+        # ran as 0 or 1, K_grid 2.7 ran as K = 2, x0 Infinity ran with exit
+        # 0, and a nested list, null or an int beyond the float range
+        # escaped as a traceback
+        cfg = json.loads((corpus_dir / "s2.json").read_text())
+        cfg[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("observe", "invariance", "equivalence"):
+            out = str(tmp_path / command)
+            assert main([command, "--config", str(path), "--out", out]) == 1
+            assert f"config key {key!r} has wrong type" in capsys.readouterr().err
+
 
 class TestWriteText:
     @pytest.mark.parametrize(

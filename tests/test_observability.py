@@ -5,14 +5,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sctk.errors import InvalidConfig
+from sctk.nullcontrol import _interval_map
 from sctk.observability import (
+    _lq_p0,
     assemble_forms,
     invariance_experiment,
     is_delta_observable,
     optimal_constant,
 )
 from sctk.systems import HorizonConfig, make_system
-from sctk.trees import TreeDriver, build_tree, simulate_forward, solve_bsde
+from sctk.trees import (
+    AdaptedField,
+    TreeDriver,
+    build_tree,
+    simulate_forward,
+    solve_bsde,
+)
 from tests.conftest import (
     dense_copt0_oracle,
     dense_copt_oracle,
@@ -185,15 +194,25 @@ class TestOptimalConstant:
         assert rep.diagnostics["null_controllable"] is True
         assert rep.c_opt == pytest.approx(want, rel=1e-5)
 
-    @pytest.mark.parametrize("delta, want", [(0.0, 48.02391), (1e-9, 48.02394)])
+    @pytest.mark.parametrize(
+        "delta, want", [(0.0, 48.02391), (1e-10, None), (1e-9, None), (1e-8, None)]
+    )
     def test_small_delta_has_no_rank_cut_bias(self, delta, want):
-        # at finite c, H_uu + (dt / c) I is positive definite; cutting its
-        # spread at 1e10 dropped regulariser-only directions and gave 48.8617
+        # cutting the spread of H_uu + (dt / c) I at 1e10 dropped
+        # regulariser-only directions and gave 48.8617 at delta = 1e-9; and
+        # with P_K = I / delta, forming H = E[M^T P M] and subtracting the
+        # Schur term lost digits as delta fell (1.8e-4 relative at 1e-10),
+        # which the square-root recursion does not (want None: the dense
+        # oracle)
         sys_ = nth_draw(99, 3, 3, 3, 2)
         tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=3), sys_.d)
-        assert optimal_constant(assemble_forms(tree, sys_), delta).c_opt == pytest.approx(
-            want, rel=1e-6
-        )
+        got = optimal_constant(assemble_forms(tree, sys_), delta).c_opt
+        if want is None:
+            dense = dense_forms(tree, sys_)
+            want = dense_copt_oracle(dense.M0, dense.Q, dense.N_diag, delta)
+            assert got == pytest.approx(want, rel=1e-9)
+        else:
+            assert got == pytest.approx(want, rel=1e-6)
 
     @pytest.mark.parametrize("seed", [2026, 7])
     def test_delta0_is_the_small_delta_limit(self, seed):
@@ -243,7 +262,7 @@ class TestOptimalConstant:
 
     def test_branch_sum_is_exact_on_unmatched_driver(self, corpus):
         # mean 0 but variance 2: a recursion built on E xi xi^T = dt I would
-        # be wrong here, the sum over the branches is not
+        # be wrong here, the step maps' variance term is not
         driver = TreeDriver("unmatched", [-1.0, 2.0], [2 / 3, 1 / 3])
         for name in ("S2", "S4"):
             tree = build_tree(driver, HorizonConfig(T=1.0, K=4), 1)
@@ -259,6 +278,77 @@ class TestOptimalConstant:
                 assert math.isfinite(want)
                 assert got == pytest.approx(want, rel=1e-9)
                 assert abs(got - optimal_constant(matched, delta).c_opt) > 1e-3 * got
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            TreeDriver("shifted", [0.0, 1.0], [0.5, 0.5]),
+            TreeDriver("skew", [-1.0, 0.5, 3.0], [0.2, 0.5, 0.3]),
+        ],
+        ids=lambda d: d.kind,
+    )
+    @pytest.mark.parametrize("system", ["S2", "S4", "draw99"])
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 0.6])
+    def test_step_maps_mean_term_matches_dense_oracle(
+        self, corpus, driver, system, delta
+    ):
+        # drivers with a nonzero mean: the mean map carries
+        # mean sqrt(dt) sum_i [C_i, D_i], the oracle sums the real branches
+        sys_ = corpus[system] if system in corpus else nth_draw(99, 3, 3, 3, 2)
+        tree = build_tree(driver, HorizonConfig(T=1.0, K=3), sys_.d)
+        got = optimal_constant(assemble_forms(tree, sys_), delta).c_opt
+        dense = dense_forms(tree, sys_)
+        if delta > 0:
+            want = dense_copt_oracle(dense.M0, dense.Q, dense.N_diag, delta)
+        else:
+            want = dense_copt0_oracle(dense)
+        assert math.isinf(got) == math.isinf(want)
+        if math.isfinite(want):
+            assert got == pytest.approx(want, rel=1e-9)
+
+    def test_forms_reject_a_tree_of_another_noise_dimension(self, corpus):
+        # the step maps read d from the system alone; synthesis sweeps the tree
+        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=2), 2)
+        with pytest.raises(InvalidConfig, match="system d=1 != tree d=2"):
+            assemble_forms(tree, corpus["S2"])
+
+    @pytest.mark.parametrize("system", ["S2", "S3", "S4", "two_controls", 0, 1, 2, 3])
+    def test_lam_kernel_matches_dense_least_squares(self, corpus, system):
+        # the c = inf recursion: x0^T P_0 x0 = min over adapted u of
+        # E|x_T|^2, here by least squares on the leaf-indexed map from the
+        # node controls to the terminal state, built by forward sweeps;
+        # two_controls can null both step maps, so its square root empties
+        if system == "two_controls":
+            sys_ = make_system([[0.3]], [[1.0, 0.5]], C=[[[0.4]]], D=[[[0.2, -0.7]]])
+        elif isinstance(system, str):
+            sys_ = corpus[system]
+        else:
+            sys_ = random_system(np.random.default_rng(system), 3, 3, 2)
+        tree = build_tree(TreeDriver.trinomial(), HorizonConfig(T=1.0, K=3), sys_.d)
+        n, m = sys_.n, sys_.m
+        weight = np.repeat(np.sqrt(tree.leaf_probs), n)
+
+        def terminal(x0, u):
+            return weight * simulate_forward(tree, sys_, x0, u).terminal.ravel()
+
+        Phi = np.column_stack([terminal(e, None) for e in np.eye(n)])
+        cols = []
+        for k in range(tree.K):
+            for i in range(tree.b**k * m):
+                values = [np.zeros((tree.b**j, m)) for j in range(tree.K)]
+                values[k].flat[i] = 1.0
+                cols.append(terminal(np.zeros(n), AdaptedField(values)))
+        U, s, _ = np.linalg.svd(np.column_stack(cols), full_matrices=False)
+        U = U[:, s > 1e-5 * s[0]] if s[0] > 0 else U[:, :0]
+        resid = Phi - U @ (U.T @ Phi)
+        want = resid.T @ resid
+        forms = assemble_forms(tree, sys_)
+        P, gains = _lq_p0(forms, math.inf, 1.0, gains=True)
+        # and the c = inf gains reach that minimum: E|x_T|^2 in closed loop
+        moment = (_interval_map(forms, gains)[0].T @ np.eye(n).ravel()).reshape(n, n)
+        atol = 1e-12 * max(1.0, np.abs(want).max())
+        for got in (P, moment):
+            assert np.allclose(got, want, rtol=1e-9, atol=atol)
 
 
 class TestIsDeltaObservable:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sctk.errors import InvalidConfig
 from sctk.systems import HorizonConfig, make_system
 from sctk.trees import (
     AdaptedField,
@@ -43,6 +44,42 @@ class TestDrivers:
     def test_quantized_gaussian_needs_three_levels(self):
         with pytest.raises(Exception):
             TreeDriver.quantized_gaussian(2)
+
+    @pytest.mark.parametrize(
+        "support, probs, match",
+        [
+            ([0.0], [1.0], "two support points"),
+            ([], [], "two support points"),
+            ([[-1.0, 1.0]], [[0.5, 0.5]], "matching 1-d"),
+            ([-1.0, 1.0], [0.5], "matching 1-d"),
+            ([-1.0, 1.0], [1.0, 0.0], "strictly positive"),
+            ([-1.0, 1.0], [0.5, 0.6], "sum to one"),
+        ],
+    )
+    def test_invalid_driver_rejected(self, support, probs, match):
+        # a one-point driver used to build a tree whose node_count,
+        # node_offset and gram_dim divide by b - 1 = 0
+        with pytest.raises(InvalidConfig, match=match):
+            TreeDriver("bad", support, probs)
+
+    @pytest.mark.parametrize(
+        "driver, mean, var",
+        [pytest.param(d, 0.0, 1.0, id=d.kind) for d in ALL_DRIVERS]
+        + [
+            pytest.param(
+                TreeDriver("unmatched", [-1.0, 2.0], [2 / 3, 1 / 3]), 0.0, 2.0,
+                id="unmatched",
+            ),
+            pytest.param(
+                TreeDriver("skew", [-1.0, 0.5, 3.0], [0.2, 0.5, 0.3]), 0.95, 2.1225,
+                id="skew",
+            ),
+        ],
+    )
+    def test_moments(self, driver, mean, var):
+        got_mean, got_var = driver.moments
+        assert got_mean == pytest.approx(mean, abs=1e-14)
+        assert got_var == pytest.approx(var, rel=1e-14)
 
 
 class TestBuild:
