@@ -2,7 +2,10 @@
 """Stabilizability verdicts of ``solve_sare`` against independent oracles.
 
 Two scans, each printing its mismatch and undecided counts, the evidence
-behind its NotSolvable verdicts and its slowest draws:
+behind its NotSolvable verdicts, its slowest draws and a ``digest:``
+line, the sha256 of the sorted (label, verdict, evidence, value-iteration
+steps, Newton iterations) records, so that two checkouts' scans compare
+in one line:
 
 - scalar: draw 0 of ``random_system(default_rng(seed), 1, 3, 3)`` for
   every seed below ``--scalar-seeds``, against the exact quadratic
@@ -19,6 +22,8 @@ Run from the root of a source checkout:
 
 import argparse
 import collections
+import hashlib
+import json
 import sys
 import time
 from pathlib import Path
@@ -35,23 +40,28 @@ from tests.conftest import random_system  # noqa: E402
 
 
 def verdict(sys_):
-    """(solvable or None when undecided, evidence, seconds)."""
+    """(solvable or None when undecided, evidence, value-iteration steps,
+    Newton iterations, seconds); a count that does not apply is None."""
     start = time.perf_counter()
     try:
         res = solve_sare(sys_)
     except NumericalFailure:
-        return None, "undecided", time.perf_counter() - start
+        return None, "undecided", None, None, time.perf_counter() - start
     elapsed = time.perf_counter() - start
     if isinstance(res, NotSolvable):
-        return False, res.diagnostics.get("evidence", "hautus"), elapsed
-    return True, "solved", elapsed
+        diag = res.diagnostics
+        return (False, diag.get("evidence", "hautus"),
+                diag.get("value_iteration_steps"), None, elapsed)
+    return True, "solved", None, res.iterations, elapsed
 
 
 def scan(name, labelled_systems, slowest):
     mismatches, undecided, evidence, times = [], [], collections.Counter(), []
+    records = []
     for label, sys_ in labelled_systems:
         expected = oracle.stabilizable(oracle.as_system(sys_.A, sys_.B, sys_.C, sys_.D))
-        solvable, kind, elapsed = verdict(sys_)
+        solvable, kind, vi_steps, newton, elapsed = verdict(sys_)
+        records.append((label, solvable, kind, vi_steps, newton))
         evidence[kind] += 1
         times.append((elapsed, label))
         if solvable is None:
@@ -63,6 +73,8 @@ def scan(name, labelled_systems, slowest):
           f"mismatches {len(mismatches)} {mismatches}; undecided {len(undecided)} {undecided}")
     print(f"  verdicts: {dict(sorted(evidence.items()))}")
     print("  slowest: " + ", ".join(f"{label} {t:.3f} s" for t, label in times[:slowest]))
+    blob = json.dumps(sorted(records)).encode()
+    print(f"  digest: {hashlib.sha256(blob).hexdigest()}")
     return len(mismatches) + len(undecided)
 
 

@@ -145,6 +145,8 @@ def parse_config(data: dict) -> RunConfig:
             raise InvalidConfig(f"config key {key!r} has wrong type")
         if _KNOWN_KEYS[key] is list:
             _check_list(key, val)
+        if _KNOWN_KEYS[key] == (int, float) and not _is_number(val, (int, float)):
+            raise InvalidConfig(f"config key {key!r} must be a finite number")
     for req in ("n", "m", "d", "A", "B", "T", "K"):
         if req not in data:
             raise InvalidConfig(f"missing required config key {req!r}")
@@ -171,6 +173,9 @@ def parse_config(data: dict) -> RunConfig:
     x0 = np.asarray(data.get("x0", [1.0] + [0.0] * (n - 1)), dtype=float)
     if x0.shape != (n,):
         raise InvalidConfig(f"x0 must have {n} entries")
+    k_max = int(data.get("k_max", 5))
+    if k_max < 0:
+        raise InvalidConfig(f"k_max must be >= 0, got {k_max}")
 
     return RunConfig(
         raw=data,
@@ -185,7 +190,7 @@ def parse_config(data: dict) -> RunConfig:
         c=float(data["c"]) if "c" in data else None,
         x0=x0,
         seed=int(data.get("seed", 0)),
-        k_max=int(data.get("k_max", 5)),
+        k_max=k_max,
         max_leaves=int(
             os.environ.get("SCTK_MAX_LEAVES") or data.get("max_leaves", DEFAULT_MAX_LEAVES)
         ),
@@ -210,7 +215,9 @@ def _jsonable(obj):
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return v if np.isfinite(v) else ("inf" if v > 0 else "-inf")
+        if math.isnan(v):
+            raise NumericalFailure("a report value is NaN")
+        return v if math.isfinite(v) else ("inf" if v > 0 else "-inf")
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -402,9 +409,7 @@ def _cmd_synthesize(cfg: RunConfig, out_dir):
 
 
 def _cmd_theorem51(cfg: RunConfig):
-    rep = verify_theorem_5_1(
-        cfg.system, cfg.horizon, cfg.delta, driver=cfg.driver, c=cfg.c
-    )
+    rep = verify_theorem_5_1(_build_forms(cfg), cfg.delta, c=cfg.c)
     payload = asdict(rep)
     if not rep.applicable:
         return payload, "theorem51: not applicable (not observable at this delta)"

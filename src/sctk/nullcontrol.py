@@ -49,16 +49,12 @@ from .observability import (
     ObservabilityForms,
     _lam_max,
     _lq_p0,
-    assemble_forms,
     is_delta_observable,
     optimal_constant,
 )
-from .systems import HorizonConfig, StochasticSystem
 from .trees import (
     AdaptedField,
     NoiseTree,
-    TreeDriver,
-    build_tree,
     control_energy,
     simulate_feedback,
     simulate_forward,
@@ -282,18 +278,16 @@ class Theorem51Report:
 
 
 def verify_theorem_5_1(
-    sys: StochasticSystem,
-    horizon: HorizonConfig,
-    delta: float,
-    driver: TreeDriver = None,
-    c: float = None,
+    forms: ObservabilityForms, delta: float, c: float = None
 ) -> Theorem51Report:
     """Check the synthesis direction on the canonical basis states, then
     feed the measured cost back through the converse substitution.
 
-    Every number comes from three n x n matrices of the closed-loop
-    second-moment map (_interval_map), which equal the tree sweeps of
-    synthesize_control to rounding at any K, with no leaf-sized work:
+    It applies when optimal_constant(forms, delta) is finite, and c
+    defaults to that c_opt (at least 1e-12).  Every number comes from
+    three n x n matrices of the closed-loop second-moment map
+    (_interval_map), which equal the tree sweeps of synthesize_control to
+    rounding at any K, with no leaf-sized work:
     W_u = unvec(e), the Gram matrix of the basis controls, and
     W_T = Phi^T(I) under the synthesis gains; W_free = Phi_0^T(I) with
     L = 0.  Basis state i has control energy W_u[i, i], terminal energy
@@ -312,17 +306,14 @@ def verify_theorem_5_1(
     produces when the cost multiplies the state norm unsquared) is
     evaluated alongside.
     """
-    driver = driver or TreeDriver.bernoulli()
-    tree = build_tree(driver, horizon, sys.d)
-    forms = assemble_forms(tree, sys)
     rep = optimal_constant(forms, delta)
     if not rep.observable:
         return Theorem51Report(
-            applicable=False, delta=delta, T=tree.T, c_opt=rep.c_opt
+            applicable=False, delta=delta, T=forms.T, c_opt=rep.c_opt
         )
     c_used = c if c is not None else max(rep.c_opt, 1e-12)
-    c0 = growth_constant_c0(sys, tree.T).c0
-    n = sys.n
+    c0 = growth_constant_c0(forms.system, forms.T).c0
+    n = forms.system.n
     gains = _feedback_gains(forms, c_used, delta)
     Phi, e = _interval_map(forms, gains)
     Phi_free, _ = _interval_map(forms, np.zeros_like(gains))
@@ -356,7 +347,7 @@ def verify_theorem_5_1(
     return Theorem51Report(
         applicable=True,
         delta=delta,
-        T=tree.T,
+        T=forms.T,
         c_opt=rep.c_opt,
         c_used=c_used,
         c0=c0,

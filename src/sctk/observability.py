@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf
 from scipy.optimize import brentq
 
 from .errors import InvalidConfig
@@ -130,23 +131,47 @@ def step_maps(
     return maps
 
 
+def sqrt_step(maps: np.ndarray, cost: np.ndarray):
+    """The square-root Riccati step over step_maps, as a function of R.
+
+    cost (k x (m + n), k >= m) holds the running-cost rows over [u; x].
+    step(R), for an n x n R, returns the QR triangle T of
+    [[R M_r^u, R M_r^x]_r; cost], u columns first so that u is eliminated
+    first: the next R is T[m:, m:] (its R^T R is the Schur complement over
+    u) and the gain is -T[:m, :m]^{-1} T[:m, m:].
+    """
+    s, n, _ = maps.shape
+    m = cost.shape[1] - n
+    maps_ux = np.concatenate([maps[:, :, n:], maps[:, :, :n]], axis=2)
+    buf = np.vstack([np.empty((s * n, m + n)), cost])
+    stack = buf[: s * n].reshape(s, n, m + n)
+    below = np.tri(m + n, k=-1, dtype=bool)
+
+    def step(R: np.ndarray) -> np.ndarray:
+        np.matmul(R, maps_ux, out=stack)
+        # LAPACK directly: np.linalg.qr's overhead dwarfs a QR this small
+        tri = dgeqrf(buf)[0][: m + n]
+        tri[below] = 0.0
+        return tri
+
+    return step
+
+
 def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, gains: bool = False):
     """P_0 of min_u ||u||^2 / c + p_terminal E|x_T|^2 on the tree.
 
     ||u||^2 = dt sum_k E|u_k|^2.  The value is carried as P = R^T R.  A
     step stacks G = [R M_r]_r over the step maps, so G^T G = E[M^T P M],
-    and eliminates u.  Finite c > 0: the QR of
-    [[G_u, G_x], [sqrt(dt / c) I, 0]] is [[R_uu, R_ux], [0, R_x]], the
-    next R is R_x (its R_x^T R_x is the Schur complement over u) and the
-    gain is -R_uu^{-1} R_ux.  c = 0 means u = 0: the next R is the QR of
-    G_x.  c = inf drops the control cost: the SVD of G_u, with squared
-    singular values below RANK_RTOL times the largest as kernel, projects
-    G_x off range(G_u), the next R is the QR of that projection, and the
-    gain is -G_u^+ G_x.  With gains=True, returns (P_0, L), where L[k]
-    (m x n) is the optimal feedback u_k = L[k] x_k at depth k.
+    and eliminates u.  Finite c > 0: sqrt_step with the control-cost rows
+    sqrt(dt / c) [I, 0] gives the next R and the gain.  c = 0 means u = 0:
+    the next R is the QR of G_x.  c = inf drops the control cost: the SVD
+    of G_u, with squared singular values below RANK_RTOL times the largest
+    as kernel, projects G_x off range(G_u), the next R is the QR of that
+    projection, and the gain is -G_u^+ G_x.  With gains=True, returns
+    (P_0, L), where L[k] (m x n) is the optimal feedback u_k = L[k] x_k at
+    depth k.
     """
-    maps, m, K = forms.maps, forms.system.m, forms.K
-    s, n, _ = maps.shape
+    maps, n, m, K = forms.maps, forms.system.n, forms.system.m, forms.K
     R = np.sqrt(p_terminal) * np.eye(n)
     L = np.zeros((K, m, n)) if gains else None
     if c == 0:
@@ -162,15 +187,9 @@ def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, gains: bool =
             # R can end up with fewer than n rows, even none; R^T R is n x n
             R = np.linalg.qr(W[:, r:].T @ G[:, :n], mode="r")
     else:
-        # u columns first, so that the QR eliminates u before x; the
-        # control-cost rows below the stack stay fixed
-        maps_ux = np.concatenate([maps[:, :, n:], maps[:, :, :n]], axis=2)
-        buf = np.zeros((s * n + m, m + n))
-        buf[s * n :, :m] = np.sqrt(forms.tree.delta_t / c) * np.eye(m)
-        stack = buf[: s * n].reshape(s, n, m + n)
+        step = sqrt_step(maps, np.sqrt(forms.tree.delta_t / c) * np.eye(m, m + n))
         for k in range(K - 1, -1, -1):
-            np.matmul(R, maps_ux, out=stack)
-            tri = np.linalg.qr(buf, mode="r")
+            tri = step(R)
             R = tri[m:, m:]
             if gains:
                 L[k] = -solve_triangular(tri[:m, :m], tri[:m, m:])
@@ -190,18 +209,21 @@ def _null_control_p0(forms: ObservabilityForms):
     map M_r does: iff E_x x + E_u u = 0 for the stack
     E = [(I - U U^T) M_r]_r = [E_x, E_u].  With u = G x + N w,
     G = -E_u^+ E_x and N a basis of null(E_u), V_k is the null space of
-    the part of E_x outside range(E_u), and P^_k is the Schur complement
-    over w of dt |u|^2 + sum_r |M_r [x; u]|^2_P.  Singular values count
-    as zero below RANK_RTOL times the norm of the unprojected x- or
-    u-maps: once V_{k+1} = R^n the projected stack is rounding noise, so
-    its own norm is no scale.
+    the part of E_x outside range(E_u).  P^_k = R^T R: the QR triangle T
+    of [[R M_r^u N, R (M_r^x + M_r^u G)]_r; sqrt(dt) [N, G]], w columns
+    first, eliminates w, and the next R is T[m - r:, m - r:] U U^T (one
+    direct QR; the maps change with G and N at every step).  Singular
+    values count as zero below RANK_RTOL times the norm of the unprojected
+    x- or u-maps: once V_{k+1} = R^n the projected stack is rounding noise,
+    so its own norm is no scale.
     """
     tree, maps = forms.tree, forms.maps
     n, m = forms.system.n, forms.system.m
     tol_x = RANK_RTOL * np.linalg.norm(maps[:, :, :n].reshape(-1, n), 2)
     tol_u = RANK_RTOL * np.linalg.norm(maps[:, :, n:].reshape(-1, m), 2)
+    sdt = np.sqrt(tree.delta_t)
     U = np.zeros((n, 0))
-    P = np.zeros((n, n))
+    R = np.zeros((0, n))
     for _ in range(tree.K):
         E = ((np.eye(n) - U @ U.T) @ maps).reshape(-1, n + m)
         Ex, Eu = E[:, :n], E[:, n:]
@@ -211,14 +233,11 @@ def _null_control_p0(forms: ObservabilityForms):
         G = -(Zt[:r].T / s[:r]) @ (Wr.T @ Ex)
         _, sx, Xt = np.linalg.svd(Ex - Wr @ (Wr.T @ Ex))
         U = Xt[int(np.sum(sx > tol_x)):].T
-        H = np.einsum("jak,jal->kl", maps, P @ maps)
-        H[n:, n:] += tree.delta_t * np.eye(m)
-        # [x; u] = S [x; w] with S = [[I, 0], [G, N]]
-        S = np.block([[np.eye(n), np.zeros((n, m - r))], [G, Zt[r:].T]])
-        Hs = S.T @ H @ S
-        P = Hs[:n, :n] - Hs[:n, n:] @ np.linalg.solve(Hs[n:, n:], Hs[n:, :n])
-        P = U @ (U.T @ (0.5 * (P + P.T)) @ U) @ U.T
-    return U, P
+        N, RMu = Zt[r:].T, R @ maps[:, :, n:]
+        wx = np.concatenate([RMu @ N, R @ maps[:, :, :n] + RMu @ G], axis=2)
+        stack = np.vstack([wx.reshape(-1, m - r + n), sdt * np.hstack([N, G])])
+        R = np.linalg.qr(stack, mode="r")[m - r :, m - r :] @ U @ U.T
+    return U, R.T @ R
 
 
 def optimal_constant(forms: ObservabilityForms, delta: float) -> ObservabilityReport:

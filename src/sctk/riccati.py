@@ -24,12 +24,12 @@ The first stabilizing gain comes from a deterministic search with no
 seed: the zero gain, then the deterministic LQR gain, which stabilizes a
 noise-free system whenever one can be stabilized, so there the exact
 Hautus test gives the verdict.  A noisy system goes on to value
-iteration of the Euler recursion of the same unit-weight problem, one
-step of ``observability.step_maps`` at dt = ``VI_DT`` per iterate, from
-P = 0, V_{k+1} = R(V_k), testing the gain of every ``VI_CHECK_EVERY``-th
-iterate.  Its iterates are bounded exactly when the discretized problem
-is stabilizable, which implies continuous stabilizability but, for a
-stiff system, does not follow from it.
+iteration of the Euler recursion of the same unit-weight problem from
+V_0 = 0, V_{k+1} = R(V_k) by ``observability.sqrt_step`` at dt = ``VI_DT``:
+V_k is carried as a square root and formed only to test the gain of
+every ``VI_CHECK_EVERY``-th iterate.  Its iterates are bounded exactly
+when the discretized problem is stabilizable, which implies continuous
+stabilizability but, for a stiff system, does not follow from it.
 
 ``NotSolvable`` rests on a proof that the Euler value is unbounded.  Let
 R0 be the one-step map without running cost,
@@ -63,7 +63,7 @@ from scipy.linalg import solve_continuous_are
 
 from .errors import NumericalFailure
 from .moments import build_generator, spectral_abscissa, unvec, vec
-from .observability import step_maps
+from .observability import sqrt_step, step_maps
 from .systems import StochasticSystem, hautus_stabilizability
 
 VI_DT = 0.01  # Euler step of the value iteration
@@ -93,17 +93,13 @@ class NotSolvable:
 def sare_residual(sys: StochasticSystem, P) -> np.ndarray:
     """Residual matrix of the algebraic Riccati operator at P."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    lin = P @ sys.A + sys.A.T @ P
-    for Ci in sys.C:
-        lin += Ci.T @ P @ Ci
-    G = np.eye(sys.m)
-    for Di in sys.D:
-        G += Di.T @ P @ Di
+    lin = P @ sys.A + sys.A.T @ P + np.eye(sys.n)
     S = P @ sys.B
     for Ci, Di in zip(sys.C, sys.D):
+        lin += Ci.T @ P @ Ci
         S += Ci.T @ P @ Di
-    quad = S @ np.linalg.solve(G, S.T)
-    return lin + np.eye(sys.n) - quad
+    # S F = -S (I + sum D_i^T P D_i)^{-1} S^T for symmetric P
+    return lin + S @ feedback_gain(P, sys)
 
 
 def feedback_gain(P, sys: StochasticSystem) -> np.ndarray:
@@ -162,25 +158,22 @@ def find_stabilizing_gain(sys: StochasticSystem, margin: float = 1e-9, evidence=
         evidence["hautus"] = False
         return None
 
-    # the step maps of one Euler step of Brownian noise: the drift
-    # (I + dt A, dt B) and the noise loadings sqrt(dt) (C_i, D_i); the next
-    # value is the P-weighted sum of their squares plus the unit running
-    # cost dt (|x|^2 + |u|^2)
+    # P = R^T R takes one square-root step per iterate, with the unit
+    # running cost dt (|x|^2 + |u|^2) as the rows sqrt(dt) I
     M = step_maps(sys, VI_DT)
-    Mt = M.transpose(0, 2, 1)
-    running = VI_DT * np.eye(n + m)
-    P = np.zeros((n, n))
+    riccati_step = sqrt_step(M, np.sqrt(VI_DT) * np.eye(m + n))
+    R = np.zeros((n, n))
     rho = None
     for step in range(1, VI_MAX_STEPS + 1):
-        H = running + (Mt @ P @ M).sum(axis=0)
-        P = H[:n, :n] - H[n:, :n].T @ np.linalg.solve(H[n:, n:], H[n:, :n])
-        P = 0.5 * (P + P.T)
-        growth = float(np.abs(P).max())
+        R = riccati_step(R)[m:, m:]
+        # max |P_ij| of P = R^T R >= 0 is its largest diagonal entry
+        growth = float((R * R).sum(axis=0).max())
         capped = not growth <= VI_GROWTH_CAP
         # the capped iterate is tested too: on a stiff system the value can
         # pass the cap before the first periodic test
         if not (capped or step % VI_CHECK_EVERY == 0):
             continue
+        P = R.T @ R
         F = feedback_gain(P, sys)
         alpha = closed_loop_abscissa(sys, F)
         if alpha < -margin:

@@ -151,7 +151,8 @@ def test_c03_theorem51_converse():
         sys_ = random_system(rng, n_max=2, m_max=2, d_max=2)
         delta = float(rng.uniform(0.3, 0.7))
         K = int(rng.integers(3, 5))
-        rep = verify_theorem_5_1(sys_, HorizonConfig(T=1.0, K=K), delta)
+        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=K), sys_.d)
+        rep = verify_theorem_5_1(assemble_forms(tree, sys_), delta)
         if not rep.applicable:
             continue
         done += 1

@@ -12,7 +12,7 @@ import pytest
 import sctk
 import sctk.cli as cli
 from sctk.cli import COMMANDS, _write_text, emit_corpus, load_config, main, parse_config
-from sctk.errors import InvalidConfig
+from sctk.errors import InvalidConfig, NumericalFailure
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -95,6 +95,33 @@ class TestConfig:
             out = str(tmp_path / command)
             assert main([command, "--config", str(path), "--out", out]) == 1
             assert f"config key {key!r} has wrong type" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("c", float("inf")),
+            ("c", float("-inf")),
+            ("c", float("nan")),
+            ("T", float("inf")),
+            ("T", 10**400),
+            ("delta", float("nan")),
+            ("k_max", -1),
+        ],
+    )
+    def test_bad_scalar_exits_1(self, corpus_dir, tmp_path, capsys, key, value):
+        # "c": Infinity ran synthesize to exit 0 with its NaN residuals
+        # written as "-inf", and "k_max": -1 crashed stabilize on an empty
+        # record list
+        cfg = json.loads((corpus_dir / "s2.json").read_text())
+        cfg[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("synthesize", "stabilize", "theorem51"):
+            out = str(tmp_path / command)
+            assert main([command, "--config", str(path), "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("invalid config") and key in err
 
 
 class TestWriteText:
@@ -489,3 +516,9 @@ class TestReportSchema:
             else:
                 assert not report.exists()
         assert written == (4 if needs_constant else 5)
+
+    def test_nan_value_is_a_numerical_failure(self):
+        # infinities have a spelling in the report, NaN has none
+        assert cli._jsonable([np.inf, -np.inf, np.float64(2.0)]) == ["inf", "-inf", 2.0]
+        with pytest.raises(NumericalFailure, match="NaN"):
+            cli._jsonable({"residual": [1.0, float("nan")]})

@@ -26,6 +26,11 @@ def martingale(n=1):
     )
 
 
+def bernoulli_forms(sys_, T, K):
+    tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=T, K=K), sys_.d)
+    return assemble_forms(tree, sys_)
+
+
 def observable_instance(rng, delta_range=(0.3, 0.7)):
     while True:
         sys_ = random_system(rng, n_max=2, m_max=2, d_max=2)
@@ -195,7 +200,7 @@ class TestKernel:
 
 class TestTheorem51:
     def test_martingale_both_directions(self):
-        rep = verify_theorem_5_1(martingale(), HorizonConfig(T=1.0, K=4), 0.5)
+        rep = verify_theorem_5_1(bernoulli_forms(martingale(), 1.0, 4), 0.5)
         assert rep.applicable
         assert rep.forward_pass
         assert rep.converse_pass
@@ -205,12 +210,12 @@ class TestTheorem51:
         sys_ = make_system(
             [[0.0]], [[0.0]], C=[[[0.0]]], D=[[[0.0]]]
         )
-        rep = verify_theorem_5_1(sys_, HorizonConfig(T=1.0, K=2), 0.5)
+        rep = verify_theorem_5_1(bernoulli_forms(sys_, 1.0, 2), 0.5)
         assert not rep.applicable
         assert not rep.both_directions_pass
 
     def test_s2_at_published_point(self, corpus):
-        rep = verify_theorem_5_1(corpus["S2"], HorizonConfig(T=1.0, K=6), 0.6)
+        rep = verify_theorem_5_1(bernoulli_forms(corpus["S2"], 1.0, 6), 0.6)
         assert rep.applicable
         assert rep.forward_pass
         assert rep.converse_pass
@@ -218,9 +223,7 @@ class TestTheorem51:
     def test_cost_never_exceeds_synthesis_bound(self, rng):
         for _ in range(5):
             sys_, tree, forms, delta, c_opt = observable_instance(rng)
-            rep = verify_theorem_5_1(
-                sys_, HorizonConfig(T=tree.T, K=tree.K), delta
-            )
+            rep = verify_theorem_5_1(forms, delta)
             if rep.applicable:
                 assert rep.cost_vs_bound_ratio <= 1.0 + 1e-9
 
@@ -246,12 +249,12 @@ class TestTheorem51:
             K = 4 if b**4 <= 4096 else 3 if b**3 <= 4096 else 2
             horizon = HorizonConfig(T=1.0, K=K)
             delta = float(rng.uniform(0.2, 0.9))
-            rep = verify_theorem_5_1(sys_, horizon, delta, driver=driver)
+            tree = build_tree(driver, horizon, sys_.d)
+            forms = assemble_forms(tree, sys_)
+            rep = verify_theorem_5_1(forms, delta)
             if not rep.applicable:
                 continue
             checked += 1
-            tree = build_tree(driver, horizon, sys_.d)
-            forms = assemble_forms(tree, sys_)
             controls = []
             for i, det in enumerate(rep.forward_details):
                 res = synthesize_control(

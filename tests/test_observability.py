@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from sctk.errors import InvalidConfig
 from sctk.nullcontrol import _interval_map
@@ -13,7 +14,10 @@ from sctk.observability import (
     invariance_experiment,
     is_delta_observable,
     optimal_constant,
+    sqrt_step,
+    step_maps,
 )
+from sctk.riccati import VI_DT
 from sctk.systems import HorizonConfig, make_system
 from sctk.trees import (
     AdaptedField,
@@ -349,6 +353,42 @@ class TestOptimalConstant:
         atol = 1e-12 * max(1.0, np.abs(want).max())
         for got in (P, moment):
             assert np.allclose(got, want, rtol=1e-9, atol=atol)
+
+
+class TestSqrtStep:
+    @pytest.mark.parametrize("cost", ["control", "unit"])
+    @pytest.mark.parametrize("system", ["S1", "S2", "S3", "S4", "M0", "draw99"])
+    def test_matches_the_schur_complement_of_the_h_form(self, corpus, system, cost):
+        # the H form H = sum_r M_r^T P M_r + running cost, with P = R^T R,
+        # is the oracle: the next P is the Schur complement over u and the
+        # gain -H_uu^{-1} H_ux; "control" is _lq_p0's finite-c cost
+        # sqrt(dt / c) [I, 0], "unit" the value iteration's sqrt(dt) I
+        sys_ = corpus[system] if system in corpus else nth_draw(99, 3, 3, 3, 2)
+        n, m = sys_.n, sys_.m
+        if cost == "control":
+            dt, c = 0.25, 3.0
+            rows = np.sqrt(dt / c) * np.eye(m, m + n)
+            running = np.zeros((n + m, n + m))
+            running[n:, n:] = dt / c * np.eye(m)
+        else:
+            dt = VI_DT
+            rows = np.sqrt(dt) * np.eye(m + n)
+            running = dt * np.eye(n + m)
+        maps = step_maps(sys_, dt)
+        step = sqrt_step(maps, rows)
+        R = np.random.default_rng(5).standard_normal((n, n))
+        for _ in range(3):  # the step's preallocated stack is rewritten
+            P = R.T @ R
+            H = running + sum(Mr.T @ P @ Mr for Mr in maps)
+            want = H[:n, :n] - H[:n, n:] @ np.linalg.solve(H[n:, n:], H[n:, :n])
+            want_gain = -np.linalg.solve(H[n:, n:], H[n:, :n])
+            tri = step(R)
+            R = tri[m:, m:]
+            got_gain = -solve_triangular(tri[:m, :m], tri[:m, m:])
+            assert np.linalg.norm(R.T @ R - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.linalg.norm(got_gain - want_gain) <= 1e-12 * max(
+                np.linalg.norm(want_gain), 1e-300
+            )
 
 
 class TestIsDeltaObservable:
