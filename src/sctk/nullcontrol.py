@@ -40,6 +40,7 @@ synthesize command alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ from .trees import (
 
 def _feedback_gains(forms: ObservabilityForms, c: float, delta: float) -> np.ndarray:
     """Gains L_k, shape (K, m, n), of min ||u||^2 / c + E|x_T|^2 / delta."""
-    if not c > 0:
-        raise ValueError(f"need c > 0, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"need 0 < c < inf, got {c}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"need delta in (0, 1), got {delta}")
     return _lq_p0(forms, c, 1.0 / delta, gains=True)[1]
@@ -284,14 +285,15 @@ def verify_theorem_5_1(
     feed the measured cost back through the converse substitution.
 
     It applies when optimal_constant(forms, delta) is finite, and c
-    defaults to that c_opt (at least 1e-12).  Every number comes from
-    three n x n matrices of the closed-loop second-moment map
-    (_interval_map), which equal the tree sweeps of synthesize_control to
-    rounding at any K, with no leaf-sized work:
-    W_u = unvec(e), the Gram matrix of the basis controls, and
-    W_T = Phi^T(I) under the synthesis gains; W_free = Phi_0^T(I) with
-    L = 0.  Basis state i has control energy W_u[i, i], terminal energy
-    W_T[i, i], f energy W_T[i, i] / delta^2 and tree limit
+    defaults to that c_opt (at least 1e-12); a given c must be finite and
+    positive.  Every number comes from three n x n matrices, which equal
+    the tree sweeps of synthesize_control to rounding at any K, with no
+    leaf-sized work.  Under the synthesis gains, the closed-loop
+    second-moment map (_interval_map) gives W_u = unvec(e), the Gram
+    matrix of the basis controls, and W_T = Phi^T(I); W_free, with
+    x^T W_free x = E|x_T|^2 under u = 0, is the c = 0 value of
+    observability._lq_p0.  Basis state i has control energy W_u[i, i],
+    terminal energy W_T[i, i], f energy W_T[i, i] / delta^2 and tree limit
     (c / delta) W_free[i, i].  No leaf budget applies: max_leaves guards
     only the per-node output of synthesize.
 
@@ -316,11 +318,9 @@ def verify_theorem_5_1(
     n = forms.system.n
     gains = _feedback_gains(forms, c_used, delta)
     Phi, e = _interval_map(forms, gains)
-    Phi_free, _ = _interval_map(forms, np.zeros_like(gains))
-    identity = np.eye(n).ravel()
     W_u = e.reshape(n, n)
-    W_T = (Phi.T @ identity).reshape(n, n)
-    W_free = (Phi_free.T @ identity).reshape(n, n)
+    W_T = (Phi.T @ np.eye(n).ravel()).reshape(n, n)
+    W_free = _lq_p0(forms, 0.0, 1.0)
     details = []
     for i in range(n):
         e_term = float(W_T[i, i])

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -131,10 +132,29 @@ def step_maps(
     return maps
 
 
+@lru_cache(maxsize=64)
+def _below_diagonal(rows: int, cols: int) -> np.ndarray:
+    return np.tri(rows, cols, k=-1, dtype=bool)
+
+
+def _qr_r(stack: np.ndarray) -> np.ndarray:
+    """The triangle R (min(rows, cols) x cols) of stack = QR, by LAPACK's
+    dgeqrf: np.linalg.qr's call overhead dwarfs a QR this small.  dgeqrf
+    prints an error on a stack with no rows, whose R is empty.
+    """
+    rows, cols = stack.shape
+    if not rows:
+        return np.zeros((0, cols))
+    tri = dgeqrf(stack)[0][:cols]
+    tri[_below_diagonal(*tri.shape)] = 0.0
+    return tri
+
+
 def sqrt_step(maps: np.ndarray, cost: np.ndarray):
     """The square-root Riccati step over step_maps, as a function of R.
 
-    cost (k x (m + n), k >= m) holds the running-cost rows over [u; x].
+    cost (k x (m + n), k >= m) holds the running-cost rows over [u; x],
+    and maps (s, n, n + m) the step maps; m = 0 is a step with no control.
     step(R), for an n x n R, returns the QR triangle T of
     [[R M_r^u, R M_r^x]_r; cost], u columns first so that u is eliminated
     first: the next R is T[m:, m:] (its R^T R is the Schur complement over
@@ -145,14 +165,10 @@ def sqrt_step(maps: np.ndarray, cost: np.ndarray):
     maps_ux = np.concatenate([maps[:, :, n:], maps[:, :, :n]], axis=2)
     buf = np.vstack([np.empty((s * n, m + n)), cost])
     stack = buf[: s * n].reshape(s, n, m + n)
-    below = np.tri(m + n, k=-1, dtype=bool)
 
     def step(R: np.ndarray) -> np.ndarray:
         np.matmul(R, maps_ux, out=stack)
-        # LAPACK directly: np.linalg.qr's overhead dwarfs a QR this small
-        tri = dgeqrf(buf)[0][: m + n]
-        tri[below] = 0.0
-        return tri
+        return _qr_r(buf)
 
     return step
 
@@ -162,37 +178,38 @@ def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, gains: bool =
 
     ||u||^2 = dt sum_k E|u_k|^2.  The value is carried as P = R^T R.  A
     step stacks G = [R M_r]_r over the step maps, so G^T G = E[M^T P M],
-    and eliminates u.  Finite c > 0: sqrt_step with the control-cost rows
-    sqrt(dt / c) [I, 0] gives the next R and the gain.  c = 0 means u = 0:
-    the next R is the QR of G_x.  c = inf drops the control cost: the SVD
-    of G_u, with squared singular values below RANK_RTOL times the largest
-    as kernel, projects G_x off range(G_u), the next R is the QR of that
-    projection, and the gain is -G_u^+ G_x.  With gains=True, returns
-    (P_0, L), where L[k] (m x n) is the optimal feedback u_k = L[k] x_k at
-    depth k.
+    and eliminates u.  Two recursions:
+
+    - finite c >= 0: sqrt_step with the control-cost rows
+      sqrt(dt / c) [I, 0] gives the next R and the gain.  c = 0 forces
+      u = 0: the same step over the x-maps alone, with no cost rows.
+    - c = inf drops the control cost: the SVD of G_u, with squared
+      singular values below RANK_RTOL times the largest as kernel,
+      projects G_x off range(G_u), and the next R is the QR triangle of
+      that projection.  R can end up with fewer than n rows, even none.
+
+    With gains=True (finite c only), returns (P_0, L), where L[k] (m x n)
+    is the optimal feedback u_k = L[k] x_k at depth k, zero at c = 0.
     """
     maps, n, m, K = forms.maps, forms.system.n, forms.system.m, forms.K
     R = np.sqrt(p_terminal) * np.eye(n)
     L = np.zeros((K, m, n)) if gains else None
-    if c == 0:
+    if math.isinf(c):
         for _ in range(K):
-            R = np.linalg.qr((R @ maps[:, :, :n]).reshape(-1, n), mode="r")
-    elif math.isinf(c):
-        for k in range(K - 1, -1, -1):
             G = (R @ maps).reshape(-1, n + m)
-            W, sv, Zt = np.linalg.svd(G[:, n:])
+            W, sv, _ = np.linalg.svd(G[:, n:])
             r = np.count_nonzero(sv**2 > RANK_RTOL * sv.max(initial=0.0) ** 2)
-            if gains:
-                L[k] = -(Zt[:r].T / sv[:r]) @ (W[:, :r].T @ G[:, :n])
-            # R can end up with fewer than n rows, even none; R^T R is n x n
-            R = np.linalg.qr(W[:, r:].T @ G[:, :n], mode="r")
+            R = _qr_r(W[:, r:].T @ G[:, :n])
     else:
-        step = sqrt_step(maps, np.sqrt(forms.tree.delta_t / c) * np.eye(m, m + n))
+        dt = forms.tree.delta_t
+        cost = np.sqrt(dt / c) * np.eye(m, m + n) if c > 0 else np.zeros((0, n))
+        mu = len(cost)
+        step = sqrt_step(maps[:, :, : n + mu], cost)
         for k in range(K - 1, -1, -1):
             tri = step(R)
-            R = tri[m:, m:]
+            R = tri[mu:, mu:]
             if gains:
-                L[k] = -solve_triangular(tri[:m, :m], tri[:m, m:])
+                L[k, :mu] = -solve_triangular(tri[:mu, :mu], tri[:mu, mu:])
     P = R.T @ R
     return (P, L) if gains else P
 
@@ -236,7 +253,7 @@ def _null_control_p0(forms: ObservabilityForms):
         N, RMu = Zt[r:].T, R @ maps[:, :, n:]
         wx = np.concatenate([RMu @ N, R @ maps[:, :, :n] + RMu @ G], axis=2)
         stack = np.vstack([wx.reshape(-1, m - r + n), sdt * np.hstack([N, G])])
-        R = np.linalg.qr(stack, mode="r")[m - r :, m - r :] @ U @ U.T
+        R = _qr_r(stack)[m - r :, m - r :] @ U @ U.T
     return U, R.T @ R
 
 
@@ -322,7 +339,7 @@ def is_delta_observable(forms: ObservabilityForms, delta: float, c: float) -> bo
     delta = 0: c >= c_opt(0) (1 - 1e-10), which no finite c meets when
     c_opt(0) = inf.
     """
-    if not (0.0 <= delta < 1.0) or c < 0:
+    if not (0.0 <= delta < 1.0 and c >= 0):
         raise ValueError("need delta in [0,1) and c >= 0")
     if delta > 0:
         P0 = _lq_p0(forms, c, 1.0 / delta)

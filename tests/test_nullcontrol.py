@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,22 @@ def observable_instance(rng, delta_range=(0.3, 0.7)):
         rep = optimal_constant(forms, delta)
         if rep.observable and rep.c_opt > 0:
             return sys_, tree, forms, delta, rep.c_opt
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda forms: synthesize_control(forms, [1.0], math.inf, 0.5),
+        lambda forms: control_kernel(forms, math.inf, 0.5),
+        lambda forms: verify_theorem_5_1(forms, 0.5, c=math.inf),
+    ],
+    ids=["synthesize_control", "control_kernel", "verify_theorem_5_1"],
+)
+def test_infinite_constant_is_rejected(corpus, call):
+    # c = inf drops the control cost, so it has no gains; synthesis gave NaN
+    # residuals and theorem51 infinite limits that counted as holding
+    with pytest.raises(ValueError, match="need 0 < c < inf"):
+        call(bernoulli_forms(corpus["S2"], 1.0, 4))
 
 
 class TestSynthesis:

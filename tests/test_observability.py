@@ -114,6 +114,21 @@ class TestForms:
             assert np.allclose(lhs, forms.S0.T @ e, atol=1e-12)
 
 
+def two_controls():
+    # its two control columns can null both step maps, so the square root
+    # of the c = inf recursion empties
+    return make_system([[0.3]], [[1.0, 0.5]], C=[[[0.4]]], D=[[[0.2, -0.7]]])
+
+
+def lq_system(corpus, system):
+    """A corpus system by name, two_controls, or draw 0 of seed system."""
+    if system == "two_controls":
+        return two_controls()
+    if isinstance(system, str):
+        return corpus[system]
+    return random_system(np.random.default_rng(system), 3, 3, 2)
+
+
 def nth_draw(seed, index, n_max, m_max, d_max):
     rng = np.random.default_rng(seed)
     for _ in range(index):
@@ -320,14 +335,8 @@ class TestOptimalConstant:
     def test_lam_kernel_matches_dense_least_squares(self, corpus, system):
         # the c = inf recursion: x0^T P_0 x0 = min over adapted u of
         # E|x_T|^2, here by least squares on the leaf-indexed map from the
-        # node controls to the terminal state, built by forward sweeps;
-        # two_controls can null both step maps, so its square root empties
-        if system == "two_controls":
-            sys_ = make_system([[0.3]], [[1.0, 0.5]], C=[[[0.4]]], D=[[[0.2, -0.7]]])
-        elif isinstance(system, str):
-            sys_ = corpus[system]
-        else:
-            sys_ = random_system(np.random.default_rng(system), 3, 3, 2)
+        # node controls to the terminal state, built by forward sweeps
+        sys_ = lq_system(corpus, system)
         tree = build_tree(TreeDriver.trinomial(), HorizonConfig(T=1.0, K=3), sys_.d)
         n, m = sys_.n, sys_.m
         weight = np.repeat(np.sqrt(tree.leaf_probs), n)
@@ -346,13 +355,35 @@ class TestOptimalConstant:
         U = U[:, s > 1e-5 * s[0]] if s[0] > 0 else U[:, :0]
         resid = Phi - U @ (U.T @ Phi)
         want = resid.T @ resid
-        forms = assemble_forms(tree, sys_)
-        P, gains = _lq_p0(forms, math.inf, 1.0, gains=True)
-        # and the c = inf gains reach that minimum: E|x_T|^2 in closed loop
-        moment = (_interval_map(forms, gains)[0].T @ np.eye(n).ravel()).reshape(n, n)
+        got = _lq_p0(assemble_forms(tree, sys_), math.inf, 1.0)
         atol = 1e-12 * max(1.0, np.abs(want).max())
-        for got in (P, moment):
-            assert np.allclose(got, want, rtol=1e-9, atol=atol)
+        assert np.allclose(got, want, rtol=1e-9, atol=atol)
+
+    @pytest.mark.parametrize(
+        "system", ["S1", "S2", "S3", "S4", "M0", "two_controls", 0, 1, 2, 3]
+    )
+    @pytest.mark.parametrize("K", [3, 8])
+    def test_zero_control_value_is_the_free_second_moment(self, corpus, system, K):
+        # c = 0 forces u = 0, so x0^T P_0 x0 = E|x_T|^2 of the free flow:
+        # Phi^T(I) of the second-moment map with zero gains
+        sys_ = lq_system(corpus, system)
+        n = sys_.n
+        tree = build_tree(TreeDriver.trinomial(), HorizonConfig(T=1.0, K=K), sys_.d)
+        forms = assemble_forms(tree, sys_)
+        got = _lq_p0(forms, 0.0, 1.0)
+        Phi, _ = _interval_map(forms, np.zeros((K, sys_.m, n)))
+        want = (Phi.T @ np.eye(n).ravel()).reshape(n, n)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("system", ["M0", "two_controls"])
+    def test_nothing_reaches_the_process_output(self, corpus, system, capfd):
+        # two_controls' c = inf square root empties (M0's keeps one row), and
+        # LAPACK's dgeqrf reports a stack with no rows as an illegal
+        # argument on file descriptor 1, outside Python's streams
+        sys_ = lq_system(corpus, system)
+        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=4), sys_.d)
+        optimal_constant(assemble_forms(tree, sys_), 0.5)
+        assert capfd.readouterr() == ("", "")
 
 
 class TestSqrtStep:
@@ -428,6 +459,13 @@ class TestIsDeltaObservable:
             c_opt = optimal_constant(forms, delta).c_opt
             assert is_delta_observable(forms, delta, c_opt)
             assert not is_delta_observable(forms, delta, (1 - 1e-6) * c_opt)
+
+    @pytest.mark.parametrize("delta, c", [(0.5, math.nan), (0.5, -1.0), (1.0, 1.0)])
+    def test_out_of_range_arguments_are_rejected(self, delta, c):
+        # a NaN c would otherwise take the c = 0 step of the recursion
+        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=3), 1)
+        with pytest.raises(ValueError, match="c >= 0"):
+            is_delta_observable(assemble_forms(tree, martingale()), delta, c)
 
     def test_generous_constant_is_accepted(self):
         tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=3), 1)

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from sctk.errors import NumericalFailure
 from sctk.moments import build_generator, spectral_abscissa
+from sctk.observability import step_maps
 from sctk.riccati import (
+    VI_DT,
+    VI_GROWTH_CAP,
     NotSolvable,
     closed_loop_abscissa,
     feedback_gain,
@@ -89,6 +92,23 @@ def _scalar_margin(sys_):
     return float(const + g @ F)
 
 
+def _h_form_value_iteration(sys_, steps):
+    """P_{steps - 1} and P_steps of the Euler value iteration from P_0 = 0.
+
+    H = VI_DT I + sum_r M_r^T P M_r over the step maps [x; u], and the
+    next P is its Schur complement over u.
+    """
+    n = sys_.n
+    maps = step_maps(sys_, VI_DT)
+    running = VI_DT * np.eye(maps.shape[2])
+    P = np.zeros((n, n))
+    for _ in range(steps):
+        prev = P
+        H = running + (maps.transpose(0, 2, 1) @ P @ maps).sum(axis=0)
+        P = H[:n, :n] - H[:n, n:] @ np.linalg.solve(H[n:, n:], H[n:, :n])
+    return prev, P
+
+
 class TestDeterministicSearch:
     @pytest.mark.parametrize(
         "seed, index, bounds, P11",
@@ -142,14 +162,22 @@ class TestDeterministicSearch:
         eps = 0.5 * (rho - 1)
         assert np.linalg.eigvalsh(R0 - (1 + eps) * Q)[0] >= -1e-12 * np.linalg.norm(R0)
 
-    def test_cap_is_the_fallback_evidence(self):
-        # the growth direction of draw 130 leaves R0(Q) - Q singular, so no
-        # certificate is found before the value passes the cap
-        diag = solve_sare(_draw(7, 130)).diagnostics
+    @pytest.mark.parametrize("index", [65, 128, 130])
+    def test_cap_is_the_fallback_evidence(self, index):
+        # on draws 65 and 130 the growth direction leaves R0(Q) - Q
+        # singular, so no certificate is found before the value passes the cap
+        sys_ = _draw(7, index)
+        diag = solve_sare(sys_).diagnostics
         assert diag["evidence"] == "cap"
-        assert diag["value_growth"] > 1e9
-        assert diag["horizon"] == pytest.approx(0.01 * diag["value_iteration_steps"])
+        assert diag["value_growth"] > VI_GROWTH_CAP
+        steps = diag["value_iteration_steps"]
+        assert diag["horizon"] == pytest.approx(VI_DT * steps)
         assert "certificate_Q" not in diag
+        # the H form of the same Euler value iteration: the run stops at the
+        # first iterate whose max |P_ij| passes the cap and reports it
+        prev, P = _h_form_value_iteration(sys_, steps)
+        assert np.abs(prev).max() <= VI_GROWTH_CAP
+        assert diag["value_growth"] == pytest.approx(np.abs(P).max(), rel=1e-12)
 
     def test_stiff_system_whose_euler_step_is_not_stabilizable(self):
         # the value passes the cap near step 23, before the first periodic
