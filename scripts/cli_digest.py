@@ -8,10 +8,14 @@ two such digests.
 The first form runs ``sctk emit-corpus``, then each of the other
 commands on each of the five configs, in fresh ``python -m sctk.cli``
 processes on this checkout's ``src/``, with the same relative paths in
-a scratch directory on every run.  It writes one record per run: the
-exit code, stdout, stderr, the ``report`` section of the JSON report and
-the text of every CSV the run wrote.  The ``meta`` section is left out,
-because it carries a timestamp.
+a scratch directory on every run.  Then it runs synthesize, stabilize,
+theorem51 and observe on variants of the S1, S2, S4 and M0 configs
+(``VARIANTS``: a user ``c`` that is valid, invalid or zero, delta = 0
+with and without ``c``, and a trinomial tree), since no emitted config
+sets ``c``.  It writes one record per run: the exit code, stdout,
+stderr, the ``report`` section of the JSON report and the text of every
+CSV the run wrote.  The ``meta`` section is left out, because it
+carries a timestamp.
 
 ``--compare`` lists the runs whose exit code, stdout or stderr differ,
 and every report or CSV entry that differs other than as a number.
@@ -32,6 +36,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# config stem suffix -> keys that override the emitted config
+VARIANTS = {
+    "c50": {"c": 50.0},
+    "c0.05": {"c": 0.05},
+    "c0": {"c": 0.0},
+    "delta0": {"delta": 0.0},
+    "delta0-c0.05": {"delta": 0.0, "c": 0.05},
+    "trinomial-K6-delta0.3": {"driver": "trinomial", "K": 6, "delta": 0.3},
+}
+VARIANT_CONFIGS = ("s1", "s2", "s4", "m0")
+VARIANT_COMMANDS = ("synthesize", "stabilize", "theorem51", "observe")
+
 
 def _run(args, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -40,6 +56,21 @@ def _run(args, cwd):
         cwd=cwd, env=env, capture_output=True, text=True, check=False,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _record(command, name, work):
+    """Run command on configs/<name>.json in work; its digest record."""
+    out_dir = f"runs/{name}/{command}"
+    args = [command, "--config", f"configs/{name}.json", "--out", out_dir]
+    code, out, err = _run(args, work)
+    record = {"exit": code, "stdout": out, "stderr": err, "report": None}
+    written = Path(work, out_dir)
+    report = written / f"{command}_report.json"
+    if report.exists():
+        record["report"] = json.loads(report.read_text())["report"]
+    record["csv"] = {p.name: p.read_text() for p in written.glob("*.csv")}
+    print(f"{command}/{name}: exit {code}", file=sys.stderr)
+    return record
 
 
 def digest(path):
@@ -54,17 +85,15 @@ def digest(path):
         configs = sorted(p.stem for p in Path(work, "configs").glob("*.json"))
         for command in (c for c in COMMANDS if c != "emit-corpus"):
             for name in configs:
-                out_dir = f"runs/{name}/{command}"
-                args = [command, "--config", f"configs/{name}.json", "--out", out_dir]
-                code, out, err = _run(args, work)
-                record = {"exit": code, "stdout": out, "stderr": err, "report": None}
-                written = Path(work, out_dir)
-                report = written / f"{command}_report.json"
-                if report.exists():
-                    record["report"] = json.loads(report.read_text())["report"]
-                record["csv"] = {p.name: p.read_text() for p in written.glob("*.csv")}
-                runs[f"{command}/{name}"] = record
-                print(f"{command}/{name}: exit {code}", file=sys.stderr)
+                runs[f"{command}/{name}"] = _record(command, name, work)
+        for base in VARIANT_CONFIGS:
+            cfg = json.loads(Path(work, "configs", f"{base}.json").read_text())
+            for suffix, keys in VARIANTS.items():
+                name = f"{base}+{suffix}"
+                text = json.dumps(dict(cfg, **keys), sort_keys=True, indent=2)
+                Path(work, "configs", f"{name}.json").write_text(text + "\n")
+                for command in VARIANT_COMMANDS:
+                    runs[f"{command}/{name}"] = _record(command, name, work)
     Path(path).write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
     print(f"{len(runs)} runs -> {path}")
 

@@ -313,7 +313,7 @@ def _cmd_riccati(cfg: RunConfig):
         "residual": sol.residual,
         "iterations": sol.iterations,
         "value_at_x0": lq_value(sol.P, cfg.x0),
-        "closed_loop_abscissa": spectral_abscissa(build_generator(cfg.system, sol.F)),
+        "closed_loop_abscissa": sol.abscissa,
     }
     return payload, f"riccati: solved, residual {sol.residual:.3e}"
 
@@ -383,7 +383,7 @@ def _cmd_synthesize(cfg: RunConfig, out_dir):
             f"(budget {cfg.max_leaves})"
         )
     c = _pick_constant(cfg, forms)
-    res = synthesize_control(forms, cfg.x0, c, cfg.delta)
+    res = synthesize_control(control_kernel(forms, c, cfg.delta), cfg.x0)
     rows = field_to_rows(tree, res.u)
     header = "node,depth," + ",".join(f"u{i}" for i in range(cfg.system.m))
     buf = io.StringIO()

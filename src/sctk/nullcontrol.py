@@ -6,8 +6,9 @@ toward zero is the optimum of
     min_u ||u||^2 / c + E|x_T|^2 / delta,
 
 the LQ problem whose backward Riccati recursion (observability._lq_p0)
-gives c_opt.  The same recursion returns per-step gains L_k, and the
-synthesis runs the closed-loop tree sweep u_k = L_k x_k from x_s.  The
+gives c_opt.  One pass of it gives P_0(c), which control_kernel tests
+as is_delta_observable does, and per-step gains L_k; synthesize_control
+runs a kernel's closed-loop tree sweep u_k = L_k x_k from x_s.  The
 terminal variable is f = x_T / delta; by duality the optimum satisfies
 
     u_t = -c z_t(f)                 (output of the backward solve at f)
@@ -28,7 +29,8 @@ analogue, so a failure against it is a genuine failure.
 
 Only synthesize_control sweeps the tree, because only it returns a
 per-node field (and the two duality residuals).  Every other number
-comes from the closed-loop second moment: one step maps X to
+comes from n x n recursions: the free-flow moment E|x(T; 0, x_s)|^2 is
+the c = 0 value of _lq_p0, and one closed-loop step maps X to
 sum_r A_r X A_r^T over the closed-loop step maps A_r = M_r [I; L_k] (the
 mean map and one noise map per component, observability.step_maps), and
 _interval_map gives the K-step map and its energy functional.  The
@@ -50,6 +52,7 @@ from .observability import (
     ObservabilityForms,
     _lam_max,
     _lq_p0,
+    _valid_value,
     is_delta_observable,
     optimal_constant,
 )
@@ -58,19 +61,18 @@ from .trees import (
     NoiseTree,
     control_energy,
     simulate_feedback,
-    simulate_forward,
     solve_bsde,
     terminal_expectation_sq,
 )
 
 
-def _feedback_gains(forms: ObservabilityForms, c: float, delta: float) -> np.ndarray:
-    """Gains L_k, shape (K, m, n), of min ||u||^2 / c + E|x_T|^2 / delta."""
+def _feedback_gains(forms: ObservabilityForms, c: float, delta: float):
+    """(P_0, gains (K, m, n)) of min ||u||^2 / c + E|x_T|^2 / delta, one pass."""
     if not 0 < c < math.inf:
         raise ValueError(f"need 0 < c < inf, got {c}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"need delta in (0, 1), got {delta}")
-    return _lq_p0(forms, c, 1.0 / delta, gains=True)[1]
+    return _lq_p0(forms, c, 1.0 / delta, gains=True)
 
 
 # perfbench/tracing.py looks this name up to time the synthesis solve; it
@@ -148,35 +150,59 @@ class SynthesisResult:
         return all(v["holds"] for v in self.bounds.values())
 
 
-def synthesize_control(
-    forms: ObservabilityForms,
-    x_s,
-    c: float,
-    delta: float,
-    c0: float = None,
-    check_constant: bool = True,
-) -> SynthesisResult:
-    """Build u, the controlled trajectory and f on forms.tree; verify every bound."""
+@dataclass(frozen=True)
+class ControlKernel:
+    """Per-step m x n feedback gains of the interval synthesis on forms.
+
+    gains[k] has shape (m, n) and acts on the state at depth k of every
+    node of forms.tree: synthesize_control(kernel, x_s) runs
+    u_k = gains[k] x_k along the tree from x_s, and the piecewise
+    stabilizer applies the same gains in every interval.  The kernel
+    carries its forms, so the gains, the tree and the system they were
+    computed for cannot come apart.
+    """
+
+    forms: ObservabilityForms
+    gains: np.ndarray  # (K, m, n)
+    c: float
+    delta: float
+
+    @property
+    def tree(self) -> NoiseTree:
+        return self.forms.tree
+
+    @property
+    def T(self) -> float:
+        return self.forms.T
+
+
+def control_kernel(forms: ObservabilityForms, c: float, delta: float) -> ControlKernel:
+    """The Riccati feedback gains of a valid observability pair (c, delta),
+    from the one pass of the recursion whose P_0(c) decides validity."""
+    P0, gains = _feedback_gains(forms, c, delta)
+    if not _valid_value(P0):
+        raise ValueError(
+            f"(c={c}, delta={delta}) is not a valid observability pair: "
+            "is_delta_observable returned False"
+        )
+    return ControlKernel(forms=forms, gains=gains, c=c, delta=delta)
+
+
+def synthesize_control(kernel: ControlKernel, x_s) -> SynthesisResult:
+    """Run the kernel's gains on its tree from x_s; verify every bound."""
+    forms, c, delta = kernel.forms, kernel.c, kernel.delta
     tree, sys = forms.tree, forms.system
     x_s = np.atleast_1d(np.asarray(x_s, dtype=float))
-    if check_constant and not is_delta_observable(forms, delta, c):
-        raise ValueError(
-            f"(c={c}, delta={delta}) is not a valid observability pair for "
-            "this tree/system: is_delta_observable returned False"
-        )
-    gains = _feedback_gains(forms, c, delta)
-    ctrl, u = simulate_feedback(tree, sys, x_s, gains)
+    ctrl, u = simulate_feedback(tree, sys, x_s, kernel.gains)
     f = ctrl.terminal / delta
     bw = solve_bsde(tree, sys, f)
-    xi = simulate_forward(tree, sys, x_s).terminal  # x(T; 0, x_s)
 
     xs2 = float(x_s @ x_s)
     e_u = control_energy(tree, u)
     e_term = terminal_expectation_sq(tree, ctrl.terminal)
     e_f = terminal_expectation_sq(tree, f)
-    e_free = terminal_expectation_sq(tree, xi)
-    if c0 is None:
-        c0 = growth_constant_c0(sys, tree.T).c0
+    e_free = float(x_s @ _lq_p0(forms, 0.0, 1.0) @ x_s)
+    c0 = growth_constant_c0(sys, tree.T).c0
     tree_growth = e_free / xs2 if xs2 > 0 else 0.0
 
     term_resid = max(
@@ -197,43 +223,6 @@ def synthesize_control(
         bounds=_bounds(e_u, e_term, e_f, e_free, xs2, c, delta, c0),
         terminal_identity_residual=term_resid,
         energy_identity_residual=energy_resid,
-    )
-
-
-@dataclass(frozen=True)
-class ControlKernel:
-    """Per-step m x n feedback gains of the interval synthesis on forms.
-
-    gains[k] has shape (m, n) and acts on the state at depth k of every
-    node of forms.tree: running u_k = gains[k] x_k along the tree from x_s
-    reproduces synthesize_control(forms, x_s, c, delta).u.  The kernel
-    carries its forms, so the gains, the tree and the system they were
-    computed for cannot come apart.
-    """
-
-    forms: ObservabilityForms
-    gains: np.ndarray  # (K, m, n)
-    c: float
-    delta: float
-
-    @property
-    def tree(self) -> NoiseTree:
-        return self.forms.tree
-
-    @property
-    def T(self) -> float:
-        return self.forms.T
-
-
-def control_kernel(forms: ObservabilityForms, c: float, delta: float) -> ControlKernel:
-    """The Riccati feedback gains of a valid observability pair (c, delta)."""
-    if not is_delta_observable(forms, delta, c):
-        raise ValueError(
-            f"(c={c}, delta={delta}) is not a valid observability pair: "
-            "is_delta_observable returned False"
-        )
-    return ControlKernel(
-        forms=forms, gains=_feedback_gains(forms, c, delta), c=c, delta=delta
     )
 
 
@@ -316,7 +305,7 @@ def verify_theorem_5_1(
     c_used = c if c is not None else max(rep.c_opt, 1e-12)
     c0 = growth_constant_c0(forms.system, forms.T).c0
     n = forms.system.n
-    gains = _feedback_gains(forms, c_used, delta)
+    _, gains = _feedback_gains(forms, c_used, delta)
     Phi, e = _interval_map(forms, gains)
     W_u = e.reshape(n, n)
     W_T = (Phi.T @ np.eye(n).ravel()).reshape(n, n)

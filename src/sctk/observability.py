@@ -331,10 +331,15 @@ def _copt_null(forms):
     return (max(0.0, _lam_max(P0)) if controllable else math.inf), diagnostics
 
 
+def _valid_value(P0: np.ndarray) -> bool:
+    """The delta > 0 test of (c, delta) on P0 = _lq_p0(forms, c, 1 / delta)."""
+    return _lam_max(P0) <= 1.0 + 1e-10
+
+
 def is_delta_observable(forms: ObservabilityForms, delta: float, c: float) -> bool:
     """True iff (c, delta) satisfies the observability inequality.
 
-    delta > 0: lambda_max(P_0(c)) <= 1 + 1e-10 from the recursion behind
+    delta > 0: _valid_value(P_0(c)) from the recursion behind
     optimal_constant, where c = 0 means u = 0; c_opt itself passes.
     delta = 0: c >= c_opt(0) (1 - 1e-10), which no finite c meets when
     c_opt(0) = inf.
@@ -342,8 +347,7 @@ def is_delta_observable(forms: ObservabilityForms, delta: float, c: float) -> bo
     if not (0.0 <= delta < 1.0 and c >= 0):
         raise ValueError("need delta in [0,1) and c >= 0")
     if delta > 0:
-        P0 = _lq_p0(forms, c, 1.0 / delta)
-        return _lam_max(P0) <= 1.0 + 1e-10
+        return _valid_value(_lq_p0(forms, c, 1.0 / delta))
     U, P0 = _null_control_p0(forms)
     return U.shape[1] == forms.system.n and c >= _lam_max(P0) * (1 - 1e-10)
 

@@ -66,6 +66,9 @@ from .moments import build_generator, spectral_abscissa, unvec, vec
 from .observability import sqrt_step, step_maps
 from .systems import StochasticSystem, hautus_stabilizability
 
+GAIN_MARGIN = 1e-9  # a gain stabilizes when its lift abscissa is below -GAIN_MARGIN
+NEWTON_RTOL = 1e-12  # Newton stops at residual below NEWTON_RTOL * max(1, |P|)
+NEWTON_MAX_ITER = 100
 VI_DT = 0.01  # Euler step of the value iteration
 VI_GROWTH_CAP = 1e9  # largest |P_ij| below which the value counts as bounded
 VI_MAX_STEPS = 200_000
@@ -80,6 +83,7 @@ class RiccatiSolution:
     F: np.ndarray
     residual: float
     iterations: int
+    abscissa: float  # of the closed-loop lift under F, negative
 
 
 @dataclass(frozen=True)
@@ -128,8 +132,8 @@ def closed_loop_abscissa(sys: StochasticSystem, F) -> float:
     return spectral_abscissa(build_generator(sys, F))
 
 
-def find_stabilizing_gain(sys: StochasticSystem, margin: float = 1e-9, evidence=None):
-    """Deterministic search for a gain with negative lift abscissa.
+def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
+    """Deterministic search for a gain with lift abscissa below -GAIN_MARGIN.
 
     Returns (F, abscissa), or None when no gain is found (the order of the
     search is in the module docstring); the evidence for that verdict
@@ -144,7 +148,7 @@ def find_stabilizing_gain(sys: StochasticSystem, margin: float = 1e-9, evidence=
         pass
     for F in candidates:
         alpha = closed_loop_abscissa(sys, F)
-        if alpha < -margin:
+        if alpha < -GAIN_MARGIN:
             return F, alpha
     evidence = {} if evidence is None else evidence
 
@@ -176,7 +180,7 @@ def find_stabilizing_gain(sys: StochasticSystem, margin: float = 1e-9, evidence=
         P = R.T @ R
         F = feedback_gain(P, sys)
         alpha = closed_loop_abscissa(sys, F)
-        if alpha < -margin:
+        if alpha < -GAIN_MARGIN:
             return F, alpha
         if not np.isfinite(growth):
             break
@@ -202,7 +206,7 @@ def find_stabilizing_gain(sys: StochasticSystem, margin: float = 1e-9, evidence=
         S = np.sqrt(lam[n - r:])[:, None] * V[:, n - r:].T  # Q = S^T S
         F = _minimiser_gain(M, S)
         alpha = closed_loop_abscissa(sys, F)
-        if alpha < -margin:
+        if alpha < -GAIN_MARGIN:
             return F, alpha
     evidence.update(
         evidence="cap" if rho is None else "certificate",
@@ -303,13 +307,13 @@ def _lyapunov_solve(sys: StochasticSystem, F) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def solve_sare(sys: StochasticSystem, tol: float = 1e-12, max_iter: int = 100):
+def solve_sare(sys: StochasticSystem):
     """Newton-Kleinman solve; returns RiccatiSolution or NotSolvable.
 
     The first gain, or the NotSolvable verdict, comes from
     ``find_stabilizing_gain``.  The iteration stops once the residual is
-    below tol * max(1, |P|), and raises NumericalFailure when it stalls or
-    ends outside the positive-definite stabilizing class.
+    below NEWTON_RTOL * max(1, |P|), and raises NumericalFailure when it
+    stalls or ends outside the positive-definite stabilizing class.
     """
     evidence = {}
     found = find_stabilizing_gain(sys, evidence=evidence)
@@ -319,11 +323,11 @@ def solve_sare(sys: StochasticSystem, tol: float = 1e-12, max_iter: int = 100):
         )
 
     F, _ = found
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         P = _lyapunov_solve(sys, F)
         F = feedback_gain(P, sys)
         residual = float(np.linalg.norm(sare_residual(sys, P)))
-        if residual < tol * max(1.0, float(np.linalg.norm(P))):
+        if residual < NEWTON_RTOL * max(1.0, float(np.linalg.norm(P))):
             break
     else:
         raise NumericalFailure(
@@ -336,4 +340,4 @@ def solve_sare(sys: StochasticSystem, tol: float = 1e-12, max_iter: int = 100):
             "Newton iteration ended outside the positive-definite stabilizing "
             f"class (min eigenvalue {min_eig:.3e}, abscissa {alpha:.3e})"
         )
-    return RiccatiSolution(P=P, F=F, residual=residual, iterations=it)
+    return RiccatiSolution(P=P, F=F, residual=residual, iterations=it, abscissa=alpha)

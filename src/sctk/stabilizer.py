@@ -268,9 +268,11 @@ def equivalence_harness(
     solution; (b) some constant gain is mean-square stabilizing; (c) some
     grid point has a finite observability constant with delta < 1;
     (d) the synthesis bounds certify delta-null controllability with cost
-    at a passing grid point.  The theorem says all four coincide; when
-    (a) and (b) hold but the finite-horizon verdicts fail at mesh K, the
-    grid is retried once at 2K before reporting.
+    at a passing grid point.  Here (b) follows from (a): solve_sare
+    raises NumericalFailure rather than return a gain whose closed-loop
+    abscissa (sol.abscissa) is not negative.  The theorem says all four
+    coincide; when (a) and (b) hold but the finite-horizon verdicts fail
+    at mesh K, the grid is retried once at 2K before reporting.
     """
     if not T_grid or not delta_grid:
         raise ValueError("grids must be nonempty")
@@ -286,9 +288,7 @@ def equivalence_harness(
             "P_eigs": np.linalg.eigvalsh(sol.P).tolist(),
             "residual": sol.residual,
         }
-        abscissa = spectral_abscissa(build_generator(sys, sol.F))
-        stabilizable = abscissa < 0
-        details["feedback_abscissa"] = abscissa
+        details["feedback_abscissa"] = sol.abscissa
     else:
         # the gain search behind NotSolvable is deterministic and, past the
         # Hautus test, ends on a proof that the Euler value is unbounded
@@ -296,7 +296,7 @@ def equivalence_harness(
         # settles verdict (b); a stiff system can still be stabilizable
         # although its Euler step is not
         details["riccati"] = {"verdict": sol.reason}
-        stabilizable = False
+    stabilizable = solvable
 
     def certify(K):
         # the first grid point with a finite c_opt certifies (c); (d) is the

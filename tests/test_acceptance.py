@@ -17,7 +17,13 @@ from sctk.moments import (
     growth_constant_c0,
     propagate_second_moment,
 )
-from sctk.nullcontrol import control_kernel, synthesize_control, verify_theorem_5_1
+from sctk.nullcontrol import (
+    ControlKernel,
+    _feedback_gains,
+    control_kernel,
+    synthesize_control,
+    verify_theorem_5_1,
+)
 from sctk.observability import assemble_forms, invariance_experiment, optimal_constant
 from sctk.riccati import NotSolvable, closed_loop_abscissa, lq_value, solve_sare
 from sctk.stabilizer import equivalence_harness, run_piecewise, run_riccati_feedback
@@ -123,7 +129,9 @@ def test_c02_theorem51_forward_identity():
     rng = np.random.default_rng(2020)
     for sys_, tree, forms, delta, c_opt in instances:
         x_s = rng.standard_normal(sys_.n)
-        res = synthesize_control(forms, x_s, c_opt, delta, check_constant=False)
+        gains = _feedback_gains(forms, c_opt, delta)[1]
+        kernel = ControlKernel(forms, gains, c_opt, delta)
+        res = synthesize_control(kernel, x_s)
         worst_identity = max(worst_identity, res.terminal_identity_residual)
         if not (
             res.bounds["control_energy"]["holds"]

@@ -206,8 +206,9 @@ class TestEmitCorpus:
 def no_sweep(monkeypatch):
     """Fail, instead of sweeping 2^40 leaves, if the budget guard is gone."""
 
-    def refuse(tree, *args, **kwargs):
-        raise AssertionError(f"synthesis swept a tree with {tree.leaf_count} leaves")
+    def refuse(kernel, *args, **kwargs):
+        leaves = kernel.tree.leaf_count
+        raise AssertionError(f"synthesis swept a tree with {leaves} leaves")
 
     monkeypatch.setattr(cli, "synthesize_control", refuse)
 

@@ -6,8 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sctk.nullcontrol import control_kernel, synthesize_control, verify_theorem_5_1
-from sctk.observability import assemble_forms, optimal_constant
+import sctk.nullcontrol as nullcontrol
+import sctk.observability as observability
+import sctk.trees as trees
+from sctk.nullcontrol import (
+    ControlKernel,
+    _feedback_gains,
+    control_kernel,
+    synthesize_control,
+    verify_theorem_5_1,
+)
+from sctk.observability import assemble_forms, is_delta_observable, optimal_constant
 from sctk.systems import HorizonConfig, make_system
 from sctk.trees import (
     AdaptedField,
@@ -32,6 +41,24 @@ def bernoulli_forms(sys_, T, K):
     return assemble_forms(tree, sys_)
 
 
+def unchecked_kernel(forms, c, delta):
+    """The kernel of a pair that control_kernel would not check first."""
+    return ControlKernel(forms, _feedback_gains(forms, c, delta)[1], c, delta)
+
+
+ORACLE_SYSTEMS = ["S1", "S2", "S3", "S4", "M0", 0, 1, 2, 3]
+ORACLE_DRIVERS = [TreeDriver.bernoulli(), TreeDriver.trinomial()]
+
+
+def oracle_forms(corpus, which, driver, K=4):
+    """Forms of a corpus system or of a draw of random_system(default_rng(which))."""
+    if which in corpus:
+        sys_ = corpus[which]
+    else:
+        sys_ = random_system(np.random.default_rng(which), n_max=3, m_max=2, d_max=2)
+    return assemble_forms(build_tree(driver, HorizonConfig(T=1.0, K=K), sys_.d), sys_)
+
+
 def observable_instance(rng, delta_range=(0.3, 0.7)):
     while True:
         sys_ = random_system(rng, n_max=2, m_max=2, d_max=2)
@@ -47,7 +74,7 @@ def observable_instance(rng, delta_range=(0.3, 0.7)):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda forms: synthesize_control(forms, [1.0], math.inf, 0.5),
+        lambda forms: synthesize_control(control_kernel(forms, math.inf, 0.5), [1.0]),
         lambda forms: control_kernel(forms, math.inf, 0.5),
         lambda forms: verify_theorem_5_1(forms, 0.5, c=math.inf),
     ],
@@ -64,7 +91,7 @@ class TestSynthesis:
     def test_zero_state_zero_everything(self):
         tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=3), 1)
         forms = assemble_forms(tree, martingale())
-        res = synthesize_control(forms, [0.0], 1.0, 0.5)
+        res = synthesize_control(control_kernel(forms, 1.0, 0.5), [0.0])
         assert not res.f.any()
         assert res.control_energy == 0.0
         assert res.terminal_energy == 0.0
@@ -78,7 +105,7 @@ class TestSynthesis:
         sys_ = martingale()
         forms = assemble_forms(tree, sys_)
         x_s = 1.3
-        res = synthesize_control(forms, [x_s], 1.0 / T, delta)
+        res = synthesize_control(control_kernel(forms, 1.0 / T, delta), [x_s])
         assert np.allclose(res.f, x_s / (1 + delta), atol=1e-12)
         expect_term = delta**2 * x_s**2 / (1 + delta) ** 2
         assert res.terminal_energy == pytest.approx(expect_term, rel=1e-12)
@@ -89,7 +116,7 @@ class TestSynthesis:
         for _ in range(8):
             sys_, tree, forms, delta, c_opt = observable_instance(rng)
             x_s = rng.standard_normal(sys_.n)
-            res = synthesize_control(forms, x_s, c_opt, delta, check_constant=False)
+            res = synthesize_control(control_kernel(forms, c_opt, delta), x_s)
             assert res.terminal_identity_residual < 1e-8
             assert res.energy_identity_residual < 1e-9
             assert res.bounds["terminal_energy"]["holds"]
@@ -121,7 +148,7 @@ class TestSynthesis:
         # the LQ optimum exists for every c > 0; use c_opt where it is finite
         c = rep.c_opt if rep.observable and rep.c_opt > 0 else float(rng.uniform(0.1, 10))
         x_s = rng.standard_normal(sys_.n)
-        res = synthesize_control(forms, x_s, c, delta, check_constant=False)
+        res = synthesize_control(unchecked_kernel(forms, c, delta), x_s)
         want = dense_gram_control(tree, sys_, x_s, c, delta)
         scale = max(float(np.abs(w).max()) for w in want)
         for got_k, want_k in zip(res.u.values, want):
@@ -143,7 +170,36 @@ class TestSynthesis:
     def test_invalid_constant_is_rejected(self, rng):
         sys_, tree, forms, delta, c_opt = observable_instance(rng)
         with pytest.raises(ValueError, match="is_delta_observable"):
-            synthesize_control(forms, np.ones(sys_.n), c_opt * 0.5, delta)
+            kernel = control_kernel(forms, c_opt * 0.5, delta)
+            synthesize_control(kernel, np.ones(sys_.n))
+
+    def test_synthesis_runs_neither_the_validity_test_nor_the_free_sweep(
+        self, rng, monkeypatch
+    ):
+        # the kernel has checked the pair, and the free-flow moment is the
+        # c = 0 value of the recursion
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesis repeated work the kernel or recursion did")
+
+        for mod in (nullcontrol, observability):
+            monkeypatch.setattr(mod, "is_delta_observable", refuse)
+        for mod in (nullcontrol, trees):
+            monkeypatch.setattr(mod, "simulate_forward", refuse, raising=False)
+        sys_, tree, forms, delta, c_opt = observable_instance(rng)
+        kernel = unchecked_kernel(forms, c_opt, delta)
+        res = synthesize_control(kernel, rng.standard_normal(sys_.n))
+        assert res.c == kernel.c and res.delta == kernel.delta
+
+    @pytest.mark.parametrize("driver", ORACLE_DRIVERS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("which", ORACLE_SYSTEMS)
+    def test_free_moment_matches_the_tree_sweep(self, corpus, which, driver):
+        # the tree stays the oracle of tree_growth (and so of limit_tree)
+        forms = oracle_forms(corpus, which, driver)
+        tree, sys_ = forms.tree, forms.system
+        x_s = np.random.default_rng(7).standard_normal(sys_.n)
+        res = synthesize_control(unchecked_kernel(forms, 1.0, 0.5), x_s)
+        want = terminal_expectation_sq(tree, simulate_forward(tree, sys_, x_s).terminal)
+        assert _rel_gap(res.tree_growth * float(x_s @ x_s), want) <= 1e-13
 
     def test_null_controllability_tracks_initial_observability(self, rng):
         # initially observable system: shrinking delta drives the terminal
@@ -158,7 +214,7 @@ class TestSynthesis:
         x_s = np.ones(sys_.n)
         for delta in (0.1, 0.01):
             rep = optimal_constant(forms, delta)
-            res = synthesize_control(forms, x_s, rep.c_opt, delta, check_constant=False)
+            res = synthesize_control(control_kernel(forms, rep.c_opt, delta), x_s)
             assert res.terminal_energy <= delta * float(x_s @ x_s) + 1e-12
 
 
@@ -192,10 +248,49 @@ class TestKernel:
         ker = control_kernel(forms, c_opt * 1.000001, delta)
         for _ in range(5):
             x_s = rng.standard_normal(sys_.n)
-            res = synthesize_control(forms, x_s, c_opt * 1.000001, delta, check_constant=False)
+            res = synthesize_control(ker, x_s)
             uk = controls_along_tree(tree, sys_, ker.gains, x_s)
             dev = max(np.abs(uk[k] - res.u.values[k]).max() for k in range(tree.K))
             assert dev < 1e-10
+
+    def test_kernel_runs_one_recursion_pass(self, rng, monkeypatch):
+        calls = []
+        lq_p0 = observability._lq_p0
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("gains", False))
+            return lq_p0(*args, **kwargs)
+
+        sys_, tree, forms, delta, c_opt = observable_instance(rng)
+        for mod in (nullcontrol, observability):
+            monkeypatch.setattr(mod, "_lq_p0", counted)
+        control_kernel(forms, c_opt, delta)
+        assert calls == [True]
+        with pytest.raises(ValueError, match="is_delta_observable"):
+            control_kernel(forms, c_opt * 0.5, delta)
+        assert calls == [True, True]
+
+    @pytest.mark.parametrize("delta", [0.3, 0.5, 0.9])
+    def test_kernel_accepts_the_pairs_is_delta_observable_accepts(self, corpus, delta):
+        checked = rejected = 0
+        for which in ORACLE_SYSTEMS:
+            for driver in ORACLE_DRIVERS:
+                forms = oracle_forms(corpus, which, driver)
+                c_opt = optimal_constant(forms, delta).c_opt
+                if not 0 < c_opt < math.inf:
+                    continue
+                for c in (c_opt, c_opt * (1 - 1e-6)):
+                    valid = is_delta_observable(forms, delta, c)
+                    try:
+                        control_kernel(forms, c, delta)
+                    except ValueError:
+                        accepted = False
+                    else:
+                        accepted = True
+                    assert accepted == valid, (which, driver.kind, c)
+                    checked += 1
+                    rejected += not accepted
+        assert checked >= 20 and rejected >= 10
 
     def test_kernel_carries_its_forms(self, rng):
         # the gains, the tree and the system travel together: no caller can
@@ -275,8 +370,7 @@ class TestTheorem51:
             controls = []
             for i, det in enumerate(rep.forward_details):
                 res = synthesize_control(
-                    forms, np.eye(sys_.n)[i], rep.c_used, delta,
-                    c0=rep.c0, check_constant=False,
+                    unchecked_kernel(forms, rep.c_used, delta), np.eye(sys_.n)[i]
                 )
                 controls.append(res.u)
                 for name, want in res.bounds.items():

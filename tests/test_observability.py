@@ -438,7 +438,7 @@ class TestIsDeltaObservable:
             assert not is_delta_observable(forms, delta, rep.c_opt * (1 - 1e-3))
 
     def test_optimum_is_the_tight_feasible_constant(self, rng, corpus):
-        # cli._pick_constant hands c_opt to synthesize_control(check_constant=True)
+        # cli._pick_constant hands c_opt to control_kernel, which applies this test
         cases = []
         for name in ("S2", "S4"):
             for K in (8, 9, 10):
