@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Stabilizability verdicts of ``solve_sare`` against independent oracles.
 
-Two scans, each printing its mismatch and undecided counts, the evidence
-behind its NotSolvable verdicts, its slowest draws and a ``digest:``
-line, the sha256 of the sorted (label, verdict, evidence, value-iteration
-steps, Newton iterations) records, so that two checkouts' scans compare
-in one line:
+Three scans, each printing its mismatch and undecided counts, the
+evidence behind its NotSolvable verdicts, its slowest draws and a
+``digest:`` line, the sha256 of the sorted (label, verdict, evidence,
+Newton iterations) records, so that two checkouts' scans compare in one
+line:
 
 - scalar: draw 0 of ``random_system(default_rng(seed), 1, 3, 3)`` for
   every seed below ``--scalar-seeds``, against the exact quadratic
@@ -13,7 +13,12 @@ in one line:
 - stream: the first ``--stream-draws`` draws of
   ``random_system(default_rng(7))``, against ``perfbench/oracle.py``'s
   ``stabilizable`` (the quadratic criterion for n = 1, value iteration
-  to convergence or to its growth cap otherwise).
+  to convergence or to its growth cap otherwise);
+- stiff: A = diag(-a, 1) for a in ``STIFF_A`` and A = diag(-2500, -lam, 1)
+  for lam in ``STIFF_LAM``, with B the last unit vector, C_1 = 2 B B^T and
+  D_1 = 0.  Each is stabilizable: the gain F = -4 B^T gives lift abscissa
+  2 (1 - 4) + 2^2 = -2, which the scan checks.  The Euler value at step
+  0.01 grows on every one of them.
 
 Run from the root of a source checkout:
 
@@ -35,33 +40,50 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "perfbench")]
 
 import oracle  # noqa: E402
 from sctk.errors import NumericalFailure  # noqa: E402
-from sctk.riccati import NotSolvable, solve_sare  # noqa: E402
+from sctk.riccati import NotSolvable, closed_loop_abscissa, solve_sare  # noqa: E402
+from sctk.systems import make_system  # noqa: E402
 from tests.conftest import random_system  # noqa: E402
+
+STIFF_A = (250.0, 1000.0, 2500.0, 1e4)
+STIFF_LAM = (150.0, 199.0, 201.0, 300.0)
 
 
 def verdict(sys_):
-    """(solvable or None when undecided, evidence, value-iteration steps,
-    Newton iterations, seconds); a count that does not apply is None."""
+    """(solvable or None when undecided, evidence, Newton iterations or
+    None, seconds)."""
     start = time.perf_counter()
     try:
         res = solve_sare(sys_)
     except NumericalFailure:
-        return None, "undecided", None, None, time.perf_counter() - start
+        return None, "undecided", None, time.perf_counter() - start
     elapsed = time.perf_counter() - start
     if isinstance(res, NotSolvable):
-        diag = res.diagnostics
-        return (False, diag.get("evidence", "hautus"),
-                diag.get("value_iteration_steps"), None, elapsed)
-    return True, "solved", None, res.iterations, elapsed
+        return False, res.diagnostics.get("evidence", "hautus"), None, elapsed
+    return True, "solved", res.iterations, elapsed
 
 
-def scan(name, labelled_systems, slowest):
+def oracle_verdict(sys_):
+    return oracle.stabilizable(oracle.as_system(sys_.A, sys_.B, sys_.C, sys_.D))
+
+
+def stiff_systems():
+    """(label, system, expected verdict) for the stiff family."""
+    modes = [(f"a {a:g}", [-a, 1.0]) for a in STIFF_A]
+    modes += [(f"lam {lam:g}", [-2500.0, -lam, 1.0]) for lam in STIFF_LAM]
+    for label, diag in modes:
+        n = len(diag)
+        B = np.eye(n)[:, -1:]
+        sys_ = make_system(np.diag(diag), B, C=[2.0 * B @ B.T], D=[np.zeros((n, 1))])
+        yield label, sys_, closed_loop_abscissa(sys_, -4.0 * B.T) < 0
+
+
+def scan(name, cases, slowest):
+    """Scan (label, system, expected verdict or None) triples."""
     mismatches, undecided, evidence, times = [], [], collections.Counter(), []
     records = []
-    for label, sys_ in labelled_systems:
-        expected = oracle.stabilizable(oracle.as_system(sys_.A, sys_.B, sys_.C, sys_.D))
-        solvable, kind, vi_steps, newton, elapsed = verdict(sys_)
-        records.append((label, solvable, kind, vi_steps, newton))
+    for label, sys_, expected in cases:
+        solvable, kind, newton, elapsed = verdict(sys_)
+        records.append((label, solvable, kind, newton))
         evidence[kind] += 1
         times.append((elapsed, label))
         if solvable is None:
@@ -86,12 +108,15 @@ def main():
     ap.add_argument("--slowest", type=int, default=5)
     args = ap.parse_args()
 
-    scalar = ((f"seed {s}", random_system(np.random.default_rng(s), 1, 3, 3))
+    scalar = (random_system(np.random.default_rng(s), 1, 3, 3)
               for s in range(args.scalar_seeds))
     rng = np.random.default_rng(7)
-    stream = [(f"draw {i}", random_system(rng)) for i in range(args.stream_draws)]
-    bad = scan("scalar", scalar, args.slowest)
-    bad += scan("stream", stream, args.slowest)
+    stream = [random_system(rng) for _ in range(args.stream_draws)]
+    bad = scan("scalar", ((f"seed {s}", sys_, oracle_verdict(sys_))
+                          for s, sys_ in enumerate(scalar)), args.slowest)
+    bad += scan("stream", ((f"draw {i}", sys_, oracle_verdict(sys_))
+                           for i, sys_ in enumerate(stream)), args.slowest)
+    bad += scan("stiff", stiff_systems(), args.slowest)
     return 1 if bad else 0
 
 

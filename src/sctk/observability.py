@@ -39,11 +39,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgeqrf
+from scipy.linalg.lapack import dgeqrf, dtrtrs
 from scipy.optimize import brentq
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, NumericalFailure
 from .systems import HorizonConfig, StochasticSystem
 from .trees import NoiseTree, TreeDriver, build_tree
 
@@ -208,8 +207,11 @@ def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, gains: bool =
         for k in range(K - 1, -1, -1):
             tri = step(R)
             R = tri[mu:, mu:]
-            if gains:
-                L[k, :mu] = -solve_triangular(tri[:mu, :mu], tri[:mu, mu:])
+            if gains and mu:
+                gain, info = dtrtrs(tri[:mu, :mu], tri[:mu, mu:])
+                if info:
+                    raise NumericalFailure(f"singular gain triangle at depth {k}")
+                L[k, :mu] = -gain
     P = R.T @ R
     return (P, L) if gains else P
 

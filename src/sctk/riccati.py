@@ -24,33 +24,33 @@ The first stabilizing gain comes from a deterministic search with no
 seed: the zero gain, then the deterministic LQR gain, which stabilizes a
 noise-free system whenever one can be stabilized, so there the exact
 Hautus test gives the verdict.  A noisy system goes on to value
-iteration of the Euler recursion of the same unit-weight problem from
-V_0 = 0, V_{k+1} = R(V_k) by ``observability.sqrt_step`` at dt = ``VI_DT``:
-V_k is carried as a square root and formed only to test the gain of
-every ``VI_CHECK_EVERY``-th iterate.  Its iterates are bounded exactly
-when the discretized problem is stabilizable, which implies continuous
-stabilizability but, for a stiff system, does not follow from it.
+iteration on the Riccati ODE of the same problem: from P(0) = 0, dP/dt
+is the Riccati operator at P, the Schur complement over u of H(P) + I,
+where for symmetric Q (``_h_form``)
 
-``NotSolvable`` rests on a proof that the Euler value is unbounded.  Let
-R0 be the one-step map without running cost,
-R0(Q) = inf_u sum_j [x; u]^T M_j^T Q M_j [x; u], with M_j the step maps
-of one Euler step (``observability.step_maps``: the drift map and one
-noise map per component).  R0 is monotone and positively
-homogeneous, R >= R0, and V_k >= V_1 = dt I.  So a Q >= 0, Q != 0 with
-R0(Q) >= rho Q, rho > 1, gives V_{k+j} >= c rho^j Q for some c > 0: the
-value grows without bound.  At each gain test the normalised iterate and
-its truncations to the eigen-directions above ``CERT_TRUNCATIONS`` times
-its largest eigenvalue are tried as Q (``_growth_factor``), and the
-verdict's ``diagnostics`` report ``evidence: "certificate"`` with Q, rho
-and the rank of Q.  When no certificate is found before the value passes
-``VI_GROWTH_CAP``, growth past the cap is the evidence
-(``evidence: "cap"``), which is not a proof.  Either way the gain of R0's
-minimiser at Q is tested last: it stands in for the gains of the later
-iterates the early stop skips, which on a stiff system can stabilize
-the continuous lift although the Euler value grows.
-``NumericalFailure`` (not a verdict) is raised when value iteration
-reaches neither a gain, a certificate nor the cap in ``VI_MAX_STEPS``
-steps, or when Newton-Kleinman stalls or ends outside the
+    H(Q) = [[A^T Q + Q A + sum_i C_i^T Q C_i,  Q B + sum_i C_i^T Q D_i],
+            [(Q B + sum_i C_i^T Q D_i)^T,      sum_i D_i^T Q D_i]]
+
+and d/dt E x^T Q x = E [x; u]^T H(Q) [x; u] under every adapted control
+u.  x0^T P(t) x0 is the least cost over a horizon t, and P(t) rises to
+the SARE solution exactly when the SDE is mean-square stabilizable.
+LSODA steps it at rtol ``VI_RTOL``; at t = 1, 2, 4, ... ``VI_HORIZON``
+and once max|P_ij| passes ``VI_GROWTH_CAP``, the gain of P is tested on
+the lift, and H(Q) >= 0 is tested at Q = P / max|P_ij|.
+
+Every verdict is read off an exact test, a gain by its lift abscissa and
+NotSolvable by the eigenvalues of H(Q); the ODE's error only changes
+which gains and which Q are tried.  H(Q) >= 0 keeps E x^T Q x from
+decreasing, so from any x0 with x0^T Q x0 > 0 no control, feedback or
+not, drives E|x|^2 to 0 (``evidence: "certificate"``; the dual side of
+the LMI test of Ait Rami and Zhou, IEEE TAC 45(6), 2000).  The test has
+no step size, so stiffness cannot fool it.  When no certificate is found
+before the value passes the cap, growth past the cap is the evidence
+(``evidence: "cap"``), which is not a proof; the gain of H(Q)'s
+minimiser over u is tested first, as a stabilizing gain can need a value
+above the cap.  ``NumericalFailure`` (not a verdict) is raised when
+value iteration reaches neither a gain, a certificate nor the cap by
+``VI_HORIZON``, or when Newton-Kleinman stalls or ends outside the
 positive-definite stabilizing class.
 """
 
@@ -63,18 +63,15 @@ from scipy.linalg import solve_continuous_are
 
 from .errors import NumericalFailure
 from .moments import build_generator, spectral_abscissa, unvec, vec
-from .observability import sqrt_step, step_maps
 from .systems import StochasticSystem, hautus_stabilizability
 
 GAIN_MARGIN = 1e-9  # a gain stabilizes when its lift abscissa is below -GAIN_MARGIN
 NEWTON_RTOL = 1e-12  # Newton stops at residual below NEWTON_RTOL * max(1, |P|)
 NEWTON_MAX_ITER = 100
-VI_DT = 0.01  # Euler step of the value iteration
+VI_RTOL = 1e-3  # relative tolerance of the value iteration's ODE solve
 VI_GROWTH_CAP = 1e9  # largest |P_ij| below which the value counts as bounded
-VI_MAX_STEPS = 200_000
-VI_CHECK_EVERY = 100  # steps between tests of the iterate's gain and growth
-CERT_TRUNCATIONS = (0.0, 1e-3, 1e-2, 1e-1)  # eigenvalue cuts of Q over its largest
-CERT_ROUNDING = 64.0  # safety factor on the rounding bound of the growth factor
+VI_HORIZON = 2048.0  # last time of the value iteration, a power of two
+CERT_ROUNDING = 64.0  # safety factor on the rounding bound of the certificate
 
 
 @dataclass(frozen=True)
@@ -162,133 +159,128 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
         evidence["hautus"] = False
         return None
 
-    # P = R^T R takes one square-root step per iterate, with the unit
-    # running cost dt (|x|^2 + |u|^2) as the rows sqrt(dt) I
-    M = step_maps(sys, VI_DT)
-    riccati_step = sqrt_step(M, np.sqrt(VI_DT) * np.eye(m + n))
-    R = np.zeros((n, n))
-    rho = None
-    for step in range(1, VI_MAX_STEPS + 1):
-        R = riccati_step(R)[m:, m:]
-        # max |P_ij| of P = R^T R >= 0 is its largest diagonal entry
-        growth = float((R * R).sum(axis=0).max())
-        capped = not growth <= VI_GROWTH_CAP
-        # the capped iterate is tested too: on a stiff system the value can
-        # pass the cap before the first periodic test
-        if not (capped or step % VI_CHECK_EVERY == 0):
+    # continuous value iteration and the H(Q) certificate (module
+    # docstring); LSODA is imported only where a noisy system needs it
+    from scipy.integrate import LSODA
+
+    maps = np.concatenate([np.hstack([sys.A, sys.B])[None],
+                           np.concatenate([sys.C, sys.D], axis=2)])
+    unit = np.eye(n + m)
+
+    def rhs(t, p):
+        # the Schur complement over u of H(P) + I, at the symmetric part of
+        # P: the solver's rounding would otherwise feed an asymmetric drift
+        P = p.reshape(n, n)
+        H = _h_form(maps, 0.5 * (P + P.T)) + unit
+        return (H[:n, :n] - H[:n, n:] @ np.linalg.solve(H[n:, n:], H[n:, :n])).ravel()
+
+    ode = LSODA(rhs, 0.0, np.zeros(n * n), VI_HORIZON, rtol=VI_RTOL)
+    check = 1.0
+    while ode.status == "running":
+        message = ode.step()
+        P = ode.y.reshape(n, n)
+        growth = float(np.abs(P).max())
+        if ode.status == "failed" or not np.isfinite(growth):
+            raise NumericalFailure(
+                f"value iteration failed at t = {ode.t:.4g}: {message or 'value not finite'}"
+            )
+        capped = growth > VI_GROWTH_CAP
+        if not (capped or ode.t >= check):
             continue
-        P = R.T @ R
+        while check <= ode.t:
+            check *= 2.0
         F = feedback_gain(P, sys)
         alpha = closed_loop_abscissa(sys, F)
         if alpha < -GAIN_MARGIN:
             return F, alpha
-        if not np.isfinite(growth):
-            break
-        lam, V = np.linalg.eigh(P)
-        lam = lam / lam[-1]
-        ranks = sorted({int((lam > t).sum()) for t in CERT_TRUNCATIONS}, reverse=True)
-        for r in ranks:
-            rho = _growth_factor(M, lam[n - r:], V[:, n - r:], V[:, : n - r])
-            if rho is not None:
-                break
-        else:
-            r = ranks[0]
-        if rho is not None or capped:
+        Q = (P + P.T) / (2.0 * growth)
+        H = _h_form(maps, Q)
+        margin = _certificate_margin(maps, Q, H)
+        if margin is not None or capped:
             break
     else:
         raise NumericalFailure(
-            f"value iteration reached neither a stabilizing gain, a growth "
-            f"certificate nor the cap in {step} steps (value growth {growth:.3e})"
+            f"value iteration reached neither a stabilizing gain, a certificate "
+            f"nor the cap by t = {ode.t:.4g} (value growth {growth:.3e})"
         )
-    if np.isfinite(growth):
-        # the gain of R0's minimiser at Q stands in for the gains of the
-        # later iterates that the early stop skips
-        S = np.sqrt(lam[n - r:])[:, None] * V[:, n - r:].T  # Q = S^T S
-        F = _minimiser_gain(M, S)
+    if margin is None:
+        # past the cap, the gain of H(Q)'s minimiser over u can stabilize
+        # where the gain of the capped value does not
+        F = _minimiser_gain(H, n)
         alpha = closed_loop_abscissa(sys, F)
         if alpha < -GAIN_MARGIN:
             return F, alpha
     evidence.update(
-        evidence="cap" if rho is None else "certificate",
-        value_iteration_steps=step,
-        horizon=step * VI_DT,
+        evidence="cap" if margin is None else "certificate",
+        horizon=ode.t,
         value_growth=growth,
     )
-    if rho is not None:
-        evidence.update(
-            certificate_growth=rho, certificate_rank=r, certificate_Q=(S.T @ S).tolist()
-        )
+    if margin is not None:
+        evidence.update(certificate_margin=margin, certificate_Q=Q.tolist())
     return None
 
 
-def _weighted_maps(M, S):
-    """Stack the one-step maps S M_j; |S y|^2 is the Q-weighted norm of y."""
-    n = S.shape[1]
-    G = (S @ M).reshape(-1, M.shape[2])
-    return G[:, :n], G[:, n:]
+def _h_form(maps, Q) -> np.ndarray:
+    """H(Q) = [I, 0]^T Q M_0 + M_0^T Q [I, 0] + sum_i M_i^T Q M_i over the
+    maps M_0 = [A, B] and M_i = [C_i, D_i]."""
+    n = maps.shape[1]
+    QM = Q @ maps[0]
+    H = (maps[1:].transpose(0, 2, 1) @ Q @ maps[1:]).sum(axis=0)
+    H[:n] += QM
+    H[:, :n] += QM.T
+    return H
 
 
-def _unit_columns(Y):
-    """Drop the zero columns of Y and scale the rest to unit norm.
+def _unit_columns(H, n):
+    """Drop H's zero u-columns (and rows) and scale the rest to unit diagonal.
 
-    Neither changes the range, so the least-squares residual stays the
-    same; but a control acting at 1e-9 of the others' scale keeps its
-    weight against rounding instead of falling under a rank cut.
+    Returns (S H S, s, used): used marks the u-columns kept and s their
+    scales.  Neither step changes whether H >= 0 nor the minimiser over
+    the controls kept; but a control acting at 1e-9 of the others' scale
+    keeps its weight against rounding instead of falling under a rank
+    cut.  A kept u-column whose diagonal is not positive stays unscaled
+    (H is then not >= 0).
     """
-    norms = np.linalg.norm(Y, axis=0)
-    used = norms > 0
-    return Y[:, used] / norms[used], used, norms[used]
+    used = H[:, n:].any(axis=0)
+    d = H.diagonal()[n:][used]
+    s = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
+    keep = np.concatenate([np.arange(n), n + np.flatnonzero(used)])
+    w = np.concatenate([np.ones(n), s])
+    return w[:, None] * H[np.ix_(keep, keep)] * w, s, used
 
 
-def _minimiser_gain(M, S):
-    """The gain u = F x of R0's minimiser at Q = S^T S."""
-    Gx, Gu = _weighted_maps(M, S)
-    Y, used, norms = _unit_columns(Gu)
-    F = np.zeros((Gu.shape[1], Gx.shape[1]))
-    if used.any():
-        F[used] = -np.linalg.lstsq(Y, Gx, rcond=None)[0] / norms[:, None]
+def _minimiser_gain(H, n):
+    """The gain u = F x of the minimiser over u of [x; u]^T H [x; u],
+    F = -H_uu^+ H_ux in the units of ``_unit_columns``."""
+    Hs, s, used = _unit_columns(H, n)
+    F = np.zeros((len(H) - n, n))
+    F[used] = -s[:, None] * np.linalg.lstsq(Hs[n:, n:], Hs[n:, :n], rcond=None)[0]
     return F
 
 
-def _growth_factor(M, lam, V, W):
-    """Proved growth rho > 1 of R0 at Q = V diag(lam) V^T, or None.
+def _certificate_margin(maps, Q, H):
+    """lambda_min / |H| of the scaled H = S H(Q) S of ``_unit_columns``
+    when it proves H(Q) >= 0, else None.
 
-    V (n x r) and W (n x (n - r)) are orthonormal and complementary, and
-    0 < lam <= 1.  With x = V lam^(-1/2) w + W b, so that x^T Q x = |w|^2,
-    R0(Q) >= rho Q says that min over (b, u) of |X w + Y [b; u]|^2 is at
-    least rho |w|^2, where X and Y are the stacked maps lam^(1/2) V^T M_j
-    applied to w and to the free directions (b, u).  So rho is the
-    smallest squared singular value of X projected off range(Y).
-
-    The projection is made without a rank cut: every left singular vector
-    of the column-scaled Y is removed, which can only lower rho (sound).
-    Rounding then moves rho by at most about eps (rows + n + m) |X|^2 for
-    the products and the two singular value decompositions, times
-    1 + 1/s_min for the turn of range(Y) under a columnwise relative
-    perturbation of eps (the projector moves by |dY| / s_min, Stewart
-    1977), where s_min is Y's smallest singular value and
-    |X|^2 <= sum_j |M_j|^2 / min(lam).  rho is accepted only above 1 plus
-    ``CERT_ROUNDING`` times that bound.  A Y that leaves fewer than r
-    directions outside its range, or has s_min = 0, proves nothing.
+    H is the same form over the maps M_r S, so each entry is a sum of
+    2 + d triple products with two inner products of length n, scaled
+    once more by S: the computed H is off by at most gamma_(2n + d + 4)
+    times the form in |Q| and |M_r S|, whose Frobenius norm (which also
+    bounds |H|_2) is at most |Q|_F (2 |M_0 S|_F + sum_i |M_i S|_F^2).
+    With eigh's backward error of about eps (n + m) |H|_2, Weyl's
+    inequality puts the computed lambda_min within eps (3n + m + d + 4)
+    times that norm bound of the exact one, to first order; it must
+    clear ``CERT_ROUNDING`` times that.
     """
-    n, r = V.shape
-    Gx, Gu = _weighted_maps(M, np.sqrt(lam)[:, None] * V.T)
-    X = Gx @ (V / np.sqrt(lam))
-    Y, _, _ = _unit_columns(np.hstack([Gx @ W, Gu]))
-    rows, k = Y.shape
-    if rows - k < r:
-        return None
-    turn = 0.0
-    if k:
-        U, s, _ = np.linalg.svd(Y)
-        if not s[-1] > 0:
-            return None
-        X = U[:, k:].T @ X
-        turn = 1.0 / s[-1]
-    rho = float(np.linalg.svd(X, compute_uv=False)[-1]) ** 2
-    bound = np.finfo(float).eps * (rows + M.shape[2]) * float((M**2).sum()) / lam[0]
-    if rho - CERT_ROUNDING * bound * (1.0 + turn) > 1.0:
-        return rho
+    r, n, _ = maps.shape  # r = 1 + d
+    Hs, s, used = _unit_columns(H, n)
+    lam = np.linalg.eigvalsh(Hs)
+    scaled = np.concatenate([maps[:, :, :n], maps[:, :, n:][:, :, used] * s], axis=2)
+    norms = np.linalg.norm(scaled, axis=(1, 2))
+    size = 2.0 * norms[0] + float((norms[1:] ** 2).sum())
+    bound = np.finfo(float).eps * (3 * n + len(s) + r + 3) * np.linalg.norm(Q) * size
+    if lam[0] > CERT_ROUNDING * bound:
+        return float(lam[0] / lam[-1])
     return None
 
 

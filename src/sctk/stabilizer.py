@@ -291,10 +291,9 @@ def equivalence_harness(
         details["feedback_abscissa"] = sol.abscissa
     else:
         # the gain search behind NotSolvable is deterministic and, past the
-        # Hautus test, ends on a proof that the Euler value is unbounded
-        # (or on growth past the cap when no proof is found), so it also
-        # settles verdict (b); a stiff system can still be stabilizable
-        # although its Euler step is not
+        # Hautus test, ends on a proof that no control stabilizes the SDE,
+        # H(Q) >= 0 (or on growth past the cap when no proof is found), so
+        # it also settles verdict (b)
         details["riccati"] = {"verdict": sol.reason}
     stabilizable = solvable
 

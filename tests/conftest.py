@@ -151,11 +151,17 @@ def dense_gram_control(tree, sys_, x_s, c, delta):
     With xi = x(T; 0, x_s) in leaf-major coordinates, f solves
     (c Q + delta N) f = N xi and the control is u = -c z(f), the optimum
     of min ||u||^2 / c + E|x_T|^2 / delta written through the duality
-    x_T = delta f.  Dense solve of size nL; returns the control layers.
+    x_T = delta f.  Those are the normal equations of the least-squares
+    problem min |[sqrt(c) F; sqrt(delta N)] f - [0; sqrt(N / delta) xi]|,
+    which is solved instead: forming c F^T F would square F's condition
+    number.  Dense solve of size nL; returns the control layers.
     """
     forms = dense_forms(tree, sys_)
     xi = simulate_forward(tree, sys_, x_s).terminal
-    f = np.linalg.solve(c * forms.Q + delta * forms.N, forms.N_diag * xi.ravel())
+    root_n = np.sqrt(forms.N_diag)
+    stacked = np.vstack([np.sqrt(c) * forms.F, np.sqrt(delta) * np.diag(root_n)])
+    rhs = np.concatenate([np.zeros(forms.F.shape[0]), root_n * xi.ravel() / np.sqrt(delta)])
+    f = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
     z = solve_bsde(tree, sys_, f.reshape(xi.shape)).z
     return [-c * zk for zk in z.values]
 

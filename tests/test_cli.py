@@ -244,7 +244,7 @@ class TestCommands:
         assert doc["report"]["solvable"] is False
 
     def test_riccati_not_solvable_with_noise_reports_certificate(self, tmp_path):
-        # 2a + c^2 = 2.25 > 0 and no control: value iteration proves growth
+        # 2a + c^2 = 2.25 > 0 and no control: H(1) = diag(2.25, 0) >= 0
         cfg = tmp_path / "noisy.json"
         cfg.write_text(json.dumps(
             {"n": 1, "m": 1, "d": 1, "A": [1.0], "B": [0.0], "C": [[0.5]],
@@ -260,7 +260,8 @@ class TestCommands:
         diag = doc["report"]["diagnostics"]
         assert doc["report"]["solvable"] is False
         assert diag["evidence"] == "certificate"
-        assert diag["certificate_growth"] > 1
+        assert diag["certificate_margin"] == 1.0
+        assert diag["certificate_Q"] == [[1.0]]
 
     def test_observe_record_schema(self, corpus_dir, tmp_path):
         out = tmp_path / "o"

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sctk.nullcontrol as nullcontrol
@@ -133,6 +133,8 @@ class TestSynthesis:
         st.integers(2, 4),
         st.floats(0.05, 0.9),
     )
+    # c_opt = 2.39e5 on this draw: the oracle must not square F's condition
+    @example(1514, TreeDriver.bernoulli(), 3, 0.09375)
     def test_recursion_matches_dense_gram_synthesis(self, seed, driver, K, delta):
         rng = np.random.default_rng(seed)
         sys_ = random_system(rng, n_max=3, m_max=2, d_max=2)

@@ -17,7 +17,6 @@ from sctk.observability import (
     sqrt_step,
     step_maps,
 )
-from sctk.riccati import VI_DT
 from sctk.systems import HorizonConfig, make_system
 from sctk.trees import (
     AdaptedField,
@@ -393,7 +392,7 @@ class TestSqrtStep:
         # the H form H = sum_r M_r^T P M_r + running cost, with P = R^T R,
         # is the oracle: the next P is the Schur complement over u and the
         # gain -H_uu^{-1} H_ux; "control" is _lq_p0's finite-c cost
-        # sqrt(dt / c) [I, 0], "unit" the value iteration's sqrt(dt) I
+        # sqrt(dt / c) [I, 0], "unit" a unit running cost sqrt(dt) I
         sys_ = corpus[system] if system in corpus else nth_draw(99, 3, 3, 3, 2)
         n, m = sys_.n, sys_.m
         if cost == "control":
@@ -402,7 +401,7 @@ class TestSqrtStep:
             running = np.zeros((n + m, n + m))
             running[n:, n:] = dt / c * np.eye(m)
         else:
-            dt = VI_DT
+            dt = 0.01
             rows = np.sqrt(dt) * np.eye(m + n)
             running = dt * np.eye(n + m)
         maps = step_maps(sys_, dt)
