@@ -17,8 +17,8 @@ line:
 - stiff: A = diag(-a, 1) for a in ``STIFF_A`` and A = diag(-2500, -lam, 1)
   for lam in ``STIFF_LAM``, with B the last unit vector, C_1 = 2 B B^T and
   D_1 = 0.  Each is stabilizable: the gain F = -4 B^T gives lift abscissa
-  2 (1 - 4) + 2^2 = -2, which the scan checks.  The Euler value at step
-  0.01 grows on every one of them.
+  2 (1 - 4) + 2^2 = -2, which the scan checks on the oracle's lift.  The
+  Euler value at step 0.01 grows on every one of them.
 
 Run from the root of a source checkout:
 
@@ -40,7 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "perfbench")]
 
 import oracle  # noqa: E402
 from sctk.errors import NumericalFailure  # noqa: E402
-from sctk.riccati import NotSolvable, closed_loop_abscissa, solve_sare  # noqa: E402
+from sctk.riccati import NotSolvable, solve_sare  # noqa: E402
 from sctk.systems import make_system  # noqa: E402
 from tests.conftest import random_system  # noqa: E402
 
@@ -74,7 +74,8 @@ def stiff_systems():
         n = len(diag)
         B = np.eye(n)[:, -1:]
         sys_ = make_system(np.diag(diag), B, C=[2.0 * B @ B.T], D=[np.zeros((n, 1))])
-        yield label, sys_, closed_loop_abscissa(sys_, -4.0 * B.T) < 0
+        system = oracle.as_system(sys_.A, sys_.B, sys_.C, sys_.D)
+        yield label, sys_, oracle.lift_abscissa(system, -4.0 * B.T) < 0
 
 
 def scan(name, cases, slowest):

@@ -7,7 +7,10 @@ X(t) = E[x(t) x(t)^T] satisfies the linear ODE
 
 We represent L as an n^2 x n^2 matrix acting on column-stacked
 vectorizations (numpy order='F'); this convention is fixed so the lift
-matrix is reproducible bit-for-bit across implementations.  The spectral
+matrix is reproducible bit-for-bit across implementations.  L and
+nullcontrol's K-step lift both take their closed-loop maps from a
+coefficient stack (``StochasticSystem.maps``, ``closed_loop``) and add
+sum_r kron(M_r, M_r) with ``kron_sum``.  The spectral
 abscissa of L certifies mean-square exponential stability, and the
 adjoint flow started from the identity yields the tight growth constant
 
@@ -40,7 +43,6 @@ class MomentGenerator:
     """Lift matrix L (n^2 x n^2) of the closed-loop second-moment flow."""
 
     L: np.ndarray
-    F: np.ndarray
     n: int
 
 
@@ -52,6 +54,22 @@ class GrowthConstant:
     c0: float
 
 
+def closed_loop(maps: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The closed-loop stack M_r [I; F] = M_r^x + M_r^u F, shape (s, n, n),
+    of a stack of maps M_r (s, n, n + m) under the gain u = F x."""
+    n = maps.shape[1]
+    return maps[:, :, :n] + maps[:, :, n:] @ F
+
+
+def kron_sum(stack: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out + sum_r kron(M_r, M_r), added to out in order: the lift of a stack
+    (s, n, n) of maps X -> sum_r M_r X M_r^T, in either vectorization."""
+    s, n, _ = stack.shape
+    for term in np.einsum("jab,jcd->jacbd", stack, stack).reshape(s, n * n, n * n):
+        out += term
+    return out
+
+
 def build_generator(sys: StochasticSystem, F=None) -> MomentGenerator:
     """Lift matrix of X -> A_cl X + X A_cl^T + sum_i C_cl,i X C_cl,i^T."""
     n = sys.n
@@ -60,13 +78,10 @@ def build_generator(sys: StochasticSystem, F=None) -> MomentGenerator:
     F = np.atleast_2d(np.asarray(F, dtype=float))
     if F.shape != (sys.m, n):
         raise InvalidConfig(f"gain shape {F.shape} != ({sys.m}, {n})")
-    Acl = sys.A + sys.B @ F
+    cl = closed_loop(sys.maps, F)  # [A + B F, C_i + D_i F]
     I = np.eye(n)
-    L = np.kron(I, Acl) + np.kron(Acl, I)
-    for Ci, Di in zip(sys.C, sys.D):
-        Ccl = Ci + Di @ F
-        L += np.kron(Ccl, Ccl)
-    return MomentGenerator(L=L, F=F, n=n)
+    L = kron_sum(cl[1:], np.kron(I, cl[0]) + np.kron(cl[0], I))
+    return MomentGenerator(L=L, n=n)
 
 
 def spectral_abscissa(gen: MomentGenerator) -> float:

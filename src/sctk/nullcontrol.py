@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import growth_constant_c0
+from .moments import closed_loop, growth_constant_c0, kron_sum
 from .observability import (
     ObservabilityForms,
     _lam_max,
@@ -83,25 +83,20 @@ assemble_gramian = _feedback_gains
 def _interval_map(forms: ObservabilityForms, gains: np.ndarray):
     """The closed-loop second-moment map Phi and energy functional e.
 
-    Both act on row-major vec(X).  With the forms' step maps
-    M_r = [M_r^x, M_r^u], the closed-loop step maps of step t are
-    A_tr = M_r^x + M_r^u L_t: the mean map
-    I + dt (A + B L_t) + mean sqrt(dt) sum_i (C_i + D_i L_t) and the noise
-    maps sqrt(dt var) (C_i + D_i L_t).  One step maps X to
-    E[A X A^T] = sum_r A_tr X A_tr^T, so Phi (n^2 x n^2) is the product
-    over the steps of sum_r kron(A_tr, A_tr), Phi vec(X_0) = vec(X_K), and
-    e . vec(X_0) is the control energy dt sum_t tr(L_t X_t L_t^T).
+    Both act on row-major vec(X).  Step t maps X to E[A X A^T] =
+    sum_r A_tr X A_tr^T over the closed-loop step maps A_tr = M_r [I; L_t]
+    of the forms' step maps (moments.closed_loop), so Phi (n^2 x n^2) is
+    the product over the steps of sum_r kron(A_tr, A_tr) (moments.kron_sum),
+    Phi vec(X_0) = vec(X_K), and e . vec(X_0) is the control energy
+    dt sum_t tr(L_t X_t L_t^T).
     """
     n = forms.system.n
     dt = forms.tree.delta_t
-    maps = forms.maps
     Phi = np.eye(n * n)
     e = np.zeros(n * n)
     for L in gains:
         e += Phi.T @ (dt * (L.T @ L)).ravel()
-        Acl = maps[:, :, :n] + maps[:, :, n:] @ L  # (1 + d, n, n)
-        step = np.einsum("jab,jcd->acbd", Acl, Acl).reshape(n * n, n * n)
-        Phi = step @ Phi
+        Phi = kron_sum(closed_loop(forms.maps, L), np.zeros((n * n, n * n))) @ Phi
     return Phi, e
 
 

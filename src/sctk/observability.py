@@ -113,7 +113,7 @@ def _lam_max(sym_mat: np.ndarray) -> float:
 def step_maps(
     sys_: StochasticSystem, dt: float, mean: float = 0.0, var: float = 1.0
 ) -> np.ndarray:
-    """One Euler step in moment form, shape (1 + d, n, n + m).
+    """One Euler step of the coefficient stack sys_.maps, shape (1 + d, n, n + m).
 
     With per-component increments of mean mean sqrt(dt) and variance
     var dt, the step x' = M [x; u] has
@@ -121,11 +121,9 @@ def step_maps(
     maps[0] = [I + dt A, dt B] + mean sqrt(dt) sum_i [C_i, D_i] is the mean
     map and maps[1 + i] = sqrt(dt var) [C_i, D_i] the noise maps.
     """
-    n = sys_.n
-    maps = np.empty((1 + sys_.d, n, n + sys_.m))
-    maps[1:, :, :n] = sys_.C
-    maps[1:, :, n:] = sys_.D
-    maps[0] = np.hstack([np.eye(n) + dt * sys_.A, dt * sys_.B])
+    maps = sys_.maps
+    maps[0] *= dt
+    maps[0, :, : sys_.n] += np.eye(sys_.n)
     maps[0] += mean * np.sqrt(dt) * maps[1:].sum(axis=0)
     maps[1:] *= np.sqrt(dt * var)
     return maps

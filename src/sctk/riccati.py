@@ -1,15 +1,19 @@
-"""Infinite-horizon stochastic algebraic Riccati equation.
+"""Infinite-horizon stochastic algebraic Riccati equation (SARE).
 
-The stationary equation solved here is
+The coefficients come from the system's stack ``StochasticSystem.maps``
+of M_0 = [A, B] and M_i = [C_i, D_i] over [x; u].  For symmetric Q
+(``_h_form``)
 
-    P A + A^T P + sum_i C_i^T P C_i + I
-      - (P B + sum_i C_i^T P D_i) (I + sum_i D_i^T P D_i)^{-1}
-        (B^T P + sum_i D_i^T P C_i) = 0,
+    H(Q) = [I, 0]^T Q M_0 + M_0^T Q [I, 0] + sum_i M_i^T Q M_i
+         = [[A^T Q + Q A + sum_i C_i^T Q C_i,  Q B + sum_i C_i^T Q D_i],
+            [(Q B + sum_i C_i^T Q D_i)^T,      sum_i D_i^T Q D_i]],
 
-whose unique positive-definite solution gives the optimal value
-x0^T P x0 of the unit-weight quadratic cost and the stabilizing feedback
-
-    F = -(I + sum_i D_i^T P D_i)^{-1} (B^T P + sum_i D_i^T P C_i).
+and d/dt E x^T Q x = E [x; u]^T H(Q) [x; u] under every adapted control
+u.  The Riccati operator has one coding, ``_riccati``: with
+G = H(P) + I it is the Schur complement G_xx - G_xu G_uu^{-1} G_ux, and
+F = -G_uu^{-1} G_ux is its gain.  The SARE sets the operator to 0; its
+unique positive-definite solution gives the optimal value x0^T P x0 of
+the unit-weight quadratic cost and the stabilizing feedback F.
 
 Solved by Newton-Kleinman iteration: given a mean-square-stabilizing gain
 F_k, the generalized Lyapunov equation
@@ -17,26 +21,20 @@ F_k, the generalized Lyapunov equation
     (A+BF_k)^T P + P (A+BF_k) + sum_i (C_i+D_iF_k)^T P (C_i+D_iF_k)
       + I + F_k^T F_k = 0
 
-is one linear solve on the n^2 lift, and F_{k+1} is the gain of its
-solution.
+is one linear solve on the n^2 lift, and one H form of its solution
+gives both F_{k+1} and the residual.
 
 The first stabilizing gain comes from a deterministic search with no
 seed: the zero gain, then the deterministic LQR gain, which stabilizes a
 noise-free system whenever one can be stabilized, so there the exact
 Hautus test gives the verdict.  A noisy system goes on to value
 iteration on the Riccati ODE of the same problem: from P(0) = 0, dP/dt
-is the Riccati operator at P, the Schur complement over u of H(P) + I,
-where for symmetric Q (``_h_form``)
-
-    H(Q) = [[A^T Q + Q A + sum_i C_i^T Q C_i,  Q B + sum_i C_i^T Q D_i],
-            [(Q B + sum_i C_i^T Q D_i)^T,      sum_i D_i^T Q D_i]]
-
-and d/dt E x^T Q x = E [x; u]^T H(Q) [x; u] under every adapted control
-u.  x0^T P(t) x0 is the least cost over a horizon t, and P(t) rises to
-the SARE solution exactly when the SDE is mean-square stabilizable.
-LSODA steps it at rtol ``VI_RTOL``; at t = 1, 2, 4, ... ``VI_HORIZON``
-and once max|P_ij| passes ``VI_GROWTH_CAP``, the gain of P is tested on
-the lift, and H(Q) >= 0 is tested at Q = P / max|P_ij|.
+is the Riccati operator at P.  x0^T P(t) x0 is the least cost over a
+horizon t, and P(t) rises to the SARE solution exactly when the SDE is
+mean-square stabilizable.  LSODA steps it at rtol ``VI_RTOL``; at
+t = 1, 2, 4, ... ``VI_HORIZON`` and once max|P_ij| passes
+``VI_GROWTH_CAP``, the gain of P is tested on the lift, and H(Q) >= 0 is
+tested at Q = P / max|P_ij|.
 
 Every verdict is read off an exact test, a gain by its lift abscissa and
 NotSolvable by the eigenvalues of H(Q); the ODE's error only changes
@@ -92,30 +90,13 @@ class NotSolvable:
 
 
 def sare_residual(sys: StochasticSystem, P) -> np.ndarray:
-    """Residual matrix of the algebraic Riccati operator at P."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    lin = P @ sys.A + sys.A.T @ P + np.eye(sys.n)
-    S = P @ sys.B
-    for Ci, Di in zip(sys.C, sys.D):
-        lin += Ci.T @ P @ Ci
-        S += Ci.T @ P @ Di
-    # S F = -S (I + sum D_i^T P D_i)^{-1} S^T for symmetric P
-    return lin + S @ feedback_gain(P, sys)
+    """Residual matrix of the algebraic Riccati operator at symmetric P."""
+    return _riccati(sys.maps, np.atleast_2d(np.asarray(P, dtype=float)))[0]
 
 
 def feedback_gain(P, sys: StochasticSystem) -> np.ndarray:
-    """F = -(I + sum D_i^T P D_i)^{-1} (B^T P + sum D_i^T P C_i)."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    G = np.eye(sys.m)
-    for Di in sys.D:
-        G += Di.T @ P @ Di
-    R = sys.B.T @ P
-    for Ci, Di in zip(sys.C, sys.D):
-        R += Di.T @ P @ Ci
-    try:
-        return -np.linalg.solve(G, R)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"gain matrix I + sum D^T P D is singular: {exc}") from exc
+    """F = -(I + sum D_i^T P D_i)^{-1} (B^T P + sum D_i^T P C_i), P symmetric."""
+    return _riccati(sys.maps, np.atleast_2d(np.asarray(P, dtype=float)))[1]
 
 
 def lq_value(P, x0) -> float:
@@ -163,16 +144,13 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
     # docstring); LSODA is imported only where a noisy system needs it
     from scipy.integrate import LSODA
 
-    maps = np.concatenate([np.hstack([sys.A, sys.B])[None],
-                           np.concatenate([sys.C, sys.D], axis=2)])
-    unit = np.eye(n + m)
+    maps = sys.maps
 
     def rhs(t, p):
-        # the Schur complement over u of H(P) + I, at the symmetric part of
-        # P: the solver's rounding would otherwise feed an asymmetric drift
+        # the Riccati operator at the symmetric part of P: the solver's
+        # rounding would otherwise feed an asymmetric drift
         P = p.reshape(n, n)
-        H = _h_form(maps, 0.5 * (P + P.T)) + unit
-        return (H[:n, :n] - H[:n, n:] @ np.linalg.solve(H[n:, n:], H[n:, :n])).ravel()
+        return _riccati(maps, 0.5 * (P + P.T))[0].ravel()
 
     ode = LSODA(rhs, 0.0, np.zeros(n * n), VI_HORIZON, rtol=VI_RTOL)
     check = 1.0
@@ -189,7 +167,7 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
             continue
         while check <= ode.t:
             check *= 2.0
-        F = feedback_gain(P, sys)
+        F = _riccati(maps, 0.5 * (P + P.T))[1]
         alpha = closed_loop_abscissa(sys, F)
         if alpha < -GAIN_MARGIN:
             return F, alpha
@@ -221,14 +199,26 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
 
 
 def _h_form(maps, Q) -> np.ndarray:
-    """H(Q) = [I, 0]^T Q M_0 + M_0^T Q [I, 0] + sum_i M_i^T Q M_i over the
-    maps M_0 = [A, B] and M_i = [C_i, D_i]."""
+    """H(Q) over the coefficient stack maps (module docstring)."""
     n = maps.shape[1]
     QM = Q @ maps[0]
     H = (maps[1:].transpose(0, 2, 1) @ Q @ maps[1:]).sum(axis=0)
     H[:n] += QM
     H[:, :n] += QM.T
     return H
+
+
+def _riccati(maps, P):
+    """(G_xx - G_xu G_uu^{-1} G_ux, -G_uu^{-1} G_ux) at G = H(P) + I: the
+    Riccati operator at symmetric P and its gain (module docstring)."""
+    n, k = maps.shape[1:]
+    G = _h_form(maps, P)
+    G.flat[:: k + 1] += 1.0
+    try:
+        X = np.linalg.solve(G[n:, n:], G[n:, :n])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"gain matrix I + sum D^T P D is singular: {exc}") from exc
+    return G[:n, :n] - G[:n, n:] @ X, -X
 
 
 def _unit_columns(H, n):
@@ -315,10 +305,11 @@ def solve_sare(sys: StochasticSystem):
         )
 
     F, _ = found
+    maps = sys.maps
     for it in range(1, NEWTON_MAX_ITER + 1):
         P = _lyapunov_solve(sys, F)
-        F = feedback_gain(P, sys)
-        residual = float(np.linalg.norm(sare_residual(sys, P)))
+        R, F = _riccati(maps, P)
+        residual = float(np.linalg.norm(R))
         if residual < NEWTON_RTOL * max(1.0, float(np.linalg.norm(P))):
             break
     else:

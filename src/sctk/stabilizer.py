@@ -10,16 +10,11 @@ energy bill is a geometric series,
     E|x_k|^2 <= delta^k |x0|^2,
     total ||u||^2 <= c delta^{-1} c0(T) (1 - delta)^{-1} |x0|^2.
 
-The closed-loop interval map X -> Phi(X) on second moments is linear, so
-the moments, the energies and the contraction rate are exact: with the
-closed-loop step maps A_tr of step t (the mean map
-I + dt (A + B L_t) + mean sqrt(dt) sum_i (C_i + D_i L_t) and the noise
-maps sqrt(dt var) (C_i + D_i L_t), from the driver's increment mean and
-variance), one step maps X to E[A X A^T] = sum_r A_tr X A_tr^T and adds
-dt tr(L_t X L_t^T) to the energy; E|x_k|^2 = tr Phi^k(x0 x0^T), and the
-spectral radius rho(Phi) <= delta certifies the per-interval contraction.
-Phi comes from nullcontrol._interval_map, the second-moment propagator
-behind the Theorem 5.1 check too.  Neither route sweeps the tree, so no
+The closed-loop interval map X -> Phi(X) on second moments is linear
+(nullcontrol._interval_map, the propagator behind the Theorem 5.1 check
+too), so the moments, the energies and the contraction rate are exact:
+E|x_k|^2 = tr Phi^k(x0 x0^T), and the spectral radius rho(Phi) <= delta
+certifies the per-interval contraction.  Neither route sweeps the tree, so no
 result here depends on its leaf count, and the max_leaves budget (exit 3)
 that guards synthesize's per-node output does not apply.
 
@@ -43,6 +38,7 @@ refinement before reporting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +50,9 @@ from .observability import assemble_forms
 from .riccati import NotSolvable, solve_sare
 from .systems import HorizonConfig, StochasticSystem
 from .trees import TreeDriver, build_tree
+
+DIVERGED_T_MAX = 10.0  # length of the reported curve of a diverging gain
+TAIL_RTOL = 1e-4  # the cost's tail bound must fall below TAIL_RTOL * cost
 
 
 @dataclass(frozen=True)
@@ -141,37 +140,36 @@ def _msq_curve(gen, X0, times, dt_report) -> np.ndarray:
     return np.array(curve)
 
 
-def run_riccati_feedback(
-    sys: StochasticSystem,
-    F,
-    x0,
-    t_max: float = None,
-    dt_report: float = 0.1,
-    tail_rtol: float = 1e-4,
-) -> FeedbackRun:
+def run_riccati_feedback(sys: StochasticSystem, F, x0, dt_report: float = 0.1) -> FeedbackRun:
     """Exact second-moment decay curve and quadratic cost of a constant gain.
 
     The curve is the lift flow applied to x0 x0^T; the cost integral has
     the closed form w^T L^{-1}(e^{tL} - I) v on the lift, evaluated to
     t_max and completed by the exact tail, with a certified bound
     ||I+F^TF|| sqrt(n) kappa(V) ||X(t_max)||_F / (-alpha) reported
-    alongside (kappa from the lift eigenbasis).
+    alongside (kappa from the lift eigenbasis); t_max grows until that
+    bound is below TAIL_RTOL times the cost.  Everything is computed for
+    the unit direction x0 / |x0| and scaled by |x0|^2, so neither the
+    curve nor t_max depends on the scale of x0 through underflow; at
+    x0 = 0 the curve, the costs and the per-unit control norms are 0.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     gen = build_generator(sys, F)
     alpha = spectral_abscissa(gen)
-    X0 = np.outer(x0, x0)
+    norm = math.hypot(*x0)
+    unit = x0 / norm if norm > 0 else x0
+    xs2 = norm * norm
+    X0 = np.outer(unit, unit)
     n = sys.n
 
     if alpha >= 0:
-        t_end = t_max or 10.0
-        times = np.arange(0.0, t_end + 1e-12, dt_report)
+        times = np.arange(0.0, DIVERGED_T_MAX + 1e-12, dt_report)
         return FeedbackRun(
             diverged=True,
             abscissa=alpha,
             times=times,
-            msq_curve=_msq_curve(gen, X0, times, dt_report),
+            msq_curve=xs2 * _msq_curve(gen, X0, times, dt_report),
         )
 
     w = vec(np.eye(n) + F.T @ F)
@@ -180,42 +178,34 @@ def run_riccati_feedback(
     cost_full = float(-Linv_w @ vX0)
 
     # grow t_max until the certified tail bound is small versus the total
-    evals, V = np.linalg.eig(gen.L)
-    kappa = float(np.linalg.cond(V))
-    t_end = t_max or max(2.0, 8.0 / (-alpha))
+    kappa = float(np.linalg.cond(np.linalg.eig(gen.L)[1]))
+    rate = np.linalg.norm(np.eye(n) + F.T @ F, 2) * np.sqrt(n) * kappa
+    t_end = max(2.0, 8.0 / (-alpha))
     for _ in range(60):
         Xt = unvec(expm(t_end * gen.L) @ vX0, n)
-        tail_bound = (
-            np.linalg.norm(np.eye(n) + F.T @ F, 2)
-            * np.sqrt(n)
-            * kappa
-            * np.linalg.norm(Xt, "fro")
-            / (-alpha)
-        )
-        if not np.isfinite(tail_bound) or tail_bound <= tail_rtol * abs(cost_full):
+        tail_bound = rate * np.linalg.norm(Xt, "fro") / (-alpha)
+        if not np.isfinite(tail_bound) or tail_bound <= TAIL_RTOL * abs(cost_full):
             break
         t_end *= 1.6
     # cost over [0, t_end] = w^T L^{-1} (e^{t L} - I) vec(X0)
     cost_to_t = float(Linv_w @ (expm(t_end * gen.L) @ vX0 - vX0))
     tail_exact = cost_full - cost_to_t
 
-    times = np.arange(0.0, min(t_end, t_max or t_end) + 1e-12, dt_report)
+    times = np.arange(0.0, t_end + 1e-12, dt_report)
     curve = _msq_curve(gen, X0, times, dt_report)
 
     # measured finite-horizon control norm ||F x||_{L^2(0,T)} per unit |x0|
     # versus the bound from the fitted decay envelope c(a) e^{-a t}
-    T_probe = times[-1] if times.size else t_end
-    wF = vec(F.T @ F)
-    LinvF = np.linalg.solve(gen.L.T, wF)
+    T_probe = times[-1]
+    LinvF = np.linalg.solve(gen.L.T, vec(F.T @ F))
     u_sq = float(LinvF @ (expm(T_probe * gen.L) @ vX0 - vX0))
-    xs2 = float(x0 @ x0)
-    pos = curve > 1e-250
-    c_alpha = float(np.max(curve[pos] * np.exp(-alpha * times[pos])) / xs2)
+    pos = curve > 0
+    c_alpha = float(np.max(curve[pos] * np.exp(-alpha * times[pos]), initial=0.0))
     Fnorm = float(np.linalg.norm(F, 2))
     bracket = c_alpha * (1.0 - np.exp(alpha * T_probe)) / (-alpha)
     control_norm_T = {
         "T": float(T_probe),
-        "measured": float(np.sqrt(max(u_sq, 0.0)) / np.sqrt(xs2)),
+        "measured": float(np.sqrt(max(u_sq, 0.0))),
         "bound": Fnorm * np.sqrt(bracket),
         "bound_printed_form": Fnorm * bracket,
         "c_alpha": c_alpha,
@@ -224,11 +214,11 @@ def run_riccati_feedback(
         diverged=False,
         abscissa=alpha,
         times=times,
-        msq_curve=curve,
-        cost=cost_full,
-        cost_to_t_max=cost_to_t,
-        tail=tail_exact,
-        tail_bound=float(tail_bound),
+        msq_curve=xs2 * curve,
+        cost=xs2 * cost_full,
+        cost_to_t_max=xs2 * cost_to_t,
+        tail=xs2 * tail_exact,
+        tail_bound=xs2 * float(tail_bound),
         t_max=t_end,
         control_norm_T=control_norm_T,
     )

@@ -7,6 +7,9 @@ A system is the tuple (A, B, {C_i}, {D_i}) driving
 with state dimension n, control dimension m and noise dimension d.  The
 dual observation system is the same data read transposed: the backward
 state equation uses A^T, C_i^T and the output map uses B^T, D_i^T.
+``StochasticSystem.maps`` is the one layout of the coefficients over
+[x; u]: the Euler step maps, the Riccati operator and both second-moment
+lifts read them from it.
 """
 
 from __future__ import annotations
@@ -59,6 +62,14 @@ class StochasticSystem:
         zC = tuple(np.zeros((self.n, self.n)) for _ in range(self.d))
         zD = tuple(np.zeros((self.n, self.m)) for _ in range(self.d))
         return StochasticSystem(self.n, self.m, self.d, self.A, self.B, zC, zD)
+
+    @property
+    def maps(self) -> np.ndarray:
+        """The coefficient stack [[A, B], [C_1, D_1], ..., [C_d, D_d]],
+        shape (1 + d, n, n + m); a fresh array on every access."""
+        maps = np.empty((1 + self.d, self.n, self.n + self.m))
+        maps[:, :, : self.n], maps[:, :, self.n :] = (self.A, *self.C), (self.B, *self.D)
+        return maps
 
     @property
     def is_deterministic(self) -> bool:

@@ -84,10 +84,14 @@ def dense_copt_oracle(M0, Q, N_diag, delta, rank_rtol=1e-10):
     Q's eigenvalues below the rank threshold are zeroed first, matching
     the numerical-kernel semantics of the implementation under test while
     staying an independent computation (dense eigendecompositions and a
-    feasibility bisection; no shared code path).  Feasibility tolerates
-    -1e-13 in the smallest eigenvalue, which moves the returned c by about
-    1e-13 / (c * v^T Q v) relative, well inside the 1e-9 that the tests
-    ask for even at c ~ 1e-3.
+    feasibility bisection; no shared code path).  Feasibility is read in
+    the eigenbasis V of the scaled Q~ = V diag(q) V^T: with
+    D = diag(c q + delta)^(-1/2), c Q~ + delta I - M0~ >= 0 iff
+    lambda_max(D V^T M0~ V D) <= 1.  That eigenvalue is near 1 at the
+    answer and computed to about eps relative.  lambda_min of
+    c Q~ + delta I - M0~ is not: it carries rounding of order eps |c Q~|
+    on a slope in c that can be 1e-12, and a bisection on it (with a
+    -1e-13 allowance) was 1e-7 relative off at c ~ 2.8e5.
     """
     Nd = np.asarray(N_diag, dtype=float)
     inv = 1.0 / np.sqrt(Nd)
@@ -97,12 +101,12 @@ def dense_copt_oracle(M0, Q, N_diag, delta, rank_rtol=1e-10):
     ev = np.clip(ev, 0.0, None)
     if ev.max(initial=0.0) > 0:
         ev[ev <= rank_rtol * ev.max()] = 0.0
-    Qt = (V * ev[None, :]) @ V.T
-    nL = Nd.shape[0]
+    Mv = V.T @ M0t @ V
 
     def feasible(c):
-        M = c * Qt + delta * np.eye(nL) - M0t
-        return np.linalg.eigvalsh(0.5 * (M + M.T))[0] >= -1e-13
+        root = 1.0 / np.sqrt(c * ev + delta)
+        K = root[:, None] * Mv * root[None, :]
+        return np.linalg.eigvalsh(0.5 * (K + K.T))[-1] <= 1.0
 
     hi = 1.0
     while not feasible(hi):

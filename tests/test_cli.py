@@ -392,6 +392,25 @@ class TestCommands:
         assert data.shape[0] == 4
         assert not data[:, [2, 4, 6]].any()  # the *_se columns: exact moments
 
+    @pytest.mark.parametrize("name", ["s2", "s4"])
+    def test_stabilize_at_zero_x0(self, corpus_dir, tmp_path, name):
+        # synthesize, theorem51 and riccati accept x0 = 0; stabilize exited
+        # 1 when an absolute cut on the decay curve left nothing to fit
+        cfg = json.loads((corpus_dir / f"{name}.json").read_text())
+        cfg["x0"] = [0.0] * cfg["n"]
+        path = tmp_path / f"{name}_x0.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["stabilize", "--config", str(path), "--out", str(out)]) == 0
+        doc = json.loads((out / "stabilize_report.json").read_text())
+        schema = json.loads(
+            (Path(sctk.__file__).parent / "report_schema.json").read_text()
+        )
+        jsonschema.Draft7Validator(schema).validate(doc)
+        fb = doc["report"]["feedback_comparison"]
+        assert fb["cost"] == 0.0 and fb["value_at_x0"] == 0.0
+        assert fb["control_norm_T"]["measured"] == fb["control_norm_T"]["c_alpha"] == 0.0
+
     def test_theorem51_report(self, corpus_dir, tmp_path):
         out = tmp_path / "o"
         assert main(["theorem51", "--config", str(corpus_dir / "m0.json"),

@@ -39,18 +39,27 @@ class TestGenerator:
         assert gen.L[0, 0] == pytest.approx(-np.sqrt(5), abs=1e-12)
 
     def test_lift_preserves_symmetry(self, rng):
+        # and L vec(Y) = vec(A_cl Y + Y A_cl^T + sum_i C_cl,i Y C_cl,i^T) for
+        # a non-symmetric Y, which pins every entry of L, not only at n = 1
         for n in (2, 3):
             sys_ = make_system(
                 rng.standard_normal((n, n)),
                 rng.standard_normal((n, 2)),
-                C=[rng.standard_normal((n, n))],
-                D=[rng.standard_normal((n, 2))],
+                C=[rng.standard_normal((n, n)) for _ in range(2)],
+                D=[rng.standard_normal((n, 2)) for _ in range(2)],
             )
-            gen = build_generator(sys_, rng.standard_normal((2, n)))
+            F = rng.standard_normal((2, n))
+            gen = build_generator(sys_, F)
             X = rng.standard_normal((n, n))
             X = X + X.T
             LX = (gen.L @ vec(X)).reshape((n, n), order="F")
             assert np.allclose(LX, LX.T, atol=1e-12)
+            Y = rng.standard_normal((n, n))
+            Acl = sys_.A + sys_.B @ F
+            want = Acl @ Y + Y @ Acl.T
+            for Ci, Di in zip(sys_.C, sys_.D):
+                want += (Ci + Di @ F) @ Y @ (Ci + Di @ F).T
+            assert np.allclose(gen.L @ vec(Y), vec(want), rtol=1e-12, atol=1e-12)
 
 
 class TestAbscissa:

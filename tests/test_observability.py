@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
@@ -258,6 +258,9 @@ class TestOptimalConstant:
         st.integers(2, 4),
         st.one_of(st.just(0.0), st.floats(0.05, 0.9)),
     )
+    # c_opt = 2.8e5: a 50-digit solve puts the recursion 3.8e-12 relative
+    # off; an oracle that read lambda_min of c Q + delta N - M0 was 1e-7 off
+    @example(6536, TreeDriver.trinomial(), 4, 0.5764738606055232)
     def test_recursion_matches_dense_oracle(self, seed, driver, K, delta):
         sys_ = random_system(np.random.default_rng(seed), n_max=3, m_max=2, d_max=2)
         # the oracle's bisection runs dense eigensolves of size nL: keep

@@ -277,6 +277,30 @@ class TestResidualConventions:
         res = sare_residual(corpus["S2"], [[GOLDEN]])
         assert abs(res[0, 0]) < 1e-12
 
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_residual_and_gain_match_the_h_blocks(self, rng, d):
+        # the H-form oracle above, at random symmetric P; d = 0 has a
+        # coefficient stack of [A, B] alone
+        for _ in range(5):
+            n, m = (int(k) for k in rng.integers(1, 4, size=2))
+            sys_ = make_system(
+                rng.standard_normal((n, n)), rng.standard_normal((n, m)),
+                C=[rng.standard_normal((n, n)) for _ in range(d)] or None,
+                D=[rng.standard_normal((n, m)) for _ in range(d)] or None,
+            )
+            assert sys_.d == d and sys_.maps.shape == (1 + d, n, n + m)
+            P = rng.standard_normal((n, n))
+            P = P + P.T
+            Hxx, Hxu, Huu = _h_blocks(sys_, P)
+            G = np.eye(m) + Huu
+            want_F = -np.linalg.solve(G, Hxu.T)
+            want_R = _riccati_rhs(sys_)(0.0, P.ravel()).reshape(n, n)
+            scale = max(np.abs(Hxx).max(), np.abs(Hxu).max(), np.abs(G).max())
+            assert np.allclose(feedback_gain(P, sys_), want_F, rtol=1e-9, atol=1e-12)
+            assert np.abs(sare_residual(sys_, P) - want_R).max() <= 1e-9 * scale * max(
+                1.0, np.abs(want_F).max() ** 2
+            )
+
 
 class TestOptimality:
     def test_perturbed_gains_cost_more(self, corpus, rng):

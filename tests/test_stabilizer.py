@@ -180,6 +180,21 @@ class TestFeedback:
         assert fr.tail_bound <= 1e-4 * abs(fr.cost) or fr.tail <= fr.tail_bound
         assert abs(fr.tail) <= fr.tail_bound + 1e-12
 
+    @pytest.mark.parametrize("name", ["S2", "S4"])
+    def test_scale_of_x0_only_scales_the_cost(self, corpus, name):
+        # the route is computed for x0 / |x0|: an absolute cut on the curve
+        # once failed at |x0| = 1e-130 and moved control_norm_T.T at 1e-100
+        sys_ = corpus[name]
+        sol = solve_sare(sys_)
+        e1 = np.eye(sys_.n)[0]
+        base = run_riccati_feedback(sys_, sol.F, e1)
+        for s in (1e-130, 1e-100, 3.0):
+            fr = run_riccati_feedback(sys_, sol.F, s * e1)
+            assert fr.control_norm_T == base.control_norm_T
+            assert fr.t_max == base.t_max
+            assert fr.cost == pytest.approx(s**2 * base.cost, rel=1e-14)
+            assert np.allclose(fr.msq_curve, s**2 * base.msq_curve, rtol=1e-14, atol=0)
+
     def test_control_norm_respects_decay_bound(self, corpus):
         # measured ||F x||_{L^2(0,T)} never exceeds the bound assembled
         # from the decay envelope; only this direction is asserted

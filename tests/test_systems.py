@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sctk.observability import step_maps
 from sctk.riccati import NotSolvable, solve_sare
 from sctk.systems import (
     HorizonConfig,
@@ -27,6 +28,22 @@ class TestValidate:
         sys_ = StochasticSystem(n=1, m=1, d=0, A=[[np.nan]], B=[[1.0]])
         violations = validate_system(sys_)
         assert any("non-finite" in v for v in violations)
+
+
+class TestCoefficientStack:
+    def test_maps_lay_out_the_coefficients(self, corpus):
+        sys_ = corpus["S4"]
+        maps = sys_.maps
+        assert maps.shape == (2, 2, 3)
+        assert np.array_equal(maps[0], np.hstack([sys_.A, sys_.B]))
+        assert np.array_equal(maps[1], np.hstack([sys_.C[0], sys_.D[0]]))
+        assert make_system([[1.0]], [[2.0]]).maps.tolist() == [[[1.0, 2.0]]]
+
+    def test_each_access_is_a_fresh_array(self, corpus):
+        sys_ = corpus["S2"]
+        sys_.maps[:] = 7.0
+        step_maps(sys_, 0.1, 0.5, 2.0)
+        assert np.array_equal(sys_.maps, [[[0.0, 1.0]], [[1.0, 0.0]]])
 
 
 class TestHorizon:
