@@ -10,9 +10,12 @@ vectorizations (numpy order='F'); this convention is fixed so the lift
 matrix is reproducible bit-for-bit across implementations.  L and
 nullcontrol's K-step lift both take their closed-loop maps from a
 coefficient stack (``StochasticSystem.maps``, ``closed_loop``) and add
-sum_r kron(M_r, M_r) with ``kron_sum``.  The spectral
-abscissa of L certifies mean-square exponential stability, and the
-adjoint flow started from the identity yields the tight growth constant
+sum_r kron(M_r, M_r) with ``kron_sum``; L starts from the drift part
+kron(I, A+BF) + kron(A+BF, I), built as two outer products
+(``np.einsum``) whose factors of exact 1s and 0s leave every entry as
+the Kronecker product gives it.  The spectral abscissa of L certifies
+mean-square exponential stability, and the adjoint flow started from the
+identity yields the tight growth constant
 
     c0(tau) = sup { E|x(tau; 0, x0)|^2 : E|x0|^2 = 1 } = lambda_max(S(tau)),
     dS/dt = A^T S + S A + sum_i C_i^T S C_i,  S(0) = I.
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.linalg.lapack import dgeev
 
 from .errors import InvalidConfig, NumericalFailure
 from .systems import StochasticSystem
@@ -79,18 +83,22 @@ def build_generator(sys: StochasticSystem, F=None) -> MomentGenerator:
     if F.shape != (sys.m, n):
         raise InvalidConfig(f"gain shape {F.shape} != ({sys.m}, {n})")
     cl = closed_loop(sys.maps, F)  # [A + B F, C_i + D_i F]
+    # kron(I, A_cl) + kron(A_cl, I) as two outer products by exact 1s and 0s
     I = np.eye(n)
-    L = kron_sum(cl[1:], np.kron(I, cl[0]) + np.kron(cl[0], I))
+    drift = np.einsum("ab,cd->acbd", I, cl[0]) + np.einsum("ab,cd->acbd", cl[0], I)
+    L = kron_sum(cl[1:], drift.reshape(n * n, n * n))
     return MomentGenerator(L=L, n=n)
 
 
 def spectral_abscissa(gen: MomentGenerator) -> float:
     """Largest real part over the spectrum of the lift matrix."""
-    try:
-        eigs = np.linalg.eigvals(gen.L)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigen decomposition failed: {exc}") from exc
-    return float(np.max(eigs.real))
+    # LAPACK dgeev takes a NaN as an illegal argument, so it is caught first
+    if not np.isfinite(gen.L).all():
+        raise NumericalFailure("eigen decomposition failed: lift matrix is not finite")
+    wr, _, _, _, info = dgeev(gen.L, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise NumericalFailure(f"eigen decomposition failed (dgeev info {info})")
+    return float(wr.max())
 
 
 def propagate_second_moment(gen: MomentGenerator, X0, t: float) -> np.ndarray:

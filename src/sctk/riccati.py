@@ -25,13 +25,16 @@ is one linear solve on the n^2 lift, and one H form of its solution
 gives both F_{k+1} and the residual.
 
 The first stabilizing gain comes from a deterministic search with no
-seed: the zero gain, then the deterministic LQR gain, which stabilizes a
-noise-free system whenever one can be stabilized, so there the exact
-Hautus test gives the verdict.  A noisy system goes on to value
-iteration on the Riccati ODE of the same problem: from P(0) = 0, dP/dt
-is the Riccati operator at P.  x0^T P(t) x0 is the least cost over a
-horizon t, and P(t) rises to the SARE solution exactly when the SDE is
-mean-square stabilizable.  LSODA steps it at rtol ``VI_RTOL``; at
+seed: the zero gain, then, only when the zero gain fails, the
+deterministic LQR gain, which stabilizes a noise-free system whenever one
+can be stabilized, so there the exact Hautus test gives the verdict.
+``_lqr_gain`` computes it by Laub's method (IEEE TAC 24(6), 1979): the
+ordered real Schur form of the Hamiltonian [[A, -B B^T], [-I, -A^T]],
+stable eigenvalues first, gives P = U_21 U_11^{-1}.  A noisy system goes
+on to value iteration on the Riccati ODE of the same problem: from
+P(0) = 0, dP/dt is the Riccati operator at P.  x0^T P(t) x0 is the least
+cost over a horizon t, and P(t) rises to the SARE solution exactly when
+the SDE is mean-square stabilizable.  LSODA steps it at rtol ``VI_RTOL``; at
 t = 1, 2, 4, ... ``VI_HORIZON`` and once max|P_ij| passes
 ``VI_GROWTH_CAP``, the gain of P is tested on the lift, and H(Q) >= 0 is
 tested at Q = P / max|P_ij|.
@@ -57,7 +60,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import schur
+from scipy.linalg.lapack import dgesv
 
 from .errors import NumericalFailure
 from .moments import build_generator, spectral_abscissa, unvec, vec
@@ -117,14 +121,13 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
     search is in the module docstring); the evidence for that verdict
     goes into ``evidence`` when a dict is given.
     """
-    n, m = sys.n, sys.m
-    candidates = [np.zeros((m, n))]
-    try:
-        Pdet = solve_continuous_are(sys.A, sys.B, np.eye(n), np.eye(m))
-        candidates.append(-sys.B.T @ Pdet)
-    except np.linalg.LinAlgError:
-        pass
-    for F in candidates:
+    n = sys.n
+    F = np.zeros((sys.m, n))
+    alpha = closed_loop_abscissa(sys, F)
+    if alpha < -GAIN_MARGIN:
+        return F, alpha
+    F = _lqr_gain(sys.A, sys.B)
+    if F is not None:
         alpha = closed_loop_abscissa(sys, F)
         if alpha < -GAIN_MARGIN:
             return F, alpha
@@ -198,6 +201,30 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
     return None
 
 
+def _lqr_gain(A, B):
+    """The deterministic LQR gain -B^T P of unit weights, or None.
+
+    P = U_21 U_11^{-1} from the ordered real Schur form of the Hamiltonian
+    [[A, -B B^T], [-I, -A^T]] whose leading n columns U span its stable
+    invariant subspace (Laub, IEEE TAC 24(6), 1979).  None when schur
+    cannot order the form, when it has not n stable eigenvalues, or when
+    U_11 is singular: then there is no stabilizing LQR solution to try.
+    """
+    n = len(A)
+    H = np.block([[A, -B @ B.T], [-np.eye(n), -A.T]])
+    try:
+        _, U, stable = schur(H, sort="lhp")
+    except np.linalg.LinAlgError:
+        return None
+    if stable != n:
+        return None
+    # P U_11 = U_21, solved transposed: U_11^T P^T = U_21^T
+    _, _, Pt, info = dgesv(U[:n, :n].T, U[n:, :n].T)
+    if info != 0:
+        return None
+    return -B.T @ (0.5 * (Pt + Pt.T))
+
+
 def _h_form(maps, Q) -> np.ndarray:
     """H(Q) over the coefficient stack maps (module docstring)."""
     n = maps.shape[1]
@@ -214,10 +241,9 @@ def _riccati(maps, P):
     n, k = maps.shape[1:]
     G = _h_form(maps, P)
     G.flat[:: k + 1] += 1.0
-    try:
-        X = np.linalg.solve(G[n:, n:], G[n:, :n])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"gain matrix I + sum D^T P D is singular: {exc}") from exc
+    _, _, X, info = dgesv(G[n:, n:], G[n:, :n])
+    if info != 0:
+        raise NumericalFailure(f"gain matrix I + sum D^T P D is singular (dgesv info {info})")
     return G[:n, :n] - G[:n, n:] @ X, -X
 
 
@@ -282,10 +308,12 @@ def _lyapunov_solve(sys: StochasticSystem, F) -> np.ndarray:
     """
     n = sys.n
     rhs = -vec(np.eye(n) + F.T @ F)
-    try:
-        P = unvec(np.linalg.solve(build_generator(sys, F).L.T, rhs), n)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"lifted Lyapunov solve is singular: {exc}") from exc
+    _, _, x, info = dgesv(build_generator(sys, F).L.T, rhs)
+    if info != 0 or not np.isfinite(x).all():
+        raise NumericalFailure(
+            f"lifted Lyapunov solve is singular or not finite (dgesv info {info})"
+        )
+    P = unvec(x, n)
     return 0.5 * (P + P.T)
 
 

@@ -83,22 +83,30 @@ def run_piecewise(kernel: ControlKernel, x0, k_max: int, paths: int = 0) -> Stab
     adapted.  The system and the step maps are the kernel's own
     (kernel.forms), and the moments are exact for the tree's driver,
     whatever its law.  ``paths`` is ignored; it remains for callers that bind it.
+    The moments are computed for the unit direction x0 / |x0| and scaled
+    by |x0|^2, so the decay slope, fitted to the unit moments, does not
+    depend on the scale of x0 through underflow; at x0 = 0 it is 0.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     Phi, e = _interval_map(kernel.forms, kernel.gains)
     trace = np.eye(kernel.forms.system.n).ravel()
-    v = np.outer(x0, x0).ravel()
+    norm = math.hypot(*x0)
+    xs2 = norm * norm
+    unit = x0 / norm if norm > 0 else x0
+    v = np.outer(unit, unit).ravel()
     records = []
+    unit_msq = []
     cum = 0.0
     for k in range(k_max + 1):
         msq = float(trace @ v)
-        energy = float(e @ v) if k < k_max else 0.0
+        energy = xs2 * float(e @ v) if k < k_max else 0.0
         cum += energy
-        records.append(IntervalRecord(k, msq, energy, cum))
+        records.append(IntervalRecord(k, xs2 * msq, energy, cum))
+        unit_msq.append(max(msq, 1e-300))
         v = Phi @ v
-    log_msq = np.log([max(r.msq, 1e-300) for r in records])
     ks = np.arange(len(records))
-    slope = float(np.polyfit(ks, log_msq, 1)[0]) if len(ks) > 1 else 0.0
+    fit = len(ks) > 1 and norm > 0
+    slope = float(np.polyfit(ks, np.log(unit_msq), 1)[0]) if fit else 0.0
     return StabilizerRun(
         records=tuple(records),
         k_max=k_max,

@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sctk.errors import NumericalFailure
 from sctk.moments import (
+    MomentGenerator,
     build_generator,
+    closed_loop,
     growth_constant_c0,
+    kron_sum,
     propagate_second_moment,
     spectral_abscissa,
     vec,
@@ -61,6 +65,22 @@ class TestGenerator:
                 want += (Ci + Di @ F) @ Y @ (Ci + Di @ F).T
             assert np.allclose(gen.L @ vec(Y), vec(want), rtol=1e-12, atol=1e-12)
 
+    def test_lift_is_bit_identical_to_the_kron_formula(self, rng):
+        for n in (1, 2, 3):
+            for d in (1, 2, 3):
+                m = int(rng.integers(1, 4))
+                sys_ = make_system(
+                    rng.standard_normal((n, n)),
+                    rng.standard_normal((n, m)),
+                    C=[rng.standard_normal((n, n)) for _ in range(d)],
+                    D=[rng.standard_normal((n, m)) for _ in range(d)],
+                )
+                for F in (None, rng.standard_normal((m, n))):
+                    cl = closed_loop(sys_.maps, np.zeros((m, n)) if F is None else F)
+                    I = np.eye(n)
+                    want = kron_sum(cl[1:], np.kron(I, cl[0]) + np.kron(cl[0], I))
+                    assert build_generator(sys_, F).L.tobytes() == want.tobytes()
+
 
 class TestAbscissa:
     def test_scalar_values(self):
@@ -73,6 +93,13 @@ class TestAbscissa:
         phi = (1 + np.sqrt(5)) / 2
         gen = build_generator(corpus["S2"], [[-phi]])
         assert spectral_abscissa(gen) == pytest.approx(-np.sqrt(5), abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lift_is_numerical_failure(self, bad):
+        L = np.eye(4)
+        L[1, 2] = bad
+        with pytest.raises(NumericalFailure):
+            spectral_abscissa(MomentGenerator(L=L, n=2))
 
 
 class TestPropagation:

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_continuous_are
 
+from sctk import riccati
 from sctk.errors import NumericalFailure
 from sctk.moments import build_generator, spectral_abscissa
 from sctk.riccati import (
@@ -11,6 +13,7 @@ from sctk.riccati import (
     VI_GROWTH_CAP,
     VI_HORIZON,
     NotSolvable,
+    _lqr_gain,
     closed_loop_abscissa,
     feedback_gain,
     find_stabilizing_gain,
@@ -245,6 +248,65 @@ class TestDeterministicSearch:
         assert closed_loop_abscissa(sys_, sol.F) < 0
 
 
+def _stiff_family():
+    """A = diag(-a, 1) and diag(-2500, -lam, 1), B the last unit vector,
+    C_1 = 2 B B^T, D_1 = 0: the stiff scan of scripts/scan_gain_search.py."""
+    systems = []
+    for A in [np.diag([-a, 1.0]) for a in (250.0, 1000.0, 2500.0, 1e4)] + [
+        np.diag([-2500.0, -lam, 1.0]) for lam in (150.0, 199.0, 201.0, 300.0)
+    ]:
+        n = len(A)
+        B = np.eye(n)[:, -1:]
+        systems.append(make_system(A, B, C=[2.0 * B @ B.T], D=[np.zeros((n, 1))]))
+    return systems
+
+
+class TestLQRCandidate:
+    def test_gain_matches_scipy_care(self, corpus):
+        # solve_continuous_are is the oracle here only; every system of the
+        # corpus, the draws and the stiff family has a stabilizing LQR gain
+        rng = np.random.default_rng(7)
+        systems = [corpus[k] for k in ("S1", "S2", "S4", "M0")]
+        systems += [random_system(rng) for _ in range(140)] + _stiff_family()
+        for sys_ in systems:
+            P = solve_continuous_are(sys_.A, sys_.B, np.eye(sys_.n), np.eye(sys_.m))
+            want = -sys_.B.T @ P
+            F = _lqr_gain(sys_.A, sys_.B)
+            assert F is not None
+            assert np.abs(F - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize(
+        "A, B",
+        [
+            ([[1.0]], [[0.0]]),
+            ([[1.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]]),
+            ([[0.5, 0.0, 0.0], [0.0, 0.2, 1.0], [0.0, -1.0, 0.2]], [[0.0], [1.0], [0.0]]),
+        ],
+        ids=["scalar", "diag", "rotation"],
+    )
+    def test_unstable_uncontrollable_mode_has_no_gain(self, A, B):
+        A, B = np.array(A), np.array(B)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_continuous_are(A, B, np.eye(len(A)), np.eye(B.shape[1]))
+        assert _lqr_gain(A, B) is None
+
+    def test_only_computed_when_the_zero_gain_fails(self, corpus, monkeypatch):
+        calls = []
+
+        def counted(A, B):
+            calls.append(1)
+            return _lqr_gain(A, B)
+
+        monkeypatch.setattr(riccati, "_lqr_gain", counted)
+        stable = make_system([[-1.0]], [[1.0]], C=[[[0.5]]], D=[[[0.0]]])
+        F, alpha = find_stabilizing_gain(stable)
+        assert not F.any() and alpha == pytest.approx(-1.75)
+        assert not isinstance(solve_sare(stable), NotSolvable)
+        assert calls == []
+        assert find_stabilizing_gain(corpus["S2"]) is not None
+        assert calls == [1]
+
+
 class TestGainAndValue:
     def test_scalar_unit(self):
         sys_ = make_system([[0.0]], [[1.0]], C=[[[0.0]]], D=[[[0.0]]])
@@ -259,6 +321,11 @@ class TestGainAndValue:
         sys_ = make_system([[0.0]], [[1.0]], C=[[[0.0]]], D=[[[1.0]]])
         with pytest.raises(NumericalFailure):
             feedback_gain([[-1.0]], sys_)
+
+    def test_non_finite_lyapunov_solve_is_numerical_failure(self, corpus):
+        sys_ = corpus["S2"]
+        with pytest.raises(NumericalFailure):
+            riccati._lyapunov_solve(sys_, np.full((sys_.m, sys_.n), np.nan))
 
     def test_s2_gain(self, corpus):
         assert feedback_gain([[GOLDEN]], corpus["S2"])[0, 0] == pytest.approx(

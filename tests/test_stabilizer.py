@@ -148,6 +148,20 @@ class TestPiecewise:
         assert gaps[-1] <= 1e-9 * run.interval_contraction
         assert gaps[-1] <= gaps[0]
 
+    @pytest.mark.parametrize("name", ["S2", "S4"])
+    def test_decay_slope_does_not_follow_the_scale_of_x0(self, corpus, name):
+        # the slope is fitted to the moments of x0 / |x0|: an absolute floor
+        # on E|x_k|^2 once read -3.9e-15 for S4 at 1e-160 e1 against -2.6155
+        ker = valid_kernel(corpus[name], TreeDriver.bernoulli(), 4)
+        e1 = np.eye(corpus[name].n)[0]
+        base = run_piecewise(ker, e1, k_max=40)
+        assert base.decay_slope < -1.0
+        for s in (1e-160, 1e-130, 3.0):
+            run = run_piecewise(ker, s * e1, k_max=40)
+            assert run.decay_slope == base.decay_slope
+            assert run.total_energy == pytest.approx(s**2 * base.total_energy, rel=1e-14)
+        assert run_piecewise(ker, 0.0 * e1, k_max=40).decay_slope == 0.0
+
 
 class TestFeedback:
     def test_s1_cost_is_one(self, corpus):
