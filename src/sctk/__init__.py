@@ -10,8 +10,6 @@ __version__ = "0.1.0"
 
 from .errors import BudgetExceeded, InvalidConfig, NumericalFailure
 from .moments import (
-    GrowthConstant,
-    MomentGenerator,
     build_generator,
     growth_constant_c0,
     propagate_second_moment,

@@ -84,7 +84,6 @@ class RunConfig:
     system: StochasticSystem
     horizon: HorizonConfig
     driver: TreeDriver
-    name: str
     delta: float
     delta_grid: list
     T_grid: list
@@ -182,7 +181,6 @@ def parse_config(data: dict) -> RunConfig:
         system=system,
         horizon=horizon,
         driver=driver,
-        name=data.get("name", "unnamed"),
         delta=delta,
         delta_grid=[float(v) for v in data.get("delta_grid", [0.3, 0.6, 0.9])],
         T_grid=[float(v) for v in data.get("T_grid", [0.5, 1.0])],
@@ -286,9 +284,8 @@ def _cmd_validate(cfg: RunConfig):
 
 
 def _cmd_stability(cfg: RunConfig):
-    gen = build_generator(cfg.system)
-    alpha = spectral_abscissa(gen)
-    c0 = growth_constant_c0(cfg.system, cfg.horizon.T).c0
+    alpha = spectral_abscissa(build_generator(cfg.system))
+    c0 = growth_constant_c0(cfg.system, cfg.horizon.T)
     payload = {
         "open_loop_abscissa": alpha,
         "c0": c0,
@@ -442,8 +439,6 @@ def _cmd_stabilize(cfg: RunConfig, out_dir):
         "c": c,
         "delta": cfg.delta,
         "records": records,
-        "decay_slope": run.decay_slope,
-        "log_delta": float(np.log(cfg.delta)),
         "interval_contraction": run.interval_contraction,
         "total_energy": run.total_energy,
         "total_energy_se": 0.0,

@@ -5,9 +5,8 @@ X(t) = E[x(t) x(t)^T] satisfies the linear ODE
 
     dX/dt = L X := (A+BF) X + X (A+BF)^T + sum_i (C_i+D_iF) X (C_i+D_iF)^T.
 
-We represent L as an n^2 x n^2 matrix acting on column-stacked
-vectorizations (numpy order='F'); this convention is fixed so the lift
-matrix is reproducible bit-for-bit across implementations.  L and
+The lift L is a plain n^2 x n^2 array acting on X.ravel(), and
+v.reshape(n, n) turns a lifted vector back into a matrix.  L and
 nullcontrol's K-step lift both take their closed-loop maps from a
 coefficient stack (``StochasticSystem.maps``, ``closed_loop``) and add
 sum_r kron(M_r, M_r) with ``kron_sum``; L starts from the drift part
@@ -23,39 +22,12 @@ identity yields the tight growth constant
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import expm
 from scipy.linalg.lapack import dgeev
 
 from .errors import InvalidConfig, NumericalFailure
 from .systems import StochasticSystem
-
-
-def vec(X: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(X).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(v).reshape((n, n), order="F")
-
-
-@dataclass(frozen=True)
-class MomentGenerator:
-    """Lift matrix L (n^2 x n^2) of the closed-loop second-moment flow."""
-
-    L: np.ndarray
-    n: int
-
-
-@dataclass(frozen=True)
-class GrowthConstant:
-    """Tight bound c0 with E|x(tau;0,x0)|^2 <= c0 E|x0|^2 for the open loop."""
-
-    tau: float
-    c0: float
 
 
 def closed_loop(maps: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -67,15 +39,15 @@ def closed_loop(maps: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 def kron_sum(stack: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out + sum_r kron(M_r, M_r), added to out in order: the lift of a stack
-    (s, n, n) of maps X -> sum_r M_r X M_r^T, in either vectorization."""
+    (s, n, n) of maps X -> sum_r M_r X M_r^T on X.ravel()."""
     s, n, _ = stack.shape
     for term in np.einsum("jab,jcd->jacbd", stack, stack).reshape(s, n * n, n * n):
         out += term
     return out
 
 
-def build_generator(sys: StochasticSystem, F=None) -> MomentGenerator:
-    """Lift matrix of X -> A_cl X + X A_cl^T + sum_i C_cl,i X C_cl,i^T."""
+def build_generator(sys: StochasticSystem, F=None) -> np.ndarray:
+    """Lift matrix L of X -> A_cl X + X A_cl^T + sum_i C_cl,i X C_cl,i^T."""
     n = sys.n
     if F is None:
         F = np.zeros((sys.m, n))
@@ -86,30 +58,30 @@ def build_generator(sys: StochasticSystem, F=None) -> MomentGenerator:
     # kron(I, A_cl) + kron(A_cl, I) as two outer products by exact 1s and 0s
     I = np.eye(n)
     drift = np.einsum("ab,cd->acbd", I, cl[0]) + np.einsum("ab,cd->acbd", cl[0], I)
-    L = kron_sum(cl[1:], drift.reshape(n * n, n * n))
-    return MomentGenerator(L=L, n=n)
+    return kron_sum(cl[1:], drift.reshape(n * n, n * n))
 
 
-def spectral_abscissa(gen: MomentGenerator) -> float:
+def spectral_abscissa(L: np.ndarray) -> float:
     """Largest real part over the spectrum of the lift matrix."""
     # LAPACK dgeev takes a NaN as an illegal argument, so it is caught first
-    if not np.isfinite(gen.L).all():
+    if not np.isfinite(L).all():
         raise NumericalFailure("eigen decomposition failed: lift matrix is not finite")
-    wr, _, _, _, info = dgeev(gen.L, compute_vl=0, compute_vr=0)
+    wr, _, _, _, info = dgeev(L, compute_vl=0, compute_vr=0)
     if info != 0:
         raise NumericalFailure(f"eigen decomposition failed (dgeev info {info})")
     return float(wr.max())
 
 
-def propagate_second_moment(gen: MomentGenerator, X0, t: float) -> np.ndarray:
-    """X(t) = exp(t L) X0 on the vectorized lift, symmetrized on return.
+def propagate_second_moment(L: np.ndarray, X0, t: float) -> np.ndarray:
+    """X(t) = exp(t L) X0 on the lift, symmetrized on return.
 
     trace(X(t)) equals E|x(t)|^2 when X0 = x0 x0^T.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    if X0.shape != (gen.n, gen.n):
-        raise InvalidConfig(f"X0 shape {X0.shape} != ({gen.n}, {gen.n})")
-    Xt = unvec(expm(t * gen.L) @ vec(X0), gen.n)
+    n = X0.shape[0]
+    if X0.shape != (n, n) or L.shape != (n * n, n * n):
+        raise InvalidConfig(f"X0 shape {X0.shape} does not match lift shape {L.shape}")
+    Xt = (expm(t * L) @ X0.ravel()).reshape(n, n)
     return 0.5 * (Xt + Xt.T)
 
 
@@ -119,16 +91,14 @@ def adjoint_state(sys: StochasticSystem, tau: float) -> np.ndarray:
     trace(S(tau) X0) = trace(X(tau)) for every initial second moment X0, so
     S(tau) converts terminal energy questions into a single matrix.
     """
-    L_open = build_generator(sys, F=None).L
-    S = unvec(expm(tau * L_open.T) @ vec(np.eye(sys.n)), sys.n)
+    n = sys.n
+    S = (expm(tau * build_generator(sys).T) @ np.eye(n).ravel()).reshape(n, n)
     return 0.5 * (S + S.T)
 
 
-def growth_constant_c0(sys: StochasticSystem, tau: float) -> GrowthConstant:
+def growth_constant_c0(sys: StochasticSystem, tau: float) -> float:
     """Tight constant c0(tau) = lambda_max(S(tau)); equals the supremum of
     trace(X(tau)) over unit-trace PSD initial moments."""
     if not tau > 0:
         raise InvalidConfig(f"tau must be positive, got {tau}")
-    S = adjoint_state(sys, tau)
-    c0 = float(np.linalg.eigvalsh(S)[-1])
-    return GrowthConstant(tau=tau, c0=c0)
+    return float(np.linalg.eigvalsh(adjoint_state(sys, tau))[-1])

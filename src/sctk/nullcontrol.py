@@ -83,11 +83,12 @@ assemble_gramian = _feedback_gains
 def _interval_map(forms: ObservabilityForms, gains: np.ndarray):
     """The closed-loop second-moment map Phi and energy functional e.
 
-    Both act on row-major vec(X).  Step t maps X to E[A X A^T] =
-    sum_r A_tr X A_tr^T over the closed-loop step maps A_tr = M_r [I; L_t]
-    of the forms' step maps (moments.closed_loop), so Phi (n^2 x n^2) is
-    the product over the steps of sum_r kron(A_tr, A_tr) (moments.kron_sum),
-    Phi vec(X_0) = vec(X_K), and e . vec(X_0) is the control energy
+    Both act on X.ravel(), as the lift of moments.build_generator does.
+    Step t maps X to E[A X A^T] = sum_r A_tr X A_tr^T over the closed-loop
+    step maps A_tr = M_r [I; L_t] of the forms' step maps
+    (moments.closed_loop), so Phi (n^2 x n^2) is the product over the steps
+    of sum_r kron(A_tr, A_tr) (moments.kron_sum), Phi X_0.ravel() =
+    X_K.ravel(), and e . X_0.ravel() is the control energy
     dt sum_t tr(L_t X_t L_t^T).
     """
     n = forms.system.n
@@ -197,7 +198,7 @@ def synthesize_control(kernel: ControlKernel, x_s) -> SynthesisResult:
     e_term = terminal_expectation_sq(tree, ctrl.terminal)
     e_f = terminal_expectation_sq(tree, f)
     e_free = float(x_s @ _lq_p0(forms, 0.0, 1.0) @ x_s)
-    c0 = growth_constant_c0(sys, tree.T).c0
+    c0 = growth_constant_c0(sys, tree.T)
     tree_growth = e_free / xs2 if xs2 > 0 else 0.0
 
     term_resid = max(
@@ -231,14 +232,11 @@ class Theorem51Report:
     basis states, sqrt(max_i W_u[i, i]), is reported alongside.  Both
     come from n x n moments, not from per-node controls, so the report
     exists at any K; only synthesize is bound by max_leaves.  The
-    primary converse pair carries the squared cost: with
-    ||u|| <= kappa |x_s| the pairing/Young chain gives
-    initial energy <= kappa^2 (1 + 2/(1-delta)) output energy
-    + (1+delta)/2 terminal energy, so that pair is an algebraic
-    consequence of the forward bounds rather than an estimate.  The
-    variant with the cost unsquared is evaluated and reported too; it is
-    not implied by the derivation and can fail on weakly observable
-    systems (large c_opt with moderate cost).
+    converse pair carries the squared cost: with ||u|| <= kappa |x_s|
+    the pairing/Young chain gives initial energy <= kappa^2
+    (1 + 2/(1-delta)) output energy + (1+delta)/2 terminal energy, so the
+    pair is an algebraic consequence of the forward bounds rather than an
+    estimate.
     """
 
     applicable: bool
@@ -253,8 +251,6 @@ class Theorem51Report:
     measured_cost_basis_max: float = None
     converse_pair: tuple = None
     converse_pass: bool = None
-    converse_pair_linear: tuple = None
-    converse_pass_linear: bool = None
     cost_vs_bound_ratio: float = None
 
     @property
@@ -273,7 +269,7 @@ def verify_theorem_5_1(
     positive.  Every number comes from three n x n matrices, which equal
     the tree sweeps of synthesize_control to rounding at any K, with no
     leaf-sized work.  Under the synthesis gains, the closed-loop
-    second-moment map (_interval_map) gives W_u = unvec(e), the Gram
+    second-moment map (_interval_map) gives W_u = e.reshape(n, n), the Gram
     matrix of the basis controls, and W_T = Phi^T(I); W_free, with
     x^T W_free x = E|x_T|^2 under u = 0, is the c = 0 value of
     observability._lq_p0.  Basis state i has control energy W_u[i, i],
@@ -287,10 +283,7 @@ def verify_theorem_5_1(
 
         ( c_hat^2 (1 + 2/(1-delta)), (1+delta)/2 )
 
-    must satisfy the observability inequality.  The variant with the
-    basis maximum unsquared (which the Cauchy-Schwarz/Young derivation
-    produces when the cost multiplies the state norm unsquared) is
-    evaluated alongside.
+    must satisfy the observability inequality.
     """
     rep = optimal_constant(forms, delta)
     if not rep.observable:
@@ -298,7 +291,7 @@ def verify_theorem_5_1(
             applicable=False, delta=delta, T=forms.T, c_opt=rep.c_opt
         )
     c_used = c if c is not None else max(rep.c_opt, 1e-12)
-    c0 = growth_constant_c0(forms.system, forms.T).c0
+    c0 = growth_constant_c0(forms.system, forms.T)
     n = forms.system.n
     _, gains = _feedback_gains(forms, c_used, delta)
     Phi, e = _interval_map(forms, gains)
@@ -322,11 +315,8 @@ def verify_theorem_5_1(
     forward_pass = all(dd["all_hold"] for dd in details)
     basis_max = float(np.sqrt(max(0.0, W_u.diagonal().max())))
     kappa = float(np.sqrt(max(0.0, _lam_max(W_u))))
-    amp = 1.0 + 2.0 / (1.0 - delta)
-    pair = (kappa**2 * amp, (1.0 + delta) / 2.0)
-    pair_lin = (basis_max * amp, (1.0 + delta) / 2.0)
+    pair = (kappa**2 * (1.0 + 2.0 / (1.0 - delta)), (1.0 + delta) / 2.0)
     converse = is_delta_observable(forms, pair[1], pair[0])
-    converse_lin = is_delta_observable(forms, pair_lin[1], pair_lin[0])
     bound = np.sqrt(c_used / delta * c0)
     return Theorem51Report(
         applicable=True,
@@ -341,7 +331,5 @@ def verify_theorem_5_1(
         measured_cost_basis_max=basis_max,
         converse_pair=pair,
         converse_pass=converse,
-        converse_pair_linear=pair_lin,
-        converse_pass_linear=converse_lin,
         cost_vs_bound_ratio=kappa / bound if bound > 0 else None,
     )

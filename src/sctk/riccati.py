@@ -64,7 +64,7 @@ from scipy.linalg import schur
 from scipy.linalg.lapack import dgesv
 
 from .errors import NumericalFailure
-from .moments import build_generator, spectral_abscissa, unvec, vec
+from .moments import build_generator, spectral_abscissa
 from .systems import StochasticSystem, hautus_stabilizability
 
 GAIN_MARGIN = 1e-9  # a gain stabilizes when its lift abscissa is below -GAIN_MARGIN
@@ -304,16 +304,16 @@ def _lyapunov_solve(sys: StochasticSystem, F) -> np.ndarray:
     """Solve (A+BF)^T P + P(A+BF) + sum (C+DF)^T P (C+DF) = -(I + F^T F).
 
     The operator is the adjoint of the second-moment lift, so its matrix
-    is the transpose of build_generator(sys, F).L.
+    is the transpose of build_generator(sys, F).
     """
     n = sys.n
-    rhs = -vec(np.eye(n) + F.T @ F)
-    _, _, x, info = dgesv(build_generator(sys, F).L.T, rhs)
+    rhs = -(np.eye(n) + F.T @ F).ravel()
+    _, _, x, info = dgesv(build_generator(sys, F).T, rhs)
     if info != 0 or not np.isfinite(x).all():
         raise NumericalFailure(
             f"lifted Lyapunov solve is singular or not finite (dgesv info {info})"
         )
-    P = unvec(x, n)
+    P = x.reshape(n, n)
     return 0.5 * (P + P.T)
 
 

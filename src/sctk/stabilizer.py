@@ -14,9 +14,12 @@ The closed-loop interval map X -> Phi(X) on second moments is linear
 (nullcontrol._interval_map, the propagator behind the Theorem 5.1 check
 too), so the moments, the energies and the contraction rate are exact:
 E|x_k|^2 = tr Phi^k(x0 x0^T), and the spectral radius rho(Phi) <= delta
-certifies the per-interval contraction.  Neither route sweeps the tree, so no
-result here depends on its leaf count, and the max_leaves budget (exit 3)
-that guards synthesize's per-node output does not apply.
+certifies the per-interval contraction.  rho(Phi) is the exact rate and
+the only one reported; nothing is fitted to the records.  Phi and the
+lift L of route 2 are plain n^2 x n^2 arrays on X.ravel().  Neither
+route sweeps the tree, so no result here depends on its leaf count, and
+the max_leaves budget (exit 3) that guards synthesize's per-node output
+does not apply.
 
 Route 2 (feedback): the constant Riccati gain.  The closed-loop second
 moment evolves deterministically on the lift, so the decay curve and the
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .moments import build_generator, spectral_abscissa, unvec, vec
+from .moments import build_generator, spectral_abscissa
 from .nullcontrol import ControlKernel, _interval_map, verify_theorem_5_1
 from .observability import assemble_forms
 from .riccati import NotSolvable, solve_sare
@@ -70,7 +73,6 @@ class StabilizerRun:
     delta: float
     c: float
     T: float
-    decay_slope: float  # least-squares slope of log E|x_k|^2 vs k
     interval_contraction: float  # spectral radius of the interval map Phi
     total_energy: float
 
@@ -84,8 +86,9 @@ def run_piecewise(kernel: ControlKernel, x0, k_max: int, paths: int = 0) -> Stab
     (kernel.forms), and the moments are exact for the tree's driver,
     whatever its law.  ``paths`` is ignored; it remains for callers that bind it.
     The moments are computed for the unit direction x0 / |x0| and scaled
-    by |x0|^2, so the decay slope, fitted to the unit moments, does not
-    depend on the scale of x0 through underflow; at x0 = 0 it is 0.
+    by |x0|^2, so the records and energies do not depend on the scale of
+    x0 through underflow.  interval_contraction = rho(Phi) is the exact
+    per-interval rate of E|x_k|^2 = tr Phi^k(x0 x0^T).
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     Phi, e = _interval_map(kernel.forms, kernel.gains)
@@ -95,25 +98,19 @@ def run_piecewise(kernel: ControlKernel, x0, k_max: int, paths: int = 0) -> Stab
     unit = x0 / norm if norm > 0 else x0
     v = np.outer(unit, unit).ravel()
     records = []
-    unit_msq = []
     cum = 0.0
     for k in range(k_max + 1):
         msq = float(trace @ v)
         energy = xs2 * float(e @ v) if k < k_max else 0.0
         cum += energy
         records.append(IntervalRecord(k, xs2 * msq, energy, cum))
-        unit_msq.append(max(msq, 1e-300))
         v = Phi @ v
-    ks = np.arange(len(records))
-    fit = len(ks) > 1 and norm > 0
-    slope = float(np.polyfit(ks, np.log(unit_msq), 1)[0]) if fit else 0.0
     return StabilizerRun(
         records=tuple(records),
         k_max=k_max,
         delta=kernel.delta,
         c=kernel.c,
         T=kernel.T,
-        decay_slope=slope,
         interval_contraction=float(np.max(np.abs(np.linalg.eigvals(Phi)))),
         total_energy=cum,
     )
@@ -132,18 +129,18 @@ class FeedbackRun:
     t_max: float = None
     # measured feedback-control norm over [0, T] per unit |x0| and the
     # decay-constant bound |F|^2 c(alpha) (1 - e^{-alpha T}) / alpha on its
-    # square; only the inequality direction is guaranteed.  The unsquared
-    # variant of the same expression is reported for comparison.
+    # square; only the inequality direction is guaranteed
     control_norm_T: dict = None
 
 
-def _msq_curve(gen, X0, times, dt_report) -> np.ndarray:
+def _msq_curve(L, X0, times, dt_report) -> np.ndarray:
     """trace X(t) on the report times, stepping the lift flow by dt_report."""
-    step = expm(dt_report * gen.L)
-    v = vec(X0)
+    step = expm(dt_report * L)
+    n = X0.shape[0]
+    v = X0.ravel()
     curve = []
     for _ in times:
-        curve.append(float(np.trace(unvec(v, gen.n))))
+        curve.append(float(np.trace(v.reshape(n, n))))
         v = step @ v
     return np.array(curve)
 
@@ -163,8 +160,8 @@ def run_riccati_feedback(sys: StochasticSystem, F, x0, dt_report: float = 0.1) -
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    gen = build_generator(sys, F)
-    alpha = spectral_abscissa(gen)
+    L = build_generator(sys, F)
+    alpha = spectral_abscissa(L)
     norm = math.hypot(*x0)
     unit = x0 / norm if norm > 0 else x0
     xs2 = norm * norm
@@ -177,36 +174,36 @@ def run_riccati_feedback(sys: StochasticSystem, F, x0, dt_report: float = 0.1) -
             diverged=True,
             abscissa=alpha,
             times=times,
-            msq_curve=xs2 * _msq_curve(gen, X0, times, dt_report),
+            msq_curve=xs2 * _msq_curve(L, X0, times, dt_report),
         )
 
-    w = vec(np.eye(n) + F.T @ F)
-    vX0 = vec(X0)
-    Linv_w = np.linalg.solve(gen.L.T, w)  # solves L^T y = w
+    w = (np.eye(n) + F.T @ F).ravel()
+    vX0 = X0.ravel()
+    Linv_w = np.linalg.solve(L.T, w)  # solves L^T y = w
     cost_full = float(-Linv_w @ vX0)
 
     # grow t_max until the certified tail bound is small versus the total
-    kappa = float(np.linalg.cond(np.linalg.eig(gen.L)[1]))
+    kappa = float(np.linalg.cond(np.linalg.eig(L)[1]))
     rate = np.linalg.norm(np.eye(n) + F.T @ F, 2) * np.sqrt(n) * kappa
     t_end = max(2.0, 8.0 / (-alpha))
     for _ in range(60):
-        Xt = unvec(expm(t_end * gen.L) @ vX0, n)
-        tail_bound = rate * np.linalg.norm(Xt, "fro") / (-alpha)
+        vXt = expm(t_end * L) @ vX0
+        tail_bound = rate * np.linalg.norm(vXt) / (-alpha)
         if not np.isfinite(tail_bound) or tail_bound <= TAIL_RTOL * abs(cost_full):
             break
         t_end *= 1.6
-    # cost over [0, t_end] = w^T L^{-1} (e^{t L} - I) vec(X0)
-    cost_to_t = float(Linv_w @ (expm(t_end * gen.L) @ vX0 - vX0))
+    # cost over [0, t_end] = w^T L^{-1} (e^{t L} - I) X0.ravel()
+    cost_to_t = float(Linv_w @ (vXt - vX0))
     tail_exact = cost_full - cost_to_t
 
     times = np.arange(0.0, t_end + 1e-12, dt_report)
-    curve = _msq_curve(gen, X0, times, dt_report)
+    curve = _msq_curve(L, X0, times, dt_report)
 
     # measured finite-horizon control norm ||F x||_{L^2(0,T)} per unit |x0|
     # versus the bound from the fitted decay envelope c(a) e^{-a t}
     T_probe = times[-1]
-    LinvF = np.linalg.solve(gen.L.T, vec(F.T @ F))
-    u_sq = float(LinvF @ (expm(T_probe * gen.L) @ vX0 - vX0))
+    LinvF = np.linalg.solve(L.T, (F.T @ F).ravel())
+    u_sq = float(LinvF @ (expm(T_probe * L) @ vX0 - vX0))
     pos = curve > 0
     c_alpha = float(np.max(curve[pos] * np.exp(-alpha * times[pos]), initial=0.0))
     Fnorm = float(np.linalg.norm(F, 2))
@@ -215,7 +212,6 @@ def run_riccati_feedback(sys: StochasticSystem, F, x0, dt_report: float = 0.1) -
         "T": float(T_probe),
         "measured": float(np.sqrt(max(u_sq, 0.0))),
         "bound": Fnorm * np.sqrt(bracket),
-        "bound_printed_form": Fnorm * bracket,
         "c_alpha": c_alpha,
     }
     return FeedbackRun(

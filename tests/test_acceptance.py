@@ -154,7 +154,6 @@ def test_c03_theorem51_converse():
     rng = np.random.default_rng(303)
     done = 0
     fails = 0
-    fails_linear_variant = 0
     while done < 20:
         sys_ = random_system(rng, n_max=2, m_max=2, d_max=2)
         delta = float(rng.uniform(0.3, 0.7))
@@ -165,12 +164,10 @@ def test_c03_theorem51_converse():
             continue
         done += 1
         fails += not rep.converse_pass
-        fails_linear_variant += not rep.converse_pass_linear
     _verdict(
         3,
         fails == 0,
-        f"measured-cost observability pair passes on 20/20 instances "
-        f"(unsquared-cost variant would fail {fails_linear_variant})",
+        "measured-cost observability pair passes on 20/20 instances",
         time.time() - t0,
         30,
     )
@@ -287,7 +284,7 @@ def test_c09_piecewise_stabilizer(name, factory):
     run = run_piecewise(kernel, x0, k_max=5)
     xs2 = float(x0 @ x0)
     decay_ok = all(r.msq <= delta**r.k * xs2 for r in run.records)
-    c0 = growth_constant_c0(sys_, T).c0
+    c0 = growth_constant_c0(sys_, T)
     energy_limit = rep.c_opt / delta * c0 / (1 - delta) * xs2
     energy_ok = run.total_energy <= energy_limit
     _verdict(
@@ -303,11 +300,11 @@ def test_c09_piecewise_stabilizer(name, factory):
 def test_c10_growth_constant():
     t0 = time.time()
     # analytic cases
-    err = abs(growth_constant_c0(m0(), 0.7).c0 - 1.0)
-    err = max(err, abs(growth_constant_c0(s1(), 1.3).c0 - 1.0))
+    err = abs(growth_constant_c0(m0(), 0.7) - 1.0)
+    err = max(err, abs(growth_constant_c0(s1(), 1.3) - 1.0))
     for a, c, tau in [(0.0, 1.0, 1.0), (1.0, 0.0, 0.5), (-0.4, 0.8, 0.9)]:
         sys_ = make_system([[a]], [[0.0]], C=[[[c]]], D=[[[0.0]]])
-        got = growth_constant_c0(sys_, tau).c0
+        got = growth_constant_c0(sys_, tau)
         err = max(err, abs(got - np.exp((2 * a + c * c) * tau)))
     # tree estimate vs lift propagation at K = 8
     tau = 0.5

@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sctk.errors import NumericalFailure
+from sctk.errors import InvalidConfig, NumericalFailure
 from sctk.moments import (
-    MomentGenerator,
     build_generator,
     closed_loop,
     growth_constant_c0,
     kron_sum,
     propagate_second_moment,
     spectral_abscissa,
-    vec,
 )
 from sctk.systems import make_system
 
@@ -28,22 +26,22 @@ class TestGenerator:
     @given(floats, floats, floats, floats, floats)
     def test_scalar_lift_formula(self, a, b, c, e, f):
         # hand expansion: X -> 2(a + b f) X + (c + e f)^2 X
-        gen = build_generator(scalar_system(a, b, c, e), [[f]])
+        L = build_generator(scalar_system(a, b, c, e), [[f]])
         expected = 2 * (a + b * f) + (c + e * f) ** 2
-        assert gen.L[0, 0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert L[0, 0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_zero_system_zero_generator(self):
-        gen = build_generator(scalar_system(0, 1, 0, 0), None)
-        assert not gen.L.any()
+        L = build_generator(scalar_system(0, 1, 0, 0), None)
+        assert not L.any()
 
     def test_s2_closed_loop_value(self, corpus):
         # golden-ratio gain: 2(0 - phi) + 1 = -sqrt(5)
         phi = (1 + np.sqrt(5)) / 2
-        gen = build_generator(corpus["S2"], [[-phi]])
-        assert gen.L[0, 0] == pytest.approx(-np.sqrt(5), abs=1e-12)
+        L = build_generator(corpus["S2"], [[-phi]])
+        assert L[0, 0] == pytest.approx(-np.sqrt(5), abs=1e-12)
 
     def test_lift_preserves_symmetry(self, rng):
-        # and L vec(Y) = vec(A_cl Y + Y A_cl^T + sum_i C_cl,i Y C_cl,i^T) for
+        # and L Y.ravel() = (A_cl Y + Y A_cl^T + sum_i C_cl,i Y C_cl,i^T).ravel() for
         # a non-symmetric Y, which pins every entry of L, not only at n = 1
         for n in (2, 3):
             sys_ = make_system(
@@ -53,17 +51,17 @@ class TestGenerator:
                 D=[rng.standard_normal((n, 2)) for _ in range(2)],
             )
             F = rng.standard_normal((2, n))
-            gen = build_generator(sys_, F)
+            L = build_generator(sys_, F)
             X = rng.standard_normal((n, n))
             X = X + X.T
-            LX = (gen.L @ vec(X)).reshape((n, n), order="F")
+            LX = (L @ X.ravel()).reshape(n, n)
             assert np.allclose(LX, LX.T, atol=1e-12)
             Y = rng.standard_normal((n, n))
             Acl = sys_.A + sys_.B @ F
             want = Acl @ Y + Y @ Acl.T
             for Ci, Di in zip(sys_.C, sys_.D):
                 want += (Ci + Di @ F) @ Y @ (Ci + Di @ F).T
-            assert np.allclose(gen.L @ vec(Y), vec(want), rtol=1e-12, atol=1e-12)
+            assert np.allclose(L @ Y.ravel(), want.ravel(), rtol=1e-12, atol=1e-12)
 
     def test_lift_is_bit_identical_to_the_kron_formula(self, rng):
         for n in (1, 2, 3):
@@ -79,27 +77,27 @@ class TestGenerator:
                     cl = closed_loop(sys_.maps, np.zeros((m, n)) if F is None else F)
                     I = np.eye(n)
                     want = kron_sum(cl[1:], np.kron(I, cl[0]) + np.kron(cl[0], I))
-                    assert build_generator(sys_, F).L.tobytes() == want.tobytes()
+                    assert build_generator(sys_, F).tobytes() == want.tobytes()
 
 
 class TestAbscissa:
     def test_scalar_values(self):
-        gen = build_generator(scalar_system(-1, 0, 0, 0), None)
-        assert spectral_abscissa(gen) == pytest.approx(-2.0, abs=1e-12)
-        gen0 = build_generator(scalar_system(0, 0, 0, 0), None)
-        assert spectral_abscissa(gen0) == pytest.approx(0.0, abs=1e-12)
+        L = build_generator(scalar_system(-1, 0, 0, 0), None)
+        assert spectral_abscissa(L) == pytest.approx(-2.0, abs=1e-12)
+        L0 = build_generator(scalar_system(0, 0, 0, 0), None)
+        assert spectral_abscissa(L0) == pytest.approx(0.0, abs=1e-12)
 
     def test_s2_closed_loop(self, corpus):
         phi = (1 + np.sqrt(5)) / 2
-        gen = build_generator(corpus["S2"], [[-phi]])
-        assert spectral_abscissa(gen) == pytest.approx(-np.sqrt(5), abs=1e-12)
+        L = build_generator(corpus["S2"], [[-phi]])
+        assert spectral_abscissa(L) == pytest.approx(-np.sqrt(5), abs=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_lift_is_numerical_failure(self, bad):
         L = np.eye(4)
         L[1, 2] = bad
         with pytest.raises(NumericalFailure):
-            spectral_abscissa(MomentGenerator(L=L, n=2))
+            spectral_abscissa(L)
 
 
 class TestPropagation:
@@ -109,29 +107,36 @@ class TestPropagation:
             rng.standard_normal((2, 1)),
             C=[rng.standard_normal((2, 2))],
         )
-        gen = build_generator(sys_)
+        L = build_generator(sys_)
         X0 = rng.standard_normal((2, 2))
         X0 = X0 @ X0.T
-        assert np.allclose(propagate_second_moment(gen, X0, 0.0), X0, atol=1e-12)
+        assert np.allclose(propagate_second_moment(L, X0, 0.0), X0, atol=1e-12)
 
     def test_scalar_exponential_decay(self):
-        gen = build_generator(scalar_system(-1, 0, 0, 0), None)  # L = -2
-        Xt = propagate_second_moment(gen, [[1.0]], 1.0)
+        L = build_generator(scalar_system(-1, 0, 0, 0), None)  # L = -2
+        Xt = propagate_second_moment(L, [[1.0]], 1.0)
         assert Xt[0, 0] == pytest.approx(np.exp(-2.0), rel=1e-12)
 
+    def test_shape_mismatch_is_invalid_config(self):
+        L = build_generator(scalar_system(-1, 0, 0, 0), None)
+        with pytest.raises(InvalidConfig):
+            propagate_second_moment(L, np.eye(2), 1.0)
+        with pytest.raises(InvalidConfig):
+            propagate_second_moment(L, [[1.0, 0.0]], 1.0)
+
     def test_zero_generator_freezes_state(self, rng):
-        gen = build_generator(scalar_system(0, 0, 0, 0), None)
+        L = build_generator(scalar_system(0, 0, 0, 0), None)
         X0 = np.array([[1.7]])
-        assert propagate_second_moment(gen, X0, 5.0)[0, 0] == pytest.approx(1.7)
+        assert propagate_second_moment(L, X0, 5.0)[0, 0] == pytest.approx(1.7)
 
     def test_decay_rate_matches_abscissa(self, corpus):
         # slope of log trace X(t) settles at the spectral abscissa
         phi = (1 + np.sqrt(5)) / 2
-        gen = build_generator(corpus["S2"], [[-phi]])
-        alpha = spectral_abscissa(gen)
+        L = build_generator(corpus["S2"], [[-phi]])
+        alpha = spectral_abscissa(L)
         ts = np.linspace(0.0, 20.0, 41)
         traces = [
-            np.trace(propagate_second_moment(gen, [[1.0]], t)) for t in ts
+            np.trace(propagate_second_moment(L, [[1.0]], t)) for t in ts
         ]
         slope = np.polyfit(ts, np.log(traces), 1)[0]
         assert slope == pytest.approx(alpha, rel=0.05)
@@ -140,16 +145,16 @@ class TestPropagation:
 class TestGrowthConstant:
     def test_driftless_noiseless_is_one(self):
         sys_ = scalar_system(0, 1, 0, 0)
-        assert growth_constant_c0(sys_, 3.0).c0 == pytest.approx(1.0, abs=1e-12)
+        assert growth_constant_c0(sys_, 3.0) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.1, 2.0))
     def test_scalar_formula(self, a, c, tau):
-        got = growth_constant_c0(scalar_system(a, 0, c, 0), tau).c0
+        got = growth_constant_c0(scalar_system(a, 0, c, 0), tau)
         assert got == pytest.approx(np.exp((2 * a + c * c) * tau), rel=1e-10)
 
     def test_unit_noise_unit_time_gives_e(self, corpus):
-        assert growth_constant_c0(corpus["S2"], 1.0).c0 == pytest.approx(
+        assert growth_constant_c0(corpus["S2"], 1.0) == pytest.approx(
             np.e, abs=1e-10
         )
 
@@ -162,15 +167,15 @@ class TestGrowthConstant:
             C=[0.5 * rng.standard_normal((3, 3))],
         )
         tau = 0.7
-        c0 = growth_constant_c0(sys_, tau).c0
-        gen = build_generator(sys_)
+        c0 = growth_constant_c0(sys_, tau)
+        L = build_generator(sys_)
         for _ in range(20):
             x0 = rng.standard_normal(3)
             x0 /= np.linalg.norm(x0)
-            tr = np.trace(propagate_second_moment(gen, np.outer(x0, x0), tau))
+            tr = np.trace(propagate_second_moment(L, np.outer(x0, x0), tau))
             assert tr <= c0 + 1e-9
         S = adjoint_state(sys_, tau)
         w, V = np.linalg.eigh(S)
         top = V[:, -1]
-        tr_top = np.trace(propagate_second_moment(gen, np.outer(top, top), tau))
+        tr_top = np.trace(propagate_second_moment(L, np.outer(top, top), tau))
         assert tr_top == pytest.approx(c0, abs=1e-6)
