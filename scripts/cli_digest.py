@@ -15,7 +15,9 @@ with and without ``c``, and a trinomial tree), since no emitted config
 sets ``c``.  It writes one record per run: the exit code, stdout,
 stderr, the ``report`` section of the JSON report and the text of every
 CSV the run wrote.  The ``meta`` section is left out, because it
-carries a timestamp.
+carries a timestamp.  Every report, meta included, is also checked
+against ``src/sctk/report_schema.json`` (JSON Schema Draft 7); the runs
+whose report fails it are listed, and the first form then exits 1.
 
 ``--compare`` lists the runs whose exit code, stdout or stderr differ,
 and every report or CSV entry that differs other than as a number.
@@ -33,6 +35,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import jsonschema
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,8 +62,9 @@ def _run(args, cwd):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def _record(command, name, work):
-    """Run command on configs/<name>.json in work; its digest record."""
+def _record(command, name, work, schema, invalid):
+    """Run command on configs/<name>.json in work; its digest record.
+    A report that fails schema appends its run and first error to invalid."""
     out_dir = f"runs/{name}/{command}"
     args = [command, "--config", f"configs/{name}.json", "--out", out_dir]
     code, out, err = _run(args, work)
@@ -67,7 +72,11 @@ def _record(command, name, work):
     written = Path(work, out_dir)
     report = written / f"{command}_report.json"
     if report.exists():
-        record["report"] = json.loads(report.read_text())["report"]
+        doc = json.loads(report.read_text())
+        error = next(iter(schema.iter_errors(doc)), None)
+        if error is not None:
+            invalid.append(f"{command}/{name}: {error.message}")
+        record["report"] = doc["report"]
     record["csv"] = {p.name: p.read_text() for p in written.glob("*.csv")}
     print(f"{command}/{name}: exit {code}", file=sys.stderr)
     return record
@@ -77,7 +86,11 @@ def digest(path):
     sys.path.insert(0, str(ROOT / "src"))
     from sctk.cli import COMMANDS
 
+    schema = jsonschema.Draft7Validator(
+        json.loads((ROOT / "src" / "sctk" / "report_schema.json").read_text())
+    )
     runs = {}
+    invalid = []
     with tempfile.TemporaryDirectory() as work:
         code, out, err = _run(["emit-corpus", "--out", "configs"], work)
         if code:
@@ -85,7 +98,7 @@ def digest(path):
         configs = sorted(p.stem for p in Path(work, "configs").glob("*.json"))
         for command in (c for c in COMMANDS if c != "emit-corpus"):
             for name in configs:
-                runs[f"{command}/{name}"] = _record(command, name, work)
+                runs[f"{command}/{name}"] = _record(command, name, work, schema, invalid)
         for base in VARIANT_CONFIGS:
             cfg = json.loads(Path(work, "configs", f"{base}.json").read_text())
             for suffix, keys in VARIANTS.items():
@@ -93,9 +106,13 @@ def digest(path):
                 text = json.dumps(dict(cfg, **keys), sort_keys=True, indent=2)
                 Path(work, "configs", f"{name}.json").write_text(text + "\n")
                 for command in VARIANT_COMMANDS:
-                    runs[f"{command}/{name}"] = _record(command, name, work)
+                    runs[f"{command}/{name}"] = _record(command, name, work, schema, invalid)
     Path(path).write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
     print(f"{len(runs)} runs -> {path}")
+    for line in invalid:
+        print(f"schema: {line}")
+    print(f"{len(invalid)} reports fail report_schema.json")
+    return 1 if invalid else 0
 
 
 def _number(value):
@@ -175,8 +192,7 @@ def main():
         return compare(*args.compare)
     if not args.digest:
         parser.error("give a digest file to write, or --compare A B")
-    digest(args.digest)
-    return 0
+    return digest(args.digest)
 
 
 if __name__ == "__main__":

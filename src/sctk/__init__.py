@@ -53,7 +53,6 @@ from .systems import (
     validate_system,
 )
 from .trees import (
-    AdaptedField,
     BackwardSolution,
     NoiseTree,
     TreeDriver,

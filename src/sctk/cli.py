@@ -8,8 +8,10 @@ byte for byte.  Exit status: 0 completed analysis (verdicts are
 data), 1 invalid config, 2 numerical failure or an unwritable --out,
 3 budget exceeded.  The one budget is max_leaves (or SCTK_MAX_LEAVES):
 it caps the leaf count of the tree that synthesize sweeps node by node
-for control_field.csv and the duality residuals.  Every other command
-works on the one-step maps and the n x n recursions alone, at any K.
+for control_field.csv and the duality residuals, and synthesize is the
+only command that builds a branch template, once that budget has passed.
+Every other command works on the one-step maps and the n x n recursions
+alone, whatever the branch or leaf count.
 
 A rerun into the same --out rewrites each report, CSV and emitted config
 in place, over the old file's bytes (see _write_text).  A crash mid-write
@@ -158,10 +160,7 @@ def parse_config(data: dict) -> RunConfig:
         raise InvalidConfig(f"C and D must be lists of d={d} matrices")
     C = tuple(_reshape(f"C[{i}]", Ci, n, n) for i, Ci in enumerate(Craw))
     D = tuple(_reshape(f"D[{i}]", Di, n, m) for i, Di in enumerate(Draw))
-    system = StochasticSystem(n=n, m=m, d=d, A=A, B=B, C=C, D=D)
-    violations = validate_system(system)
-    if violations:
-        raise InvalidConfig("invalid system: " + "; ".join(violations))
+    system = StochasticSystem(n=n, m=m, d=d, A=A, B=B, C=C, D=D).checked()
     horizon = HorizonConfig(T=float(data["T"]), K=int(data["K"]))
     driver = TreeDriver.from_name(
         data.get("driver", "bernoulli"), int(data.get("gh_levels", 3))
@@ -474,8 +473,6 @@ def _cmd_equivalence(cfg: RunConfig):
 
 
 def _corpus_config(name: str) -> dict:
-    from .corpus import CORPUS
-
     sysv = CORPUS[name]()
     cfg = {
         "name": name,

@@ -57,7 +57,6 @@ from .observability import (
     optimal_constant,
 )
 from .trees import (
-    AdaptedField,
     NoiseTree,
     control_energy,
     simulate_feedback,
@@ -128,7 +127,7 @@ def _bounds(e_u, e_term, e_f, e_free, xs2, c, delta, c0) -> dict:
 @dataclass(frozen=True)
 class SynthesisResult:
     f: np.ndarray  # (L, n) terminal variable
-    u: AdaptedField
+    u: list  # the control field: u[k] has shape (b^k, m)
     control_energy: float
     terminal_energy: float
     f_energy: float
@@ -190,19 +189,19 @@ def synthesize_control(kernel: ControlKernel, x_s) -> SynthesisResult:
     tree, sys = forms.tree, forms.system
     x_s = np.atleast_1d(np.asarray(x_s, dtype=float))
     ctrl, u = simulate_feedback(tree, sys, x_s, kernel.gains)
-    f = ctrl.terminal / delta
+    f = ctrl[-1] / delta
     bw = solve_bsde(tree, sys, f)
 
     xs2 = float(x_s @ x_s)
     e_u = control_energy(tree, u)
-    e_term = terminal_expectation_sq(tree, ctrl.terminal)
+    e_term = terminal_expectation_sq(tree, ctrl[-1])
     e_f = terminal_expectation_sq(tree, f)
     e_free = float(x_s @ _lq_p0(forms, 0.0, 1.0) @ x_s)
     c0 = growth_constant_c0(sys, tree.T)
     tree_growth = e_free / xs2 if xs2 > 0 else 0.0
 
     term_resid = max(
-        float(np.abs(uk + c * zk).max()) for uk, zk in zip(u.values, bw.z.values)
+        float(np.abs(uk + c * zk).max()) for uk, zk in zip(u, bw.z)
     )
     energy_resid = abs(e_u - c**2 * control_energy(tree, bw.z))
     return SynthesisResult(

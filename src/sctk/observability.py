@@ -56,7 +56,9 @@ class ObservabilityForms:
     maps = step_maps(system, tree.delta_t, *tree.driver.moments), shape
     (1 + d, n, n + m), is computed once by assemble_forms; every recursion
     on the pair (c_opt, the synthesis gains, the interval second-moment
-    map) reads the tree, the system and the maps from here alone.
+    map) reads the tree, the system and the maps from here alone.  The
+    tree is its definition alone (K, delta_t, d, driver): nothing here has
+    the size b of the branch template.
     """
 
     tree: NoiseTree
@@ -105,8 +107,6 @@ def assemble_forms(tree: NoiseTree, sys: StochasticSystem) -> ObservabilityForms
 
 
 def _lam_max(sym_mat: np.ndarray) -> float:
-    if sym_mat.size == 0:
-        return 0.0
     return float(np.linalg.eigvalsh(0.5 * (sym_mat + sym_mat.T))[-1])
 
 

@@ -7,8 +7,11 @@ Brownian increment moments exactly,
 
     sum_j p_j xi_j = 0,      sum_j p_j xi_j,i xi_j,l = dt * delta_il.
 
-Adapted processes are fields with one value per node; terminal variables
-live on the leaves.  The forward Euler step and the backward recursion
+A tree holds only its definition (K, dt, d and the driver); the branch
+template of b rows is built on demand, and only the sweeps here read it,
+once per call.  A field (an adapted process) is a plain list of
+per-depth arrays, layer k of shape (b^k, dim); terminal variables live on
+the leaves.  The forward Euler step and the backward recursion
 implemented here are exact algebraic adjoints of each other: expanding
 E_t <x_{t+1}, y_{t+1}> - <x_t, y_t> cancels every state term and leaves
 dt <u_t, z_t>, so the integration-by-parts identity
@@ -26,7 +29,8 @@ at depth k+1, and leaf blocks of a subtree are contiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -57,6 +61,8 @@ class TreeDriver:
             raise InvalidConfig("driver support/probs must be matching 1-d arrays")
         if self.support.size < 2:
             raise InvalidConfig("driver needs at least two support points")
+        if not (np.all(np.isfinite(self.support)) and np.all(np.isfinite(self.probs))):
+            raise InvalidConfig("driver support and probabilities must be finite")
         if np.any(self.probs <= 0):
             raise InvalidConfig("driver probabilities must be strictly positive")
         if abs(self.probs.sum() - 1.0) > 1e-12:
@@ -89,12 +95,15 @@ class TreeDriver:
         """Gauss-Hermite quantization with the given number of levels (>= 3)."""
         if levels < 3:
             raise InvalidConfig("quantized_gaussian needs at least 3 levels")
-        nodes, weights = np.polynomial.hermite.hermgauss(levels)
-        probs = weights / weights.sum()
-        support = nodes * np.sqrt(2.0)
-        # exact moment repair against quadrature rounding
-        support = support - support @ probs
-        support = support / np.sqrt((support**2) @ probs)
+        # from 371 levels the weights overflow to NaN, which __post_init__
+        # rejects; the errstate keeps that to one InvalidConfig
+        with np.errstate(all="ignore"):
+            nodes, weights = np.polynomial.hermite.hermgauss(levels)
+            probs = weights / weights.sum()
+            support = nodes * np.sqrt(2.0)
+            # exact moment repair against quadrature rounding
+            support = support - support @ probs
+            support = support / np.sqrt((support**2) @ probs)
         return cls(f"quantized_gaussian({levels})", support, probs)
 
     @classmethod
@@ -108,45 +117,48 @@ class TreeDriver:
         raise InvalidConfig(f"unknown driver {name!r}")
 
 
-class AdaptedField:
-    """Node-indexed values up to some depth: values[k] has shape (b^k, dim)."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = [np.atleast_2d(np.asarray(v, dtype=float)) for v in values]
-
-    @property
-    def depth(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def dim(self) -> int:
-        return self.values[0].shape[1]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[-1]
-
-    @classmethod
-    def zeros(cls, tree: "NoiseTree", dim: int, depth: int) -> "AdaptedField":
-        return cls([np.zeros((tree.b**k, dim)) for k in range(depth + 1)])
-
-
 @dataclass(frozen=True)
 class NoiseTree:
-    """Depth-K branching tree with b = (support size)^d branches per node."""
+    """Depth-K branching tree with b = s^d branches per node, for a driver
+    of s support points.
+
+    Only the definition is stored.  The branch template, b increment
+    vectors and their probabilities, is built on each access to
+    branch_increments or branch_probs; the branch set is the cartesian
+    product of the scalar support across components, component 0 varying
+    slowest.
+    """
 
     K: int
     delta_t: float
     d: int
     driver: TreeDriver
-    branch_increments: np.ndarray = field(repr=False)  # (b, d), scaled
-    branch_probs: np.ndarray = field(repr=False)  # (b,)
 
     @property
     def b(self) -> int:
-        return self.branch_probs.shape[0]
+        return self.driver.support.size**self.d
+
+    def _branch_index(self) -> tuple:
+        """Per component, the support index of each of the b branches."""
+        s = self.driver.support.size
+        return np.unravel_index(np.arange(self.b), (s,) * self.d)
+
+    @property
+    def branch_increments(self) -> np.ndarray:
+        """(b, d) increments, the support scaled by sqrt(delta_t)."""
+        multi, support = self._branch_index(), self.driver.support
+        return np.stack(
+            [support[multi[i]] * np.sqrt(self.delta_t) for i in range(self.d)], axis=1
+        )
+
+    @property
+    def branch_probs(self) -> np.ndarray:
+        """(b,) branch probabilities, products of the component probs."""
+        multi = self._branch_index()
+        probs = np.ones(self.b)
+        for i in range(self.d):
+            probs = probs * self.driver.probs[multi[i]]
+        return probs
 
     @property
     def T(self) -> float:
@@ -160,12 +172,18 @@ class NoiseTree:
     def node_count(self) -> int:
         return (self.b ** (self.K + 1) - 1) // (self.b - 1)
 
+    def _path_probs(self):
+        """Path probabilities of the nodes at depth 0, 1, 2, ..., one array
+        per depth in layout order; the template is read once."""
+        branch = self.branch_probs
+        p = np.ones(1)
+        while True:
+            yield p
+            p = (p[:, None] * branch[None, :]).ravel()
+
     def depth_probs(self, k: int) -> np.ndarray:
         """Path probabilities of all nodes at depth k, in layout order."""
-        p = np.ones(1)
-        for _ in range(k):
-            p = (p[:, None] * self.branch_probs[None, :]).ravel()
-        return p
+        return next(islice(self._path_probs(), k, None))
 
     @property
     def leaf_probs(self) -> np.ndarray:
@@ -183,32 +201,14 @@ class NoiseTree:
 
 
 def build_tree(driver: TreeDriver, horizon: HorizonConfig, d: int) -> NoiseTree:
-    """Materialize the branch template for a d-dimensional driver.
+    """The depth-K tree of a d-dimensional driver on the horizon.
 
-    The branch set is the cartesian product of the scalar support across
-    components, component 0 varying slowest.  Nothing leaf-sized is
-    allocated here; only the per-node sweeps below scale with leaf_count.
+    Nothing of size b is allocated here: the branch template is built
+    only by the sweeps below, and only they scale with leaf_count.
     """
     if d < 1:
         raise InvalidConfig(f"noise dimension must be >= 1, got {d}")
-    s = driver.support.shape[0]
-    b = s**d
-    dt = horizon.delta_t
-    multi = np.unravel_index(np.arange(b), (s,) * d)
-    increments = np.stack(
-        [driver.support[multi[i]] * np.sqrt(dt) for i in range(d)], axis=1
-    )
-    probs = np.ones(b)
-    for i in range(d):
-        probs = probs * driver.probs[multi[i]]
-    return NoiseTree(
-        K=horizon.K,
-        delta_t=dt,
-        d=d,
-        driver=driver,
-        branch_increments=increments,
-        branch_probs=probs,
-    )
+    return NoiseTree(K=horizon.K, delta_t=horizon.delta_t, d=d, driver=driver)
 
 
 def _sweep(tree: NoiseTree, sys: StochasticSystem, x0, control):
@@ -245,46 +245,46 @@ def _sweep(tree: NoiseTree, sys: StochasticSystem, x0, control):
     return layers, controls
 
 
-def simulate_forward(
-    tree: NoiseTree, sys: StochasticSystem, x0, u: AdaptedField | None = None
-) -> AdaptedField:
-    """State field under the open-loop control u (None means u = 0)."""
-    layers, _ = _sweep(
-        tree, sys, x0, lambda k, xk: None if u is None else u.values[k]
-    )
-    return AdaptedField(layers)
+def _as_field(f) -> list:
+    """A field given from outside as a list of per-depth (b^k, dim) arrays."""
+    return [np.atleast_2d(np.asarray(v, dtype=float)) for v in f]
 
 
-def simulate_feedback(
-    tree: NoiseTree, sys: StochasticSystem, x0, gains
-) -> tuple[AdaptedField, AdaptedField]:
+def simulate_forward(tree: NoiseTree, sys: StochasticSystem, x0, u=None) -> list:
+    """State field under the open-loop control field u (None means u = 0)."""
+    u = None if u is None else _as_field(u)
+    layers, _ = _sweep(tree, sys, x0, lambda k, xk: None if u is None else u[k])
+    return layers
+
+
+def simulate_feedback(tree: NoiseTree, sys: StochasticSystem, x0, gains):
     """State and control fields under the feedback u_k = gains[k] x_k.
 
     gains has shape (K, m, n): one gain per depth, shared by its nodes.
     """
-    layers, controls = _sweep(tree, sys, x0, lambda k, xk: xk @ gains[k].T)
-    return AdaptedField(layers), AdaptedField(controls)
+    return _sweep(tree, sys, x0, lambda k, xk: xk @ gains[k].T)
 
 
 @dataclass(frozen=True)
 class BackwardSolution:
-    """Adapted triple (y, Y_1..Y_d, z) of the backward recursion."""
+    """Adapted triple (y, Y_1..Y_d, z) of the backward recursion, each a field."""
 
-    y: AdaptedField
+    y: list
     Y: tuple
-    z: AdaptedField
+    z: list
     y0: np.ndarray
 
     def check_recursion(self, tree: NoiseTree, sys: StochasticSystem) -> float:
         """Max deviation of the one-step recursion over internal nodes."""
+        p = tree.branch_probs
         worst = 0.0
         for k in range(tree.K):
-            yk1 = self.y.values[k + 1].reshape(tree.b**k, tree.b, sys.n)
-            m1 = np.einsum("pjn,j->pn", yk1, tree.branch_probs)
+            yk1 = self.y[k + 1].reshape(tree.b**k, tree.b, sys.n)
+            m1 = np.einsum("pjn,j->pn", yk1, p)
             rec = m1 + tree.delta_t * (m1 @ sys.A)
             for i in range(sys.d):
-                rec = rec + tree.delta_t * (self.Y[i].values[k] @ sys.C[i])
-            worst = max(worst, float(np.abs(rec - self.y.values[k]).max()))
+                rec = rec + tree.delta_t * (self.Y[i][k] @ sys.C[i])
+            worst = max(worst, float(np.abs(rec - self.y[k]).max()))
         return worst
 
 
@@ -327,10 +327,7 @@ def solve_bsde(tree: NoiseTree, sys: StochasticSystem, y1) -> BackwardSolution:
         y_layers[k] = yk
         z_layers[k] = zk
     return BackwardSolution(
-        y=AdaptedField(y_layers),
-        Y=tuple(AdaptedField(Y_layers[i]) for i in range(sys.d)),
-        z=AdaptedField(z_layers),
-        y0=y_layers[0][0].copy(),
+        y=y_layers, Y=tuple(Y_layers), z=z_layers, y0=y_layers[0][0].copy()
     )
 
 
@@ -347,43 +344,41 @@ def terminal_inner(tree: NoiseTree, a, b) -> float:
     return float(tree.leaf_probs @ np.einsum("ln,ln->l", a, b))
 
 
-def control_energy(tree: NoiseTree, u: AdaptedField) -> float:
+def control_energy(tree: NoiseTree, u) -> float:
     """||u||^2 = dt * sum_t E |u_t|^2 over the internal depths."""
     return control_pairing(tree, u, u)
 
 
-def control_pairing(tree: NoiseTree, u: AdaptedField, v: AdaptedField) -> float:
+def control_pairing(tree: NoiseTree, u, v) -> float:
     """<u, v> = dt * sum_t E <u_t, v_t> over the internal depths."""
+    u, v = _as_field(u), _as_field(v)
     total = 0.0
-    for k in range(tree.K):
-        total += float(
-            tree.depth_probs(k)
-            @ np.einsum("pm,pm->p", u.values[k], v.values[k])
-        )
+    for k, p in zip(range(tree.K), tree._path_probs()):
+        total += float(p @ np.einsum("pm,pm->p", u[k], v[k]))
     return tree.delta_t * total
 
 
 def duality_residual(
     tree: NoiseTree,
     sys: StochasticSystem,
-    u: AdaptedField | None,
+    u,
     x0,
     y1,
 ) -> float:
     """| E<x_T, y1> - <x0, y0> - dt sum_t E<u_t, z_t> |; zero to rounding."""
     x = simulate_forward(tree, sys, x0, u)
     bw = solve_bsde(tree, sys, y1)
-    lhs = terminal_inner(tree, x.terminal, bw.y.values[-1])
+    lhs = terminal_inner(tree, x[-1], bw.y[-1])
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     pairing = float(x0 @ bw.y0)
     cross = 0.0 if u is None else control_pairing(tree, u, bw.z)
     return abs(lhs - pairing - cross)
 
 
-def field_to_rows(tree: NoiseTree, f: AdaptedField) -> np.ndarray:
+def field_to_rows(tree: NoiseTree, f) -> np.ndarray:
     """Flatten a field to rows (node index, depth, value...) in layout order."""
     rows = []
-    for k, vals in enumerate(f.values):
+    for k, vals in enumerate(f):
         idx = tree.node_offset(k) + np.arange(vals.shape[0])
         rows.append(
             np.column_stack([idx, np.full(vals.shape[0], k), vals])

@@ -74,7 +74,7 @@ def dense_forms(tree, sys_):
     for e in np.eye(L * n):
         bw = solve_bsde(tree, sys_, e.reshape(L, n))
         S0.append(bw.y0)
-        F.append(np.concatenate([(s * z).ravel() for s, z in zip(scale, bw.z.values)]))
+        F.append(np.concatenate([(s * z).ravel() for s, z in zip(scale, bw.z)]))
     return DenseForms(np.array(S0).T, np.array(F).T, np.repeat(tree.leaf_probs, n))
 
 
@@ -161,13 +161,13 @@ def dense_gram_control(tree, sys_, x_s, c, delta):
     number.  Dense solve of size nL; returns the control layers.
     """
     forms = dense_forms(tree, sys_)
-    xi = simulate_forward(tree, sys_, x_s).terminal
+    xi = simulate_forward(tree, sys_, x_s)[-1]
     root_n = np.sqrt(forms.N_diag)
     stacked = np.vstack([np.sqrt(c) * forms.F, np.sqrt(delta) * np.diag(root_n)])
     rhs = np.concatenate([np.zeros(forms.F.shape[0]), root_n * xi.ravel() / np.sqrt(delta)])
     f = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
     z = solve_bsde(tree, sys_, f.reshape(xi.shape)).z
-    return [-c * zk for zk in z.values]
+    return [-c * zk for zk in z]
 
 
 @dataclass(frozen=True)

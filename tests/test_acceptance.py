@@ -29,7 +29,6 @@ from sctk.riccati import NotSolvable, closed_loop_abscissa, lq_value, solve_sare
 from sctk.stabilizer import equivalence_harness, run_piecewise, run_riccati_feedback
 from sctk.systems import HorizonConfig, make_system
 from sctk.trees import (
-    AdaptedField,
     TreeDriver,
     build_tree,
     duality_residual,
@@ -105,9 +104,7 @@ def test_c01_exact_duality():
         for driver in (TreeDriver.bernoulli(), TreeDriver.trinomial()):
             K = _capped_K(driver, sys_.d, 6)
             tree = build_tree(driver, HorizonConfig(T=1.0, K=K), sys_.d)
-            u = AdaptedField(
-                [rng.standard_normal((tree.b**k, sys_.m)) for k in range(tree.K)]
-            )
+            u = [rng.standard_normal((tree.b**k, sys_.m)) for k in range(tree.K)]
             y1 = rng.standard_normal((tree.leaf_count, sys_.n))
             x0 = rng.standard_normal(sys_.n)
             worst = max(worst, duality_residual(tree, sys_, u, x0, y1))
@@ -313,7 +310,7 @@ def test_c10_growth_constant():
         tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=tau, K=8), sys_.d)
         x0 = np.ones(sys_.n)
         free = simulate_forward(tree, sys_, x0)
-        tree_msq = terminal_expectation_sq(tree, free.terminal)
+        tree_msq = terminal_expectation_sq(tree, free[-1])
         gen = build_generator(sys_)
         lift_msq = float(np.trace(propagate_second_moment(gen, np.outer(x0, x0), tau)))
         worst_rel = max(worst_rel, abs(tree_msq - lift_msq) / lift_msq)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -326,6 +327,46 @@ class TestCommands:
         assert t51["applicable"] and t51["forward_pass"]
         assert report("stabilize")["interval_contraction"] <= cfg["delta"]
         assert main(["synthesize", "--config", str(path), "--out", str(out)]) == 3
+
+    def test_wide_driver_builds_no_branch_template(self, tmp_path):
+        # d = 12 trinomial: 3^12 = 531 441 branches per node, whose template
+        # alone would take 55 MB; only synthesize sweeps it, and the leaf
+        # budget stops synthesize before it allocates anything that size
+        eye = [1.0, 0.0, 0.0, 1.0]
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({
+            "n": 2, "m": 2, "d": 12, "A": [0.0] * 4, "B": eye,
+            "C": [[0.1 * v for v in eye]] * 12, "D": [[0.0] * 4] * 12,
+            "T": 1.0, "K": 4, "driver": "trinomial",
+        }))
+        out = tmp_path / "o"
+
+        def peak(command):
+            tracemalloc.start()
+            try:
+                code = main([command, "--config", str(cfg), "--out", str(out)])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(["observe", "--config", str(cfg), "--out", str(out)])
+        code, observe_peak = peak("observe")
+        assert code == 0 and observe_peak < 1_000_000
+        code, synthesize_peak = peak("synthesize")
+        assert code == 3 and synthesize_peak < 1_000_000
+
+    def test_overflowing_quadrature_is_an_invalid_config(self, corpus_dir, tmp_path, capsys):
+        # from 371 levels hermgauss's weights overflow to NaN
+        cfg = json.loads((corpus_dir / "s2.json").read_text())
+        cfg.update({"driver": "quantized_gaussian", "gh_levels": 371})
+        path = tmp_path / "s2_gh371.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(InvalidConfig, match="finite"):
+            load_config(path)
+        for command in ("validate", "observe"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("invalid config:")
 
     def test_removed_gram_budget_key_exits_1(self, corpus_dir, tmp_path, capsys):
         cfg = json.loads((corpus_dir / "m0.json").read_text())

@@ -19,7 +19,6 @@ from sctk.nullcontrol import (
 from sctk.observability import assemble_forms, is_delta_observable, optimal_constant
 from sctk.systems import HorizonConfig, make_system
 from sctk.trees import (
-    AdaptedField,
     TreeDriver,
     build_tree,
     control_energy,
@@ -153,12 +152,12 @@ class TestSynthesis:
         res = synthesize_control(unchecked_kernel(forms, c, delta), x_s)
         want = dense_gram_control(tree, sys_, x_s, c, delta)
         scale = max(float(np.abs(w).max()) for w in want)
-        for got_k, want_k in zip(res.u.values, want):
+        for got_k, want_k in zip(res.u, want):
             assert np.abs(got_k - want_k).max() <= 1e-10 * scale
         # the bound verdicts of the oracle's control are the synthesis's
-        x_T = simulate_forward(tree, sys_, x_s, AdaptedField(want)).terminal
+        x_T = simulate_forward(tree, sys_, x_s, want)[-1]
         e_term = terminal_expectation_sq(tree, x_T)
-        e_u = control_energy(tree, AdaptedField(want))
+        e_u = control_energy(tree, want)
         oracle = {
             "control_energy": e_u,
             "terminal_energy": e_term,
@@ -200,7 +199,7 @@ class TestSynthesis:
         tree, sys_ = forms.tree, forms.system
         x_s = np.random.default_rng(7).standard_normal(sys_.n)
         res = synthesize_control(unchecked_kernel(forms, 1.0, 0.5), x_s)
-        want = terminal_expectation_sq(tree, simulate_forward(tree, sys_, x_s).terminal)
+        want = terminal_expectation_sq(tree, simulate_forward(tree, sys_, x_s)[-1])
         assert _rel_gap(res.tree_growth * float(x_s @ x_s), want) <= 1e-13
 
     def test_null_controllability_tracks_initial_observability(self, rng):
@@ -228,8 +227,8 @@ def controls_along_tree(tree, sys_, gains, x_s):
     """u_k = gains[k] x_k, each x_k from an open-loop sweep under u_0..u_{k-1}."""
     u = [np.zeros((tree.b**k, sys_.m)) for k in range(tree.K)]
     for k in range(tree.K):
-        x = simulate_forward(tree, sys_, x_s, AdaptedField(u))
-        u[k] = x.values[k] @ gains[k].T
+        x = simulate_forward(tree, sys_, x_s, u)
+        u[k] = x[k] @ gains[k].T
     return u
 
 
@@ -252,7 +251,7 @@ class TestKernel:
             x_s = rng.standard_normal(sys_.n)
             res = synthesize_control(ker, x_s)
             uk = controls_along_tree(tree, sys_, ker.gains, x_s)
-            dev = max(np.abs(uk[k] - res.u.values[k]).max() for k in range(tree.K))
+            dev = max(np.abs(uk[k] - res.u[k]).max() for k in range(tree.K))
             assert dev < 1e-10
 
     def test_kernel_runs_one_recursion_pass(self, rng, monkeypatch):

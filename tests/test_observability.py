@@ -19,7 +19,6 @@ from sctk.observability import (
 )
 from sctk.systems import HorizonConfig, make_system
 from sctk.trees import (
-    AdaptedField,
     TreeDriver,
     build_tree,
     simulate_forward,
@@ -82,7 +81,7 @@ class TestForms:
                 tree.delta_t
                 * float(
                     tree.depth_probs(k)
-                    @ np.einsum("pm,pm->p", bw.z.values[k], bw.z.values[k])
+                    @ np.einsum("pm,pm->p", bw.z[k], bw.z[k])
                 )
                 for k in range(tree.K)
             )
@@ -109,7 +108,7 @@ class TestForms:
             e = np.zeros(sys_.n)
             e[i] = 1.0
             free = simulate_forward(tree, sys_, e)
-            lhs = forms.N_diag * free.terminal.ravel()
+            lhs = forms.N_diag * free[-1].ravel()
             assert np.allclose(lhs, forms.S0.T @ e, atol=1e-12)
 
 
@@ -344,7 +343,7 @@ class TestOptimalConstant:
         weight = np.repeat(np.sqrt(tree.leaf_probs), n)
 
         def terminal(x0, u):
-            return weight * simulate_forward(tree, sys_, x0, u).terminal.ravel()
+            return weight * simulate_forward(tree, sys_, x0, u)[-1].ravel()
 
         Phi = np.column_stack([terminal(e, None) for e in np.eye(n)])
         cols = []
@@ -352,7 +351,7 @@ class TestOptimalConstant:
             for i in range(tree.b**k * m):
                 values = [np.zeros((tree.b**j, m)) for j in range(tree.K)]
                 values[k].flat[i] = 1.0
-                cols.append(terminal(np.zeros(n), AdaptedField(values)))
+                cols.append(terminal(np.zeros(n), values))
         U, s, _ = np.linalg.svd(np.column_stack(cols), full_matrices=False)
         U = U[:, s > 1e-5 * s[0]] if s[0] > 0 else U[:, :0]
         resid = Phi - U @ (U.T @ Phi)

@@ -1,12 +1,15 @@
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sctk.errors import InvalidConfig
+from sctk.observability import assemble_forms, optimal_constant
 from sctk.systems import HorizonConfig, make_system
 from sctk.trees import (
-    AdaptedField,
     TreeDriver,
     build_tree,
     duality_residual,
@@ -54,6 +57,10 @@ class TestDrivers:
             ([-1.0, 1.0], [0.5], "matching 1-d"),
             ([-1.0, 1.0], [1.0, 0.0], "strictly positive"),
             ([-1.0, 1.0], [0.5, 0.6], "sum to one"),
+            ([np.nan, 1.0], [0.5, 0.5], "finite"),
+            ([-1.0, 1.0], [np.nan, np.nan], "finite"),
+            ([-np.inf, 1.0], [0.5, 0.5], "finite"),
+            ([-1.0, 1.0], [np.inf, 0.5], "finite"),
         ],
     )
     def test_invalid_driver_rejected(self, support, probs, match):
@@ -117,13 +124,36 @@ class TestBuild:
         parents = tree.parent_index(leaves)
         assert np.all(np.bincount(parents) == tree.b)
 
+    def test_tree_is_its_definition(self):
+        tree = build_tree(TreeDriver.trinomial(), HorizonConfig(T=1.0, K=4), 3)
+        assert [f.name for f in fields(tree)] == ["K", "delta_t", "d", "driver"]
+        assert tree.b == 27 and tree.branch_increments.shape == (27, 3)
+
+    def test_recursions_never_build_the_branch_template(self):
+        # 3^10 = 59 049 branches: the template alone would take 5.2 MB
+        sys_ = make_system(np.zeros((2, 2)), np.eye(2), C=[0.1 * np.eye(2)] * 10)
+
+        def c_opt():
+            tree = build_tree(TreeDriver.trinomial(), HorizonConfig(T=1.0, K=4), d=10)
+            return optimal_constant(assemble_forms(tree, sys_), 0.5)
+
+        c_opt()
+        tracemalloc.start()
+        try:
+            rep = c_opt()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.observable
+        assert peak < 1_000_000
+
 
 class TestForward:
     def test_zero_initial_zero_control_stays_zero(self, rng):
         sys_ = random_system(rng)
         tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=3), sys_.d)
         x = simulate_forward(tree, sys_, np.zeros(sys_.n))
-        assert all(not layer.any() for layer in x.values)
+        assert all(not layer.any() for layer in x)
 
     def test_single_step_state_noise(self):
         # x = 1 + xi: leaves 1 -/+ sqrt(dt), E|x(T)|^2 = 1 + dt
@@ -132,16 +162,16 @@ class TestForward:
         tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=dt, K=1), 1)
         x = simulate_forward(tree, sys_, [1.0])
         assert np.allclose(
-            np.sort(x.terminal[:, 0]), [1 - np.sqrt(dt), 1 + np.sqrt(dt)]
+            np.sort(x[-1][:, 0]), [1 - np.sqrt(dt), 1 + np.sqrt(dt)]
         )
-        assert terminal_expectation_sq(tree, x.terminal) == pytest.approx(1 + dt)
+        assert terminal_expectation_sq(tree, x[-1]) == pytest.approx(1 + dt)
 
     def test_deterministic_drift_compounds(self):
         sys_ = make_system([[1.0]], [[0.0]], C=[[[0.0]]], D=[[[0.0]]])
         K = 5
         tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=K), 1)
         x = simulate_forward(tree, sys_, [1.0])
-        assert np.allclose(x.terminal, (1 + 1 / K) ** K, atol=1e-12)
+        assert np.allclose(x[-1], (1 + 1 / K) ** K, atol=1e-12)
 
 
 class TestBackward:
@@ -152,9 +182,9 @@ class TestBackward:
         bw = solve_bsde(tree, sys_, np.full((tree.leaf_count, 1), v))
         assert np.allclose(bw.y0, v)
         for k in range(tree.K):
-            assert np.allclose(bw.y.values[k], v)
-            assert np.allclose(bw.z.values[k], 2.0 * v)  # z = B^T y
-            assert not bw.Y[0].values[k].any()
+            assert np.allclose(bw.y[k], v)
+            assert np.allclose(bw.z[k], 2.0 * v)  # z = B^T y
+            assert not bw.Y[0][k].any()
 
     def test_one_step_hand_values(self):
         sys_ = make_system([[0.0]], [[1.0]], C=[[[0.0]]], D=[[[0.0]]])
@@ -164,8 +194,8 @@ class TestBackward:
         # -sd on the down leaf (branch order ascending in the increment)
         bw = solve_bsde(tree, sys_, np.array([[-sd], [sd]]))
         assert bw.y0[0] == pytest.approx(0.0, abs=1e-15)
-        assert bw.Y[0].values[0][0, 0] == pytest.approx(1.0, abs=1e-14)
-        assert bw.z.values[0][0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert bw.Y[0][0][0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert bw.z[0][0, 0] == pytest.approx(0.0, abs=1e-15)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000), st.floats(-3, 3), st.floats(-3, 3))
@@ -180,8 +210,8 @@ class TestBackward:
         b = solve_bsde(tree, sys_, y1b)
         for k in range(tree.K + 1):
             assert np.allclose(
-                mix.y.values[k],
-                alpha * a.y.values[k] + beta * b.y.values[k],
+                mix.y[k],
+                alpha * a.y[k] + beta * b.y[k],
                 atol=1e-10,
             )
 
@@ -202,7 +232,7 @@ class TestBackward:
         y1 = rng.standard_normal((tree.leaf_count, 2))
         bw = solve_bsde(tree, sys_, y1)
         means = [
-            tree.depth_probs(k) @ bw.y.values[k] for k in range(tree.K + 1)
+            tree.depth_probs(k) @ bw.y[k] for k in range(tree.K + 1)
         ]
         for mk in means[1:]:
             assert np.allclose(mk, means[0], atol=1e-12)
@@ -220,7 +250,7 @@ class TestDuality:
         sys_ = random_system(rng, n_max=2)
         tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=3), sys_.d)
         y1 = np.zeros((tree.leaf_count, sys_.n))
-        u = AdaptedField.zeros(tree, sys_.m, tree.K - 1)
+        u = [np.zeros((tree.b**k, sys_.m)) for k in range(tree.K)]
         assert duality_residual(tree, sys_, u, np.zeros(sys_.n), y1) == 0.0
 
     @pytest.mark.parametrize("driver", ALL_DRIVERS[:2], ids=lambda d: d.kind)
@@ -230,9 +260,7 @@ class TestDuality:
             b = len(driver.support) ** sys_.d
             K = min(5, int(np.log(2e5) / np.log(b)))
             tree = build_tree(driver, HorizonConfig(T=1.0, K=K), sys_.d)
-            u = AdaptedField(
-                [rng.standard_normal((tree.b**k, sys_.m)) for k in range(tree.K)]
-            )
+            u = [rng.standard_normal((tree.b**k, sys_.m)) for k in range(tree.K)]
             y1 = rng.standard_normal((tree.leaf_count, sys_.n))
             x0 = rng.standard_normal(sys_.n)
             assert duality_residual(tree, sys_, u, x0, y1) < 1e-10
