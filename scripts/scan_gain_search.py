@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Stabilizability verdicts of ``solve_sare`` against independent oracles.
 
-Three scans, each printing its mismatch and undecided counts, the
+Four kinds of scan, each printing its mismatch and undecided counts, the
 evidence behind its NotSolvable verdicts, its slowest draws and a
 ``digest:`` line, the sha256 of the sorted (label, verdict, evidence,
 Newton iterations) records, so that two checkouts' scans compare in one
@@ -12,13 +12,19 @@ line:
   criterion for n = 1;
 - stream: the first ``--stream-draws`` draws of
   ``random_system(default_rng(7))``, against ``perfbench/oracle.py``'s
-  ``stabilizable`` (the quadratic criterion for n = 1, value iteration
-  to convergence or to its growth cap otherwise);
+  ``stabilizable`` (the quadratic criterion for n = 1, otherwise the
+  oracle's own Euler-step recursion of the value, run to convergence or
+  to its growth cap);
 - stiff: A = diag(-a, 1) for a in ``STIFF_A`` and A = diag(-2500, -lam, 1)
   for lam in ``STIFF_LAM``, with B the last unit vector, C_1 = 2 B B^T and
   D_1 = 0.  Each is stabilizable: the gain F = -4 B^T gives lift abscissa
   2 (1 - 4) + 2^2 = -2, which the scan checks on the oracle's lift.  The
-  Euler value at step 0.01 grows on every one of them.
+  Euler value at step 0.01 grows on every one of them;
+- symmetry: the stream draws in another time unit, (eps A, eps B,
+  sqrt(eps) C, sqrt(eps) D) for eps in ``TIME_UNITS``, and with another
+  input unit, (B, D) -> (r B, r D) for r in ``INPUT_SCALES``, one scan
+  per map, against ``solve_sare``'s own verdict on the draw: neither map
+  changes a verdict in exact arithmetic.
 
 Run from the root of a source checkout:
 
@@ -46,6 +52,8 @@ from tests.conftest import random_system  # noqa: E402
 
 STIFF_A = (250.0, 1000.0, 2500.0, 1e4)
 STIFF_LAM = (150.0, 199.0, 201.0, 300.0)
+TIME_UNITS = (1e-6, 1e-3)
+INPUT_SCALES = (1e-4, 1e-3, 1e3)
 
 
 def verdict(sys_):
@@ -76,6 +84,17 @@ def stiff_systems():
         sys_ = make_system(np.diag(diag), B, C=[2.0 * B @ B.T], D=[np.zeros((n, 1))])
         system = oracle.as_system(sys_.A, sys_.B, sys_.C, sys_.D)
         yield label, sys_, oracle.lift_abscissa(system, -4.0 * B.T) < 0
+
+
+def symmetry_scans():
+    """(name, map) for each time unit and input scale of the symmetry scan."""
+    for eps in TIME_UNITS:
+        r = np.sqrt(eps)
+        yield f"time unit {eps:g}", lambda s, eps=eps, r=r: make_system(
+            eps * s.A, eps * s.B, C=[r * c for c in s.C], D=[r * d for d in s.D])
+    for r in INPUT_SCALES:
+        yield f"input scale {r:g}", lambda s, r=r: make_system(
+            s.A, r * s.B, C=list(s.C), D=[r * d for d in s.D])
 
 
 def scan(name, cases, slowest):
@@ -118,6 +137,10 @@ def main():
     bad += scan("stream", ((f"draw {i}", sys_, oracle_verdict(sys_))
                            for i, sys_ in enumerate(stream)), args.slowest)
     bad += scan("stiff", stiff_systems(), args.slowest)
+    own = [verdict(sys_)[0] for sys_ in stream]
+    for name, transform in symmetry_scans():
+        bad += scan(name, ((f"draw {i}", transform(sys_), own[i])
+                           for i, sys_ in enumerate(stream)), args.slowest)
     return 1 if bad else 0
 
 

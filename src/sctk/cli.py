@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
@@ -382,9 +381,10 @@ def _cmd_synthesize(cfg: RunConfig, out_dir):
     res = synthesize_control(control_kernel(forms, c, cfg.delta), cfg.x0)
     rows = field_to_rows(tree, res.u)
     header = "node,depth," + ",".join(f"u{i}" for i in range(cfg.system.m))
-    buf = io.StringIO()
-    np.savetxt(buf, rows, delimiter=",", header=header, comments="")
-    _write_text(Path(out_dir) / "control_field.csv", buf.getvalue())
+    # np.savetxt's default "%.18e" rows, formatted in one pass
+    line = ",".join(["%.18e"] * rows.shape[1]) + "\n"
+    body = line * len(rows) % tuple(rows.ravel().tolist())
+    _write_text(Path(out_dir) / "control_field.csv", header + "\n" + body)
     payload = {
         "c": c,
         "delta": cfg.delta,

@@ -61,15 +61,20 @@ def build_generator(sys: StochasticSystem, F=None) -> np.ndarray:
     return kron_sum(cl[1:], drift.reshape(n * n, n * n))
 
 
-def spectral_abscissa(L: np.ndarray) -> float:
-    """Largest real part over the spectrum of the lift matrix."""
+def lift_spectrum(L: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the lift matrix, complex."""
     # LAPACK dgeev takes a NaN as an illegal argument, so it is caught first
     if not np.isfinite(L).all():
         raise NumericalFailure("eigen decomposition failed: lift matrix is not finite")
-    wr, _, _, _, info = dgeev(L, compute_vl=0, compute_vr=0)
+    wr, wi, _, _, info = dgeev(L, compute_vl=0, compute_vr=0)
     if info != 0:
         raise NumericalFailure(f"eigen decomposition failed (dgeev info {info})")
-    return float(wr.max())
+    return wr + 1j * wi
+
+
+def spectral_abscissa(L: np.ndarray) -> float:
+    """Largest real part over the spectrum of the lift matrix."""
+    return float(lift_spectrum(L).real.max())
 
 
 def propagate_second_moment(L: np.ndarray, X0, t: float) -> np.ndarray:

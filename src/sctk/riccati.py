@@ -31,28 +31,31 @@ can be stabilized, so there the exact Hautus test gives the verdict.
 ``_lqr_gain`` computes it by Laub's method (IEEE TAC 24(6), 1979): the
 ordered real Schur form of the Hamiltonian [[A, -B B^T], [-I, -A^T]],
 stable eigenvalues first, gives P = U_21 U_11^{-1}.  A noisy system goes
-on to value iteration on the Riccati ODE of the same problem: from
-P(0) = 0, dP/dt is the Riccati operator at P.  x0^T P(t) x0 is the least
-cost over a horizon t, and P(t) rises to the SARE solution exactly when
-the SDE is mean-square stabilizable.  LSODA steps it at rtol ``VI_RTOL``; at
-t = 1, 2, 4, ... ``VI_HORIZON`` and once max|P_ij| passes
-``VI_GROWTH_CAP``, the gain of P is tested on the lift, and H(Q) >= 0 is
-tested at Q = P / max|P_ij|.
+on to Newton-Kleinman continued in a shift beta: the system
+(A - beta I, B, C, D) has the lift L_F - 2 beta I, so the zero gain
+stabilizes it at beta_0 = max(0, alpha_0 / 2) + rho_0, from the abscissa
+and spectral radius of the zero-gain lift.  Each shift takes one Kleinman
+step from the current gain, which stabilizes the shifted system, so P > 0
+and the next gain stabilizes it too (Damm and Hinrichsen, LAA 332-334,
+2001); at the next gain's shifted abscissa a < 0 the shift moves to
+beta + 0.45 a, clipped at 0, where that gain leaves the abscissa a / 10.
 
-Every verdict is read off an exact test, a gain by its lift abscissa and
-NotSolvable by the eigenvalues of H(Q); the ODE's error only changes
-which gains and which Q are tried.  H(Q) >= 0 keeps E x^T Q x from
-decreasing, so from any x0 with x0^T Q x0 > 0 no control, feedback or
-not, drives E|x|^2 to 0 (``evidence: "certificate"``; the dual side of
-the LMI test of Ait Rami and Zhou, IEEE TAC 45(6), 2000).  The test has
-no step size, so stiffness cannot fool it.  When no certificate is found
-before the value passes the cap, growth past the cap is the evidence
-(``evidence: "cap"``), which is not a proof; the gain of H(Q)'s
-minimiser over u is tested first, as a stabilizing gain can need a value
-above the cap.  ``NumericalFailure`` (not a verdict) is raised when
-value iteration reaches neither a gain, a certificate nor the cap by
-``VI_HORIZON``, or when Newton-Kleinman stalls or ends outside the
-positive-definite stabilizing class.
+Every verdict is read off an exact test after each step, a gain by its
+lift abscissa and NotSolvable by the eigenvalues of H(Q) at Q = P /
+max|P_ij|; the continuation only changes which gains and Q are tried.
+H(Q) >= 0 keeps E x^T Q x from decreasing, so from any x0 with
+x0^T Q x0 > 0 no control, feedback or not, drives E|x|^2 to 0
+(``evidence: "certificate"``; the dual side of the LMI test of Ait Rami
+and Zhou, IEEE TAC 45(6), 2000).  The test has no step size, so
+stiffness cannot fool it.  A step below ``SHIFT_RTOL`` times beta_0
+stalls the continuation at a shift beta* >= 0, about half the least lift
+abscissa the gains reached: after the gain of H(Q)'s minimiser over u
+fails, that stall is the evidence (``evidence: "cap"``), which is not a
+proof.  Both stops are relative to beta_0, so no time unit enters.
+``NumericalFailure`` (not a verdict) is raised when a shifted solve is
+singular or not finite, when the continuation takes more than
+``NEWTON_MAX_ITER`` steps, or when Newton-Kleinman stalls or ends outside
+the positive-definite stabilizing class.
 """
 
 from __future__ import annotations
@@ -64,15 +67,13 @@ from scipy.linalg import schur
 from scipy.linalg.lapack import dgesv
 
 from .errors import NumericalFailure
-from .moments import build_generator, spectral_abscissa
+from .moments import build_generator, lift_spectrum, spectral_abscissa
 from .systems import StochasticSystem, hautus_stabilizability
 
 GAIN_MARGIN = 1e-9  # a gain stabilizes when its lift abscissa is below -GAIN_MARGIN
 NEWTON_RTOL = 1e-12  # Newton stops at residual below NEWTON_RTOL * max(1, |P|)
-NEWTON_MAX_ITER = 100
-VI_RTOL = 1e-3  # relative tolerance of the value iteration's ODE solve
-VI_GROWTH_CAP = 1e9  # largest |P_ij| below which the value counts as bounded
-VI_HORIZON = 2048.0  # last time of the value iteration, a power of two
+NEWTON_MAX_ITER = 100  # bound on the Newton steps of the solve and of the continuation
+SHIFT_RTOL = 1e-9  # the continuation stalls at a shift step below SHIFT_RTOL * beta_0
 CERT_ROUNDING = 64.0  # safety factor on the rounding bound of the certificate
 
 
@@ -122,10 +123,14 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
     goes into ``evidence`` when a dict is given.
     """
     n = sys.n
-    F = np.zeros((sys.m, n))
-    alpha = closed_loop_abscissa(sys, F)
+    L = build_generator(sys)
+    spectrum = lift_spectrum(L)
+    alpha = float(spectrum.real.max())
     if alpha < -GAIN_MARGIN:
-        return F, alpha
+        return np.zeros((sys.m, n)), alpha
+    # the first shift of the continuation below: the zero gain stabilizes
+    # there, and a lift whose spectrum is {0} has no rate of its own
+    beta0 = max(0.0, alpha / 2.0) + (float(np.abs(spectrum).max()) or 1.0)
     F = _lqr_gain(sys.A, sys.B)
     if F is not None:
         alpha = closed_loop_abscissa(sys, F)
@@ -143,57 +148,46 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
         evidence["hautus"] = False
         return None
 
-    # continuous value iteration and the H(Q) certificate (module
-    # docstring); LSODA is imported only where a noisy system needs it
-    from scipy.integrate import LSODA
-
+    # shift continuation from the zero gain (module docstring)
     maps = sys.maps
-
-    def rhs(t, p):
-        # the Riccati operator at the symmetric part of P: the solver's
-        # rounding would otherwise feed an asymmetric drift
-        P = p.reshape(n, n)
-        return _riccati(maps, 0.5 * (P + P.T))[0].ravel()
-
-    ode = LSODA(rhs, 0.0, np.zeros(n * n), VI_HORIZON, rtol=VI_RTOL)
-    check = 1.0
-    while ode.status == "running":
-        message = ode.step()
-        P = ode.y.reshape(n, n)
+    F = np.zeros((sys.m, n))
+    beta = beta0
+    for _ in range(NEWTON_MAX_ITER):
+        # one Kleinman step on the system shifted by beta, whose lift under F
+        # is L - 2 beta I: F stabilizes it, so P > 0
+        L.flat[:: n * n + 1] -= 2.0 * beta
+        P = _lyapunov_solve(sys, F, L)
         growth = float(np.abs(P).max())
-        if ode.status == "failed" or not np.isfinite(growth):
-            raise NumericalFailure(
-                f"value iteration failed at t = {ode.t:.4g}: {message or 'value not finite'}"
-            )
-        capped = growth > VI_GROWTH_CAP
-        if not (capped or ode.t >= check):
-            continue
-        while check <= ode.t:
-            check *= 2.0
-        F = _riccati(maps, 0.5 * (P + P.T))[1]
-        alpha = closed_loop_abscissa(sys, F)
+        F = _riccati(maps, P)[1]  # the shift moves only H's x-block
+        L = build_generator(sys, F)
+        alpha = spectral_abscissa(L)
         if alpha < -GAIN_MARGIN:
             return F, alpha
-        Q = (P + P.T) / (2.0 * growth)
+        Q = P / growth
         H = _h_form(maps, Q)
         margin = _certificate_margin(maps, Q, H)
-        if margin is not None or capped:
+        # F stabilizes the system shifted by beta at abscissa a = alpha -
+        # 2 beta < 0; 45 % of the way to a leaves it the abscissa a / 10,
+        # and an a >= 0 from rounding is a stall
+        step = -0.45 * (alpha - 2.0 * beta)
+        if margin is not None or step < SHIFT_RTOL * beta0:
             break
+        beta = max(0.0, beta - step)
     else:
         raise NumericalFailure(
-            f"value iteration reached neither a stabilizing gain, a certificate "
-            f"nor the cap by t = {ode.t:.4g} (value growth {growth:.3e})"
+            f"shift continuation reached neither a stabilizing gain, a certificate "
+            f"nor a stall in {NEWTON_MAX_ITER} steps (shift {beta:.6g})"
         )
     if margin is None:
-        # past the cap, the gain of H(Q)'s minimiser over u can stabilize
-        # where the gain of the capped value does not
+        # at the stall, the gain of H(Q)'s minimiser over u can stabilize
+        # where the continuation's gain does not
         F = _minimiser_gain(H, n)
         alpha = closed_loop_abscissa(sys, F)
         if alpha < -GAIN_MARGIN:
             return F, alpha
     evidence.update(
         evidence="cap" if margin is None else "certificate",
-        horizon=ode.t,
+        shift=beta,
         value_growth=growth,
     )
     if margin is not None:
@@ -300,15 +294,17 @@ def _certificate_margin(maps, Q, H):
     return None
 
 
-def _lyapunov_solve(sys: StochasticSystem, F) -> np.ndarray:
+def _lyapunov_solve(sys: StochasticSystem, F, L=None) -> np.ndarray:
     """Solve (A+BF)^T P + P(A+BF) + sum (C+DF)^T P (C+DF) = -(I + F^T F).
 
     The operator is the adjoint of the second-moment lift, so its matrix
-    is the transpose of build_generator(sys, F).
+    is the transpose of L = build_generator(sys, F), or of the lift L
+    given (the continuation's, shifted).
     """
     n = sys.n
     rhs = -(np.eye(n) + F.T @ F).ravel()
-    _, _, x, info = dgesv(build_generator(sys, F).T, rhs)
+    L = build_generator(sys, F) if L is None else L
+    _, _, x, info = dgesv(L.T, rhs)
     if info != 0 or not np.isfinite(x).all():
         raise NumericalFailure(
             f"lifted Lyapunov solve is singular or not finite (dgesv info {info})"
