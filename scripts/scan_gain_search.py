@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Stabilizability verdicts of ``solve_sare`` against independent oracles.
+"""Stabilizability verdicts of ``solve_sare`` against independent oracles,
+and the equivalence harness's four verdicts.
 
-Four kinds of scan, each printing its mismatch and undecided counts, the
+Four kinds of verdict scan, each printing its mismatch and undecided counts, the
 evidence behind its NotSolvable verdicts, its slowest draws and a
 ``digest:`` line, the sha256 of the sorted (label, verdict, evidence,
 Newton iterations) records, so that two checkouts' scans compare in one
@@ -24,7 +25,11 @@ line:
   sqrt(eps) C, sqrt(eps) D) for eps in ``TIME_UNITS``, and with another
   input unit, (B, D) -> (r B, r D) for r in ``INPUT_SCALES``, one scan
   per map, against ``solve_sare``'s own verdict on the draw: neither map
-  changes a verdict in exact arithmetic.
+  changes a verdict in exact arithmetic;
+- equivalence: ``equivalence_harness`` on the stream draws and the stiff
+  family at each delta in ``EQUIVALENCE_DELTAS``, printing the systems
+  whose four verdicts disagree, the count of each witness kind over all
+  verdicts, and a digest of the (label, verdicts, witness kinds) records.
 
 Run from the root of a source checkout:
 
@@ -47,13 +52,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "perfbench")]
 import oracle  # noqa: E402
 from sctk.errors import NumericalFailure  # noqa: E402
 from sctk.riccati import NotSolvable, solve_sare  # noqa: E402
+from sctk.stabilizer import equivalence_harness  # noqa: E402
 from sctk.systems import make_system  # noqa: E402
 from tests.conftest import random_system  # noqa: E402
 
 STIFF_A = (250.0, 1000.0, 2500.0, 1e4)
 STIFF_LAM = (150.0, 199.0, 201.0, 300.0)
-TIME_UNITS = (1e-6, 1e-3)
+TIME_UNITS = (1e-6, 1e-3, 1e3)
 INPUT_SCALES = (1e-4, 1e-3, 1e3)
+EQUIVALENCE_DELTAS = (0.5, 0.9)
 
 
 def verdict(sys_):
@@ -120,6 +127,31 @@ def scan(name, cases, slowest):
     return len(mismatches) + len(undecided)
 
 
+def equivalence_scan(delta, cases):
+    """Run the equivalence harness on (label, system) pairs at delta."""
+    disagreements, undecided, kinds, records = [], [], collections.Counter(), []
+    start = time.perf_counter()
+    for label, sys_ in cases:
+        try:
+            rep = equivalence_harness(sys_, delta)
+        except NumericalFailure:
+            undecided.append(label)
+            records.append((label, None, None))
+            continue
+        witnesses = [w["kind"] for w in rep.witness.values()]
+        kinds.update(witnesses)
+        records.append((label, list(rep.verdicts), witnesses))
+        if not rep.agreement:
+            disagreements.append(label)
+    print(f"equivalence at delta {delta:g}: {len(records)} systems in "
+          f"{time.perf_counter() - start:.2f} s; disagreements {len(disagreements)} "
+          f"{disagreements}; undecided {len(undecided)} {undecided}")
+    print(f"  witnesses: {dict(sorted(kinds.items()))}")
+    blob = json.dumps(sorted(records)).encode()
+    print(f"  digest: {hashlib.sha256(blob).hexdigest()}")
+    return len(disagreements) + len(undecided)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -141,6 +173,10 @@ def main():
     for name, transform in symmetry_scans():
         bad += scan(name, ((f"draw {i}", transform(sys_), own[i])
                            for i, sys_ in enumerate(stream)), args.slowest)
+    cases = [(f"draw {i}", sys_) for i, sys_ in enumerate(stream)]
+    cases += [(label, sys_) for label, sys_, _ in stiff_systems()]
+    for delta in EQUIVALENCE_DELTAS:
+        bad += equivalence_scan(delta, cases)
     return 1 if bad else 0
 
 

@@ -64,14 +64,14 @@ _KNOWN_KEYS = {
     "driver": str,
     "gh_levels": int,
     "delta": (int, float),
-    "delta_grid": list,
-    "T_grid": list,
     "c": (int, float),
     "x0": list,
-    # accepted for configs written for the Monte Carlo stabilizer; no
-    # result depends on either
+    # accepted for configs written for the Monte Carlo stabilizer and the
+    # grid equivalence harness; no result depends on any of them
     "seed": int,
     "paths": int,
+    "delta_grid": list,
+    "T_grid": list,
     "k_max": int,
     "max_leaves": int,
 }
@@ -86,8 +86,6 @@ class RunConfig:
     horizon: HorizonConfig
     driver: TreeDriver
     delta: float
-    delta_grid: list
-    T_grid: list
     K_grid: list
     c: float  # None: use the optimal constant
     x0: np.ndarray
@@ -180,8 +178,6 @@ def parse_config(data: dict) -> RunConfig:
         horizon=horizon,
         driver=driver,
         delta=delta,
-        delta_grid=[float(v) for v in data.get("delta_grid", [0.3, 0.6, 0.9])],
-        T_grid=[float(v) for v in data.get("T_grid", [0.5, 1.0])],
         K_grid=[int(v) for v in data.get("K_grid", [4, 6, 8])],
         c=float(data["c"]) if "c" in data else None,
         x0=x0,
@@ -458,13 +454,8 @@ def _cmd_stabilize(cfg: RunConfig, out_dir):
 
 
 def _cmd_equivalence(cfg: RunConfig):
-    rep = equivalence_harness(
-        cfg.system,
-        cfg.T_grid,
-        cfg.delta_grid,
-        horizon_K=cfg.horizon.K,
-        driver=cfg.driver,
-    )
+    # a delta outside (0, 1) is a ValueError, so exit 1
+    rep = equivalence_harness(cfg.system, cfg.delta)
     payload = asdict(rep)
     return payload, (
         f"equivalence: verdicts {rep.verdicts}, agreement "

@@ -90,14 +90,15 @@ def propagate_second_moment(L: np.ndarray, X0, t: float) -> np.ndarray:
     return 0.5 * (Xt + Xt.T)
 
 
-def adjoint_state(sys: StochasticSystem, tau: float) -> np.ndarray:
-    """S(tau) of the adjoint flow dS/dt = A^T S + S A + sum C_i^T S C_i, S(0)=I.
+def adjoint_state(sys: StochasticSystem, tau: float, F=None) -> np.ndarray:
+    """S(tau) of the adjoint flow dS/dt = A^T S + S A + sum C_i^T S C_i, S(0)=I,
+    of the open loop, or of the closed loop under the gain u = F x.
 
     trace(S(tau) X0) = trace(X(tau)) for every initial second moment X0, so
     S(tau) converts terminal energy questions into a single matrix.
     """
     n = sys.n
-    S = (expm(tau * build_generator(sys).T) @ np.eye(n).ravel()).reshape(n, n)
+    S = (expm(tau * build_generator(sys, F).T) @ np.eye(n).ravel()).reshape(n, n)
     return 0.5 * (S + S.T)
 
 

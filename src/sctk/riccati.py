@@ -41,8 +41,9 @@ and the next gain stabilizes it too (Damm and Hinrichsen, LAA 332-334,
 beta + 0.45 a, clipped at 0, where that gain leaves the abscissa a / 10.
 
 Every verdict is read off an exact test after each step, a gain by its
-lift abscissa and NotSolvable by the eigenvalues of H(Q) at Q = P /
-max|P_ij|; the continuation only changes which gains and Q are tried.
+lift abscissa (below -``GAIN_MARGIN`` rho_0) and NotSolvable by the
+eigenvalues of H(Q) at Q = P / max|P_ij|; the continuation only changes
+which gains and Q are tried.
 H(Q) >= 0 keeps E x^T Q x from decreasing, so from any x0 with
 x0^T Q x0 > 0 no control, feedback or not, drives E|x|^2 to 0
 (``evidence: "certificate"``; the dual side of the LMI test of Ait Rami
@@ -51,7 +52,8 @@ stiffness cannot fool it.  A step below ``SHIFT_RTOL`` times beta_0
 stalls the continuation at a shift beta* >= 0, about half the least lift
 abscissa the gains reached: after the gain of H(Q)'s minimiser over u
 fails, that stall is the evidence (``evidence: "cap"``), which is not a
-proof.  Both stops are relative to beta_0, so no time unit enters.
+proof.  Both stops are relative to beta_0, the gain margin to rho_0 and
+the Newton stop to |H(P) + I|, so no time unit enters.
 ``NumericalFailure`` (not a verdict) is raised when a shifted solve is
 singular or not finite, when the continuation takes more than
 ``NEWTON_MAX_ITER`` steps, or when Newton-Kleinman stalls or ends outside
@@ -70,8 +72,8 @@ from .errors import NumericalFailure
 from .moments import build_generator, lift_spectrum, spectral_abscissa
 from .systems import StochasticSystem, hautus_stabilizability
 
-GAIN_MARGIN = 1e-9  # a gain stabilizes when its lift abscissa is below -GAIN_MARGIN
-NEWTON_RTOL = 1e-12  # Newton stops at residual below NEWTON_RTOL * max(1, |P|)
+GAIN_MARGIN = 1e-9  # a gain stabilizes at lift abscissa below -GAIN_MARGIN * rho_0
+NEWTON_RTOL = 1e-12  # Newton stops at residual below NEWTON_RTOL * |H(P) + I|_F
 NEWTON_MAX_ITER = 100  # bound on the Newton steps of the solve and of the continuation
 SHIFT_RTOL = 1e-9  # the continuation stalls at a shift step below SHIFT_RTOL * beta_0
 CERT_ROUNDING = 64.0  # safety factor on the rounding bound of the certificate
@@ -116,7 +118,8 @@ def closed_loop_abscissa(sys: StochasticSystem, F) -> float:
 
 
 def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
-    """Deterministic search for a gain with lift abscissa below -GAIN_MARGIN.
+    """Deterministic search for a gain with lift abscissa below
+    -GAIN_MARGIN * rho_0, rho_0 the spectral radius of the zero-gain lift.
 
     Returns (F, abscissa), or None when no gain is found (the order of the
     search is in the module docstring); the evidence for that verdict
@@ -126,15 +129,17 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
     L = build_generator(sys)
     spectrum = lift_spectrum(L)
     alpha = float(spectrum.real.max())
-    if alpha < -GAIN_MARGIN:
+    # the system's own rate; a lift whose spectrum is {0} has none
+    rho0 = float(np.abs(spectrum).max()) or 1.0
+    stable_below = -GAIN_MARGIN * rho0
+    if alpha < stable_below:
         return np.zeros((sys.m, n)), alpha
-    # the first shift of the continuation below: the zero gain stabilizes
-    # there, and a lift whose spectrum is {0} has no rate of its own
-    beta0 = max(0.0, alpha / 2.0) + (float(np.abs(spectrum).max()) or 1.0)
+    # the first shift of the continuation below: the zero gain stabilizes there
+    beta0 = max(0.0, alpha / 2.0) + rho0
     F = _lqr_gain(sys.A, sys.B)
     if F is not None:
         alpha = closed_loop_abscissa(sys, F)
-        if alpha < -GAIN_MARGIN:
+        if alpha < stable_below:
             return F, alpha
     evidence = {} if evidence is None else evidence
 
@@ -161,7 +166,7 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
         F = _riccati(maps, P)[1]  # the shift moves only H's x-block
         L = build_generator(sys, F)
         alpha = spectral_abscissa(L)
-        if alpha < -GAIN_MARGIN:
+        if alpha < stable_below:
             return F, alpha
         Q = P / growth
         H = _h_form(maps, Q)
@@ -183,7 +188,7 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
         # where the continuation's gain does not
         F = _minimiser_gain(H, n)
         alpha = closed_loop_abscissa(sys, F)
-        if alpha < -GAIN_MARGIN:
+        if alpha < stable_below:
             return F, alpha
     evidence.update(
         evidence="cap" if margin is None else "certificate",
@@ -230,15 +235,15 @@ def _h_form(maps, Q) -> np.ndarray:
 
 
 def _riccati(maps, P):
-    """(G_xx - G_xu G_uu^{-1} G_ux, -G_uu^{-1} G_ux) at G = H(P) + I: the
-    Riccati operator at symmetric P and its gain (module docstring)."""
+    """(G_xx - G_xu G_uu^{-1} G_ux, -G_uu^{-1} G_ux, G) at G = H(P) + I: the
+    Riccati operator at symmetric P, its gain and G (module docstring)."""
     n, k = maps.shape[1:]
     G = _h_form(maps, P)
     G.flat[:: k + 1] += 1.0
     _, _, X, info = dgesv(G[n:, n:], G[n:, :n])
     if info != 0:
         raise NumericalFailure(f"gain matrix I + sum D^T P D is singular (dgesv info {info})")
-    return G[:n, :n] - G[:n, n:] @ X, -X
+    return G[:n, :n] - G[:n, n:] @ X, -X, G
 
 
 def _unit_columns(H, n):
@@ -318,8 +323,10 @@ def solve_sare(sys: StochasticSystem):
 
     The first gain, or the NotSolvable verdict, comes from
     ``find_stabilizing_gain``.  The iteration stops once the residual is
-    below NEWTON_RTOL * max(1, |P|), and raises NumericalFailure when it
-    stalls or ends outside the positive-definite stabilizing class.
+    below NEWTON_RTOL * |H(P) + I|_F, the size of the terms it cancels,
+    which a change of time unit scales alike, and raises
+    NumericalFailure when it stalls or ends outside the positive-definite
+    stabilizing class.
     """
     evidence = {}
     found = find_stabilizing_gain(sys, evidence=evidence)
@@ -332,9 +339,9 @@ def solve_sare(sys: StochasticSystem):
     maps = sys.maps
     for it in range(1, NEWTON_MAX_ITER + 1):
         P = _lyapunov_solve(sys, F)
-        R, F = _riccati(maps, P)
+        R, F, G = _riccati(maps, P)
         residual = float(np.linalg.norm(R))
-        if residual < NEWTON_RTOL * max(1.0, float(np.linalg.norm(P))):
+        if residual < NEWTON_RTOL * float(np.linalg.norm(G)):
             break
     else:
         raise NumericalFailure(

@@ -32,30 +32,32 @@ lift integral
 reported together with a certified exponential tail bound from the
 closed-loop abscissa.
 
-The equivalence harness runs the four verdicts (Riccati solvable,
+The equivalence harness reads the four verdicts (Riccati solvable,
 feedback stabilizable, weakly observable, approximately null
-controllable with cost) and checks they agree; a coarse-mesh disagreement
-where only the finite-horizon verdicts fail triggers one automatic mesh
-refinement before reporting.
+controllable with cost) off one SARE solve, each from a witness of its
+own: the solution, its gain's lift abscissa, and the continuous-time
+observability pair (T, delta, c) that the gain's lift certifies; or, for
+all four, the evidence of NotSolvable.  No tree or (T, delta) grid
+enters, so no verdict depends on a mesh.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .moments import build_generator, spectral_abscissa
-from .nullcontrol import ControlKernel, _interval_map, verify_theorem_5_1
-from .observability import assemble_forms
+from .errors import NumericalFailure
+from .moments import adjoint_state, build_generator, spectral_abscissa
+from .nullcontrol import ControlKernel, _interval_map
 from .riccati import NotSolvable, solve_sare
-from .systems import HorizonConfig, StochasticSystem
-from .trees import TreeDriver, build_tree
+from .systems import StochasticSystem
 
 DIVERGED_T_MAX = 10.0  # length of the reported curve of a diverging gain
 TAIL_RTOL = 1e-4  # the cost's tail bound must fall below TAIL_RTOL * cost
+CERT_MAX_DOUBLINGS = 64  # bound on the doublings of the lift certificate's T
 
 
 @dataclass(frozen=True)
@@ -228,6 +230,14 @@ def run_riccati_feedback(sys: StochasticSystem, F, x0, dt_report: float = 0.1) -
     )
 
 
+VERDICTS = (
+    "riccati_solvable",
+    "feedback_stabilizable",
+    "weakly_observable",
+    "null_controllable_with_cost",
+)
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     riccati_solvable: bool
@@ -235,93 +245,68 @@ class EquivalenceReport:
     weakly_observable: bool
     null_controllable_with_cost: bool
     agreement: bool
-    grid_point: tuple = None  # (T, delta) where (c)/(d) were certified
-    refined: bool = False
-    details: dict = field(default_factory=dict)
+    witness: dict  # verdict name -> what it was read off, its "kind" first
 
     @property
     def verdicts(self) -> tuple:
-        return (
-            self.riccati_solvable,
-            self.feedback_stabilizable,
-            self.weakly_observable,
-            self.null_controllable_with_cost,
-        )
+        return tuple(getattr(self, name) for name in VERDICTS)
 
 
-def equivalence_harness(
-    sys: StochasticSystem,
-    T_grid: list,
-    delta_grid: list,
-    horizon_K: int = 4,
-    driver: TreeDriver = None,
-) -> EquivalenceReport:
-    """Four-way equivalence check across the (T, delta) grid.
+def equivalence_harness(sys: StochasticSystem, delta: float) -> EquivalenceReport:
+    """The four verdicts of one system, each read off a witness.
 
-    Verdicts: (a) the algebraic Riccati equation has a stabilizing
-    solution; (b) some constant gain is mean-square stabilizing; (c) some
-    grid point has a finite observability constant with delta < 1;
-    (d) the synthesis bounds certify delta-null controllability with cost
-    at a passing grid point.  Here (b) follows from (a): solve_sare
-    raises NumericalFailure rather than return a gain whose closed-loop
-    abscissa (sol.abscissa) is not negative.  The theorem says all four
-    coincide; when (a) and (b) hold but the finite-horizon verdicts fail
-    at mesh K, the grid is retried once at 2K before reporting.
+    One solve_sare call decides them all.  When it solves: (a) the SARE
+    solution P, with its residual and Newton iterations; (b) its gain F,
+    whose closed-loop lift L has abscissa alpha < 0; (c) weak
+    observability and (d) null controllability with cost: the lift
+    certificate (T, delta, c) of the control u = F x.  Over [0, T] that
+    control leaves E|x_T|^2 = x0^T W_T x0 and spends E||u||^2 =
+    x0^T W_F x0, with W_T the adjoint flow from I under F
+    (``moments.adjoint_state``) and W_F = (e^{T L^T} - I) L^{-T} (F^T F),
+    so min_u ||u||^2 / c + E|x_T|^2 / delta <= |x0|^2 at
+    c = lambda_max(W_F) / (1 - lambda_max(W_T) / delta).  T starts at the
+    lift's own time scale 1 / (-alpha) and doubles until
+    lambda_max(W_T) <= delta / 2; past CERT_MAX_DOUBLINGS doublings that
+    is a NumericalFailure.  No tree, grid or time unit enters.
+
+    When solve_sare returns NotSolvable, all four are False and carry its
+    evidence.  Under an H(Q) >= 0 certificate ("certificate") E x^T Q x
+    never decreases, so from a top eigenvector x0 of Q, E|x_T|^2 >= |x0|^2
+    under every control; an uncontrollable unstable mode ("hautus") does
+    the same.  A stalled continuation ("cap") is not a proof.
     """
-    if not T_grid or not delta_grid:
-        raise ValueError("grids must be nonempty")
-    if not all(0.0 < dd < 1.0 for dd in delta_grid):
-        raise ValueError("delta grid values must lie in (0, 1)")
-    driver = driver or TreeDriver.bernoulli()
-    details: dict = {}
-
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     sol = solve_sare(sys)
-    solvable = not isinstance(sol, NotSolvable)
-    if solvable:
-        details["riccati"] = {
-            "P_eigs": np.linalg.eigvalsh(sol.P).tolist(),
-            "residual": sol.residual,
-        }
-        details["feedback_abscissa"] = sol.abscissa
+    if isinstance(sol, NotSolvable):
+        evidence = dict(sol.diagnostics)
+        witness = dict(kind=evidence.pop("evidence", "hautus"), **evidence)
+        return EquivalenceReport(False, False, False, False, True,
+                                 dict.fromkeys(VERDICTS, witness))
+
+    F, alpha, n = sol.F, sol.abscissa, sys.n
+    T = 1.0 / -alpha
+    for _ in range(CERT_MAX_DOUBLINGS):
+        terminal = float(np.linalg.eigvalsh(adjoint_state(sys, T, F))[-1])
+        if terminal <= delta / 2.0:
+            break
+        T *= 2.0
     else:
-        # the gain search behind NotSolvable is deterministic and, past the
-        # Hautus test, ends on a proof that no control stabilizes the SDE,
-        # H(Q) >= 0 (or on growth past the cap when no proof is found), so
-        # it also settles verdict (b)
-        details["riccati"] = {"verdict": sol.reason}
-    stabilizable = solvable
-
-    def certify(K):
-        # the first grid point with a finite c_opt certifies (c); (d) is the
-        # forward direction of its duality check: the synthesis bounds hold
-        for T in T_grid:
-            for dd in delta_grid:
-                tree = build_tree(driver, HorizonConfig(T=T, K=K), sys.d)
-                t51 = verify_theorem_5_1(assemble_forms(tree, sys), dd)
-                if t51.applicable:
-                    return True, bool(t51.forward_pass), (T, dd), t51
-        return False, False, None, None
-
-    observable, controllable, point, t51 = certify(horizon_K)
-    refined = False
-    if solvable and stabilizable and not (observable and controllable):
-        refined = True
-        observable, controllable, point, t51 = certify(2 * horizon_K)
-    if t51 is not None:
-        details["theorem51"] = {
-            "forward_pass": t51.forward_pass,
-            "converse_pass": t51.converse_pass,
-            "measured_cost": t51.measured_cost,
-            "c_opt": t51.c_opt,
-        }
-    verdicts = (solvable, stabilizable, observable, controllable)
-    return EquivalenceReport(
-        riccati_solvable=solvable,
-        feedback_stabilizable=stabilizable,
-        weakly_observable=observable,
-        null_controllable_with_cost=controllable,
-        agreement=len(set(verdicts)) == 1,
-        grid_point=point,
-        refined=refined,
-        details=details,
-    )
+        raise NumericalFailure(
+            f"terminal energy under the Riccati gain stays above delta / 2 at T = {T:.6g}"
+        )
+    L = build_generator(sys, F)
+    y = np.linalg.solve(L.T, (F.T @ F).ravel())
+    W_F = (expm(T * L.T) @ y - y).reshape(n, n)
+    control = max(0.0, float(np.linalg.eigvalsh(0.5 * (W_F + W_F.T))[-1]))
+    lift = {"kind": "lift", "T": T, "delta": delta, "c": control / (1.0 - terminal / delta),
+            "terminal": terminal, "control": control}
+    witness = {
+        "riccati_solvable": {"kind": "sare", "P": sol.P, "residual": sol.residual,
+                             "iterations": sol.iterations},
+        "feedback_stabilizable": {"kind": "gain", "F": F, "abscissa": alpha},
+        "weakly_observable": lift,
+        "null_controllable_with_cost": lift,
+    }
+    verdicts = (True, alpha < 0, True, True)
+    return EquivalenceReport(*verdicts, len(set(verdicts)) == 1, witness)

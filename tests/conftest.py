@@ -1,12 +1,28 @@
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sctk.corpus import m0, s1, s2, s3, s4
 from sctk.systems import make_system
 from sctk.trees import simulate_forward, solve_bsde
+
+# Tier-1 draws the same examples on every run (derandomize, and no example
+# database to replay); HYPOTHESIS_PROFILE=soak draws fresh ones, SOAK_FACTOR
+# times as many, to find failures worth pinning with @example.
+SOAK_FACTOR = 20
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.register_profile("soak", deadline=None, print_blob=True)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
+settings.load_profile(PROFILE)
+
+
+def examples(count):
+    """max_examples of a property test: count, or SOAK_FACTOR * count under soak."""
+    return count * SOAK_FACTOR if PROFILE == "soak" else count
 
 
 @pytest.fixture
@@ -30,6 +46,19 @@ def random_system(rng, n_max=3, m_max=3, d_max=3, drift=0.8, noise=0.4, dnoise=0
         C=[noise * rng.standard_normal((n, n)) for _ in range(d)],
         D=[dnoise * rng.standard_normal((n, m)) for _ in range(d)],
     )
+
+
+def stiff_family():
+    """A = diag(-a, 1) and diag(-2500, -lam, 1), B the last unit vector,
+    C_1 = 2 B B^T, D_1 = 0: the stiff scan of scripts/scan_gain_search.py."""
+    systems = []
+    for A in [np.diag([-a, 1.0]) for a in (250.0, 1000.0, 2500.0, 1e4)] + [
+        np.diag([-2500.0, -lam, 1.0]) for lam in (150.0, 199.0, 201.0, 300.0)
+    ]:
+        n = len(A)
+        B = np.eye(n)[:, -1:]
+        systems.append(make_system(A, B, C=[2.0 * B @ B.T], D=[np.zeros((n, 1))]))
+    return systems
 
 
 @dataclass(frozen=True)

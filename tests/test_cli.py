@@ -283,6 +283,35 @@ class TestCommands:
         assert rep["weakly_observable"] is False
         assert rep["null_controllable_with_cost"] is False
         assert rep["agreement"] is True
+        assert [w["kind"] for w in rep["witness"].values()] == ["hautus"] * 4
+
+    @pytest.mark.parametrize("delta", [0.0, 0.99999])
+    def test_equivalence_needs_delta_in_the_unit_interval(self, corpus_dir, tmp_path,
+                                                          capsys, delta):
+        cfg = dict(json.loads((corpus_dir / "s4.json").read_text()), delta=delta)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["equivalence", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == (1 if delta == 0.0 else 0)
+        if code:
+            assert capsys.readouterr().err.startswith("invalid config")
+
+    def test_equivalence_reads_no_grid_mesh_or_driver(self, corpus_dir, tmp_path):
+        # T_grid and delta_grid are accepted for old configs but unread, and
+        # no tree is built, so K and the driver change nothing either
+        reports = []
+        extras = ({}, {"T_grid": [3.0], "delta_grid": [0.1], "K": 9, "driver": "trinomial"})
+        for i, extra in enumerate(extras):
+            cfg = dict(json.loads((corpus_dir / "s4.json").read_text()), **extra)
+            path = tmp_path / f"s4_{i}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"o{i}"
+            assert main(["equivalence", "--config", str(path), "--out", str(out)]) == 0
+            reports.append(json.loads((out / "equivalence_report.json").read_text())["report"])
+        assert reports[0] == reports[1]
+        assert {k: w["kind"] for k, w in reports[0]["witness"].items()} == {
+            "riccati_solvable": "sare", "feedback_stabilizable": "gain",
+            "weakly_observable": "lift", "null_controllable_with_cost": "lift"}
 
     def test_budget_exceeded_exits_3(self, tmp_path, capsys, no_sweep):
         # only synthesize sweeps the tree node by node, so only it has a budget

@@ -13,6 +13,7 @@ from sctk.moments import (
     spectral_abscissa,
 )
 from sctk.systems import make_system
+from tests.conftest import examples
 
 floats = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -22,7 +23,7 @@ def scalar_system(a, b, c, e):
 
 
 class TestGenerator:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40))
     @given(floats, floats, floats, floats, floats)
     def test_scalar_lift_formula(self, a, b, c, e, f):
         # hand expansion: X -> 2(a + b f) X + (c + e f)^2 X
@@ -147,7 +148,7 @@ class TestGrowthConstant:
         sys_ = scalar_system(0, 1, 0, 0)
         assert growth_constant_c0(sys_, 3.0) == pytest.approx(1.0, abs=1e-12)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25))
     @given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.1, 2.0))
     def test_scalar_formula(self, a, c, tau):
         got = growth_constant_c0(scalar_system(a, 0, c, 0), tau)
@@ -157,6 +158,20 @@ class TestGrowthConstant:
         assert growth_constant_c0(corpus["S2"], 1.0) == pytest.approx(
             np.e, abs=1e-10
         )
+
+    def test_adjoint_state_under_a_gain(self, corpus, rng):
+        # trace(S(tau) X0) = trace X(tau) on the closed-loop lift, and the
+        # zero gain is the open loop bit for bit
+        from sctk.moments import adjoint_state
+
+        sys_ = corpus["S4"]
+        F = rng.standard_normal((1, 2))
+        X0 = rng.standard_normal((2, 2))
+        X0 = X0 @ X0.T
+        tr = np.trace(propagate_second_moment(build_generator(sys_, F), X0, 0.7))
+        assert np.trace(adjoint_state(sys_, 0.7, F) @ X0) == pytest.approx(tr, rel=1e-12)
+        assert np.array_equal(adjoint_state(sys_, 0.7, np.zeros((1, 2))),
+                              adjoint_state(sys_, 0.7))
 
     def test_tightness(self, rng):
         from sctk.moments import adjoint_state

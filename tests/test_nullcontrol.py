@@ -26,7 +26,7 @@ from sctk.trees import (
     simulate_forward,
     terminal_expectation_sq,
 )
-from tests.conftest import dense_gram_control, random_system
+from tests.conftest import dense_gram_control, examples, random_system
 
 
 def martingale(n=1):
@@ -123,7 +123,7 @@ class TestSynthesis:
             # the tree's own growth factor is the exact discrete constant
             assert res.bounds["control_energy"]["holds_tree"]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40))
     @given(
         st.integers(0, 10_000),
         st.sampled_from(

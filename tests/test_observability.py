@@ -28,6 +28,7 @@ from tests.conftest import (
     dense_copt0_oracle,
     dense_copt_oracle,
     dense_forms,
+    examples,
     random_system,
 )
 
@@ -248,7 +249,7 @@ class TestOptimalConstant:
                         assert optimal_constant(forms, 1e-6).c_opt <= c0 * (1 + 1e-7)
         assert finite >= 10
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40))
     @given(
         st.integers(0, 10_000),
         st.sampled_from(

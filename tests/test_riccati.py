@@ -27,7 +27,7 @@ from sctk.riccati import (
 )
 from sctk.stabilizer import run_riccati_feedback
 from sctk.systems import hautus_stabilizability, make_system
-from tests.conftest import random_system
+from tests.conftest import examples, random_system, stiff_family
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -217,7 +217,7 @@ class TestDeterministicSearch:
         assert not isinstance(sol, NotSolvable)
         assert sol.abscissa < -GAIN_MARGIN
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50))
     @given(st.integers(0, 10_000))
     def test_scalar_verdict_matches_quadratic_criterion(self, seed):
         sys_ = random_system(np.random.default_rng(seed), 1, 3, 3)
@@ -300,12 +300,14 @@ class TestUnitInvariance:
     @pytest.mark.parametrize(
         "index, transform, value",
         [(i, _time_unit, 1e-3) for i in (0, 3, 22)]
+        + [(i, _time_unit, 1e3) for i in (12, 137)]
         + [(i, _input_scale, 1e-4) for i in (12, 24, 102, 137)],
     )
     def test_verdict_and_evidence_do_not_depend_on_units(self, index, transform, value):
         # each map changes no verdict in exact arithmetic; an absolute
         # horizon or cap in the gain search once turned these draws into
-        # NumericalFailure or a wrong "cap"
+        # NumericalFailure or a wrong "cap", and a Newton stop against
+        # max(1, |P|) stalled 12 and 137 at time unit 1e3
         sys_ = _draw(7, index)
         base, moved = solve_sare(sys_), solve_sare(transform(sys_, value))
         assert isinstance(moved, NotSolvable) == isinstance(base, NotSolvable)
@@ -314,18 +316,24 @@ class TestUnitInvariance:
         else:
             assert moved.abscissa < -GAIN_MARGIN
 
+    def test_slow_stable_system_keeps_the_zero_gain(self):
+        # abscissa -2e-10 with B = D = 0: an absolute margin of 1e-9 rejected
+        # the zero gain, and the Hautus band then counted the mode critical
+        sol = solve_sare(make_system([[-1e-10]], [[0.0]], C=[[[0.0]]], D=[[[0.0]]]))
+        assert not isinstance(sol, NotSolvable)
+        assert sol.iterations == 1 and sol.abscissa == pytest.approx(-2e-10, rel=1e-12)
+        assert sol.P[0, 0] == pytest.approx(5e9, rel=1e-12)
 
-def _stiff_family():
-    """A = diag(-a, 1) and diag(-2500, -lam, 1), B the last unit vector,
-    C_1 = 2 B B^T, D_1 = 0: the stiff scan of scripts/scan_gain_search.py."""
-    systems = []
-    for A in [np.diag([-a, 1.0]) for a in (250.0, 1000.0, 2500.0, 1e4)] + [
-        np.diag([-2500.0, -lam, 1.0]) for lam in (150.0, 199.0, 201.0, 300.0)
-    ]:
-        n = len(A)
-        B = np.eye(n)[:, -1:]
-        systems.append(make_system(A, B, C=[2.0 * B @ B.T], D=[np.zeros((n, 1))]))
-    return systems
+    @pytest.mark.parametrize("name", ["S2", "S4"])
+    def test_corpus_in_a_slow_time_unit_solves(self, corpus, name):
+        # at time unit 1e-10 the SARE gain's abscissa (-2.2e-10 on S2) never
+        # cleared an absolute margin of 1e-9, and the continuation ran to its
+        # step bound; the margin is now relative to the zero-gain lift's rate
+        base = solve_sare(corpus[name])
+        sol = solve_sare(_time_unit(corpus[name], 1e-10))
+        assert not isinstance(sol, NotSolvable)
+        assert sol.abscissa == pytest.approx(1e-10 * base.abscissa, rel=1e-6)
+        assert np.allclose(sol.P, 1e10 * base.P, rtol=1e-6)
 
 
 class TestLQRCandidate:
@@ -334,7 +342,7 @@ class TestLQRCandidate:
         # corpus, the draws and the stiff family has a stabilizing LQR gain
         rng = np.random.default_rng(7)
         systems = [corpus[k] for k in ("S1", "S2", "S4", "M0")]
-        systems += [random_system(rng) for _ in range(140)] + _stiff_family()
+        systems += [random_system(rng) for _ in range(140)] + stiff_family()
         for sys_ in systems:
             P = solve_continuous_are(sys_.A, sys_.B, np.eye(sys_.n), np.eye(sys_.m))
             want = -sys_.B.T @ P

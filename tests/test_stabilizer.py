@@ -7,7 +7,12 @@ from sctk.riccati import lq_value, solve_sare
 from sctk.stabilizer import equivalence_harness, run_piecewise, run_riccati_feedback
 from sctk.systems import HorizonConfig, make_system
 from sctk.trees import TreeDriver, build_tree
-from tests.conftest import enumerate_piecewise, monte_carlo_piecewise, random_system
+from tests.conftest import (
+    enumerate_piecewise,
+    monte_carlo_piecewise,
+    random_system,
+    stiff_family,
+)
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -220,47 +225,99 @@ class TestFeedback:
             assert rec["c_alpha"] >= 1.0 - 1e-12
 
 
+# draws of random_system(default_rng(7)) that a (T, delta) grid on an Euler
+# tree (T <= 1, delta <= 0.9, K <= 8) once left at (True, True, False, False)
+GRID_FAILURES = (12, 17, 24, 38, 39, 59, 63, 67, 72, 80, 89, 102, 111, 131, 134, 137)
+
+
+def _draws(count):
+    rng = np.random.default_rng(7)
+    return [random_system(rng) for _ in range(count)]
+
+
 class TestEquivalence:
     def test_corpus_verdicts(self, corpus):
         expected = {"S1": True, "S2": True, "S3": False, "S4": True, "M0": True}
         for name, sys_ in corpus.items():
-            rep = equivalence_harness(
-                sys_, [0.5, 1.0], [0.3, 0.6, 0.9], horizon_K=4
-            )
+            rep = equivalence_harness(sys_, 0.5)
             assert rep.agreement, (name, rep.verdicts)
             assert rep.riccati_solvable == expected[name], name
+            kinds = [w["kind"] for w in rep.witness.values()]
+            assert kinds == (["sare", "gain", "lift", "lift"] if expected[name]
+                             else ["hautus"] * 4), name
 
     @pytest.mark.parametrize("draw", [9, 10])
     def test_d3_draws_get_verdicts(self, draw):
-        # d = 3 at K = 4 means 8^4 leaves; the harness works on the branch
-        # template and n x n recursions only, so no leaf count limits it
-        rng = np.random.default_rng(7)
-        sys_ = [random_system(rng) for _ in range(draw + 1)][draw]
+        # d = 3 at K = 4 meant 8^4 leaves; the harness builds no tree
+        sys_ = _draws(draw + 1)[draw]
         assert sys_.d == 3
-        rep = equivalence_harness(sys_, [0.5, 1.0], [0.3, 0.6, 0.9])
+        rep = equivalence_harness(sys_, 0.5)
         assert rep.verdicts == (True, True, True, True)
         assert rep.agreement
 
     def test_all_d3_draws_of_the_first_40_get_verdicts(self):
-        # the 2K retry at d = 3 is an 8^8-leaf tree, which the harness
-        # never sweeps; draws 17 and 39 are left to the coarse-mesh problem
-        rng = np.random.default_rng(7)
-        draws = [random_system(rng) for _ in range(40)]
-        reports = {
-            i: equivalence_harness(s, [0.5, 1.0], [0.3, 0.6, 0.9])
-            for i, s in enumerate(draws)
-            if s.d == 3
-        }
+        # 17 and 39 failed on the Euler mesh, 20 and 29 only after a retry at 2K
+        reports = {i: equivalence_harness(s, 0.5) for i, s in enumerate(_draws(40)) if s.d == 3}
         assert {17, 20, 29, 39} <= reports.keys()
-        for i in (20, 29):
+        for i in (17, 20, 29, 39):
             assert reports[i].verdicts == (True, True, True, True), i
-            assert reports[i].refined, i
 
-    def test_empty_grid_rejected(self, corpus):
+    @pytest.mark.parametrize("delta", [0.5, 0.9])
+    def test_grid_failures_and_stiff_systems_get_four_true(self, delta):
+        draws = _draws(max(GRID_FAILURES) + 1)
+        for label, sys_ in [(i, draws[i]) for i in GRID_FAILURES] + list(
+            enumerate(stiff_family(), start=1000)
+        ):
+            rep = equivalence_harness(sys_, delta)
+            assert rep.verdicts == (True, True, True, True), label
+            lift = rep.witness["weakly_observable"]
+            assert lift is rep.witness["null_controllable_with_cost"]
+            assert lift["kind"] == "lift" and lift["delta"] == delta
+            assert 0.0 <= lift["terminal"] <= delta / 2, label
+            assert 0.0 <= lift["c"] < np.inf, label
+            assert rep.witness["feedback_stabilizable"]["abscissa"] < 0, label
+
+    def test_not_solvable_witnesses_carry_the_evidence(self):
+        draws = _draws(66)
+        for index, kind in ((0, "certificate"), (3, "certificate"), (65, "cap")):
+            rep = equivalence_harness(draws[index], 0.5)
+            assert rep.verdicts == (False, False, False, False) and rep.agreement
+            evidence = solve_sare(draws[index]).diagnostics
+            for witness in rep.witness.values():
+                assert witness["kind"] == kind, index
+                assert witness["shift"] == evidence["shift"]
+            if kind == "certificate":
+                assert witness["certificate_Q"] == evidence["certificate_Q"]
+
+    @pytest.mark.parametrize("delta", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("name", ["S1", "S2", "M0"])
+    def test_lift_certificate_bounds_the_continuous_constant(self, corpus, name, delta):
+        # scalar dx = (a x + b u) dt + s x dw: the least c with
+        # min_u |u|^2 / c + E x_T^2 / delta <= x0^2 over [0, T] is
+        # rate (1 - delta e^{-rate T}) / (b^2 (1 - e^{-rate T})), rate = 2a + s^2,
+        # and (1 - delta) / T at rate 0; the certificate's c may not be below it
+        sys_ = corpus[name]
+        lift = equivalence_harness(sys_, delta).witness["weakly_observable"]
+        a, b, s = sys_.A[0, 0], sys_.B[0, 0], sys_.C[0][0, 0]
+        rate, T = 2 * a + s * s, lift["T"]
+        exact = ((1 - delta) / T if rate == 0 else
+                 rate * (1 - delta * np.exp(-rate * T)) / (b * b * (1 - np.exp(-rate * T))))
+        assert exact <= lift["c"]
+        # the certificate itself in closed form: F = -p b with p the SARE
+        # solution, so the closed loop decays at 2 (a - p b^2) + s^2 = -k and
+        # W_T = e^{-k T}, W_F = p^2 b^2 (1 - e^{-k T}) / k
+        p = solve_sare(sys_).P[0, 0]
+        k = -(2 * (a - p * b * b) + s * s)
+        assert T >= 1 / k and lift["terminal"] == pytest.approx(np.exp(-k * T), rel=1e-12)
+        assert lift["control"] == pytest.approx(
+            p * p * b * b * (1 - np.exp(-k * T)) / k, rel=1e-12)
+        assert lift["c"] == pytest.approx(
+            lift["control"] / (1 - lift["terminal"] / delta), rel=1e-15)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_delta_outside_the_unit_interval_rejected(self, corpus, delta):
         with pytest.raises(ValueError):
-            equivalence_harness(corpus["S1"], [], [0.5])
-        with pytest.raises(ValueError):
-            equivalence_harness(corpus["S1"], [1.0], [1.5])
+            equivalence_harness(corpus["S1"], delta)
 
     def test_observability_verdict_monotone_in_delta(self, corpus):
         # if a grid point (T, delta) certifies observability, every larger

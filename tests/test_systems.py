@@ -12,6 +12,7 @@ from sctk.systems import (
     make_system,
     validate_system,
 )
+from tests.conftest import examples
 
 
 class TestValidate:
@@ -70,7 +71,7 @@ class TestHautus:
     def test_stable_mode_needs_no_control(self):
         assert hautus_stabilizability([[-1.0]], [[0.0]])
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25))
     @given(st.integers(0, 10_000))
     def test_similarity_invariance(self, seed):
         rng = np.random.default_rng(seed)

@@ -18,7 +18,7 @@ from sctk.trees import (
     solve_bsde,
     terminal_expectation_sq,
 )
-from tests.conftest import random_system
+from tests.conftest import examples, random_system
 
 ALL_DRIVERS = [
     TreeDriver.bernoulli(),
@@ -197,7 +197,7 @@ class TestBackward:
         assert bw.Y[0][0][0, 0] == pytest.approx(1.0, abs=1e-14)
         assert bw.z[0][0, 0] == pytest.approx(0.0, abs=1e-15)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20))
     @given(st.integers(0, 10_000), st.floats(-3, 3), st.floats(-3, 3))
     def test_linearity_in_terminal_data(self, seed, alpha, beta):
         rng = np.random.default_rng(seed)
