@@ -42,6 +42,7 @@ from .stabilizer import (
     EquivalenceReport,
     StabilizerRun,
     equivalence_harness,
+    lift_certificate,
     run_piecewise,
     run_riccati_feedback,
 )

@@ -41,7 +41,12 @@ from .moments import build_generator, growth_constant_c0, spectral_abscissa
 from .nullcontrol import control_kernel, synthesize_control, verify_theorem_5_1
 from .observability import assemble_forms, invariance_experiment, optimal_constant
 from .riccati import NotSolvable, lq_value, solve_sare
-from .stabilizer import equivalence_harness, run_piecewise, run_riccati_feedback
+from .stabilizer import (
+    equivalence_harness,
+    lift_certificate,
+    run_piecewise,
+    run_riccati_feedback,
+)
 from .systems import HorizonConfig, StochasticSystem, hautus_stabilizability, validate_system
 from .trees import TreeDriver, build_tree, field_to_rows
 
@@ -445,7 +450,7 @@ def _cmd_stabilize(cfg: RunConfig, out_dir):
             "abscissa": fb.abscissa,
             "cost": fb.cost,
             "value_at_x0": lq_value(sol.P, cfg.x0),
-            "control_norm_T": fb.control_norm_T,
+            "certificate": lift_certificate(cfg.system, sol.F, cfg.delta),
         }
     return payload, (
         f"stabilize: interval contraction {run.interval_contraction:.4g} vs "

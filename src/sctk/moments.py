@@ -90,15 +90,17 @@ def propagate_second_moment(L: np.ndarray, X0, t: float) -> np.ndarray:
     return 0.5 * (Xt + Xt.T)
 
 
-def adjoint_state(sys: StochasticSystem, tau: float, F=None) -> np.ndarray:
-    """S(tau) of the adjoint flow dS/dt = A^T S + S A + sum C_i^T S C_i, S(0)=I,
-    of the open loop, or of the closed loop under the gain u = F x.
+def adjoint_state(sys: StochasticSystem, tau: float) -> np.ndarray:
+    """S(tau) of the open-loop adjoint flow dS/dt = A^T S + S A + sum C_i^T S C_i,
+    S(0) = I.
 
     trace(S(tau) X0) = trace(X(tau)) for every initial second moment X0, so
-    S(tau) converts terminal energy questions into a single matrix.
+    S(tau) converts terminal energy questions into a single matrix.  Under
+    a gain the same flow is the lift certificate's W_T
+    (``stabilizer.lift_certificate``).
     """
     n = sys.n
-    S = (expm(tau * build_generator(sys, F).T) @ np.eye(n).ravel()).reshape(n, n)
+    S = (expm(tau * build_generator(sys).T) @ np.eye(n).ravel()).reshape(n, n)
     return 0.5 * (S + S.T)
 
 

@@ -22,21 +22,23 @@ the max_leaves budget (exit 3) that guards synthesize's per-node output
 does not apply.
 
 Route 2 (feedback): the constant Riccati gain.  The closed-loop second
-moment evolves deterministically on the lift, so the decay curve and the
-quadratic cost need no sampling; the infinite-horizon cost is the exact
-lift integral
+moment evolves deterministically on the lift, so its quadratic cost needs
+no sampling; the infinite-horizon cost is the exact lift integral
 
     J = integral_0^inf trace((I + F^T F) X(t)) dt = <P x0, x0> at the
-    optimal gain,
+    optimal gain.
 
-reported together with a certified exponential tail bound from the
-closed-loop abscissa.
+Its finite-horizon energies are those of the lift certificate
+(T, delta, c) (``lift_certificate``): over [0, T] the control u = F x
+leaves E|x_T|^2 <= (delta / 2) |x0|^2 and spends E||u||^2 <=
+lambda_max(W_F) |x0|^2, the approximate null controllability with cost
+that stabilizability implies.
 
 The equivalence harness reads the four verdicts (Riccati solvable,
 feedback stabilizable, weakly observable, approximately null
 controllable with cost) off one SARE solve, each from a witness of its
-own: the solution, its gain's lift abscissa, and the continuous-time
-observability pair (T, delta, c) that the gain's lift certifies; or, for
+own: the solution, its gain's lift abscissa, and the same lift
+certificate, a continuous-time observability pair (T, delta, c); or, for
 all four, the evidence of NotSolvable.  No tree or (T, delta) grid
 enters, so no verdict depends on a mesh.
 """
@@ -50,13 +52,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import NumericalFailure
-from .moments import adjoint_state, build_generator, spectral_abscissa
+from .moments import build_generator, lift_spectrum, spectral_abscissa
 from .nullcontrol import ControlKernel, _interval_map
 from .riccati import NotSolvable, solve_sare
 from .systems import StochasticSystem
 
-DIVERGED_T_MAX = 10.0  # length of the reported curve of a diverging gain
-TAIL_RTOL = 1e-4  # the cost's tail bound must fall below TAIL_RTOL * cost
 CERT_MAX_DOUBLINGS = 64  # bound on the doublings of the lift certificate's T
 
 
@@ -113,7 +113,7 @@ def run_piecewise(kernel: ControlKernel, x0, k_max: int, paths: int = 0) -> Stab
         delta=kernel.delta,
         c=kernel.c,
         T=kernel.T,
-        interval_contraction=float(np.max(np.abs(np.linalg.eigvals(Phi)))),
+        interval_contraction=float(np.max(np.abs(lift_spectrum(Phi)))),
         total_energy=cum,
     )
 
@@ -122,112 +122,70 @@ def run_piecewise(kernel: ControlKernel, x0, k_max: int, paths: int = 0) -> Stab
 class FeedbackRun:
     diverged: bool
     abscissa: float
-    times: np.ndarray
-    msq_curve: np.ndarray  # trace X(t) on the report grid
     cost: float = None  # None when diverged
-    cost_to_t_max: float = None
-    tail: float = None
-    tail_bound: float = None
-    t_max: float = None
-    # measured feedback-control norm over [0, T] per unit |x0| and the
-    # decay-constant bound |F|^2 c(alpha) (1 - e^{-alpha T}) / alpha on its
-    # square; only the inequality direction is guaranteed
-    control_norm_T: dict = None
 
 
-def _msq_curve(L, X0, times, dt_report) -> np.ndarray:
-    """trace X(t) on the report times, stepping the lift flow by dt_report."""
-    step = expm(dt_report * L)
-    n = X0.shape[0]
-    v = X0.ravel()
-    curve = []
-    for _ in times:
-        curve.append(float(np.trace(v.reshape(n, n))))
-        v = step @ v
-    return np.array(curve)
+def run_riccati_feedback(sys: StochasticSystem, F, x0) -> FeedbackRun:
+    """Exact infinite-horizon quadratic cost of a constant gain.
 
-
-def run_riccati_feedback(sys: StochasticSystem, F, x0, dt_report: float = 0.1) -> FeedbackRun:
-    """Exact second-moment decay curve and quadratic cost of a constant gain.
-
-    The curve is the lift flow applied to x0 x0^T; the cost integral has
-    the closed form w^T L^{-1}(e^{tL} - I) v on the lift, evaluated to
-    t_max and completed by the exact tail, with a certified bound
-    ||I+F^TF|| sqrt(n) kappa(V) ||X(t_max)||_F / (-alpha) reported
-    alongside (kappa from the lift eigenbasis); t_max grows until that
-    bound is below TAIL_RTOL times the cost.  Everything is computed for
-    the unit direction x0 / |x0| and scaled by |x0|^2, so neither the
-    curve nor t_max depends on the scale of x0 through underflow; at
-    x0 = 0 the curve, the costs and the per-unit control norms are 0.
+    With w = vec(I + F^T F), the cost integral of trace((I + F^T F) X(t))
+    is -w^T L^{-1} vec(x0 x0^T) on the lift, finite when the abscissa
+    alpha < 0.  It is computed for the unit direction x0 / |x0| and scaled
+    by |x0|^2, so it does not depend on the scale of x0 through underflow;
+    at x0 = 0 it is 0.  A gain with alpha >= 0 diverges and has no cost.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     L = build_generator(sys, F)
     alpha = spectral_abscissa(L)
+    if alpha >= 0:
+        return FeedbackRun(diverged=True, abscissa=alpha)
     norm = math.hypot(*x0)
     unit = x0 / norm if norm > 0 else x0
-    xs2 = norm * norm
-    X0 = np.outer(unit, unit)
+    w = (np.eye(sys.n) + F.T @ F).ravel()
+    cost = float(-np.linalg.solve(L.T, w) @ np.outer(unit, unit).ravel())
+    return FeedbackRun(diverged=False, abscissa=alpha, cost=norm * norm * cost)
+
+
+def lift_certificate(sys: StochasticSystem, F, delta: float) -> dict:
+    """The lift certificate (T, delta, c) of the control u = F x.
+
+    Over [0, T] that control leaves E|x_T|^2 = x0^T W_T x0 and spends
+    E||u||^2 = x0^T W_F x0, with W_T = e^{T L^T} vec I, the adjoint flow
+    from I under F, and W_F = (e^{T L^T} - I) L^{-T} vec(F^T F), L the
+    closed-loop lift; so min_u ||u||^2 / c + E|x_T|^2 / delta <= |x0|^2 at
+    c = lambda_max(W_F) / (1 - lambda_max(W_T) / delta).  T starts at the
+    lift's own time scale 1 / (-alpha) and doubles until
+    lambda_max(W_T) <= delta / 2, one e^{T L^T} per T serving W_T and W_F;
+    past CERT_MAX_DOUBLINGS doublings, or at a gain with alpha >= 0, that
+    is a NumericalFailure.  No x0, tree, grid or time unit enters.
+    Returned as the witness dict (kind "lift", T, delta, c, terminal =
+    lambda_max(W_T), control = lambda_max(W_F)); delta lies in (0, 1).
+    """
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    L = build_generator(sys, F)
+    alpha = spectral_abscissa(L)
+    if not alpha < 0:
+        raise NumericalFailure(f"the gain does not stabilize: lift abscissa {alpha:.6g}")
     n = sys.n
-
-    if alpha >= 0:
-        times = np.arange(0.0, DIVERGED_T_MAX + 1e-12, dt_report)
-        return FeedbackRun(
-            diverged=True,
-            abscissa=alpha,
-            times=times,
-            msq_curve=xs2 * _msq_curve(L, X0, times, dt_report),
-        )
-
-    w = (np.eye(n) + F.T @ F).ravel()
-    vX0 = X0.ravel()
-    Linv_w = np.linalg.solve(L.T, w)  # solves L^T y = w
-    cost_full = float(-Linv_w @ vX0)
-
-    # grow t_max until the certified tail bound is small versus the total
-    kappa = float(np.linalg.cond(np.linalg.eig(L)[1]))
-    rate = np.linalg.norm(np.eye(n) + F.T @ F, 2) * np.sqrt(n) * kappa
-    t_end = max(2.0, 8.0 / (-alpha))
-    for _ in range(60):
-        vXt = expm(t_end * L) @ vX0
-        tail_bound = rate * np.linalg.norm(vXt) / (-alpha)
-        if not np.isfinite(tail_bound) or tail_bound <= TAIL_RTOL * abs(cost_full):
+    eye = np.eye(n).ravel()
+    y = np.linalg.solve(L.T, (F.T @ F).ravel())
+    T = 1.0 / -alpha
+    for _ in range(CERT_MAX_DOUBLINGS):
+        flow = expm(T * L.T)
+        W_T = (flow @ eye).reshape(n, n)
+        terminal = float(np.linalg.eigvalsh(0.5 * (W_T + W_T.T))[-1])
+        if terminal <= delta / 2.0:
             break
-        t_end *= 1.6
-    # cost over [0, t_end] = w^T L^{-1} (e^{t L} - I) X0.ravel()
-    cost_to_t = float(Linv_w @ (vXt - vX0))
-    tail_exact = cost_full - cost_to_t
-
-    times = np.arange(0.0, t_end + 1e-12, dt_report)
-    curve = _msq_curve(L, X0, times, dt_report)
-
-    # measured finite-horizon control norm ||F x||_{L^2(0,T)} per unit |x0|
-    # versus the bound from the fitted decay envelope c(a) e^{-a t}
-    T_probe = times[-1]
-    LinvF = np.linalg.solve(L.T, (F.T @ F).ravel())
-    u_sq = float(LinvF @ (expm(T_probe * L) @ vX0 - vX0))
-    pos = curve > 0
-    c_alpha = float(np.max(curve[pos] * np.exp(-alpha * times[pos]), initial=0.0))
-    Fnorm = float(np.linalg.norm(F, 2))
-    bracket = c_alpha * (1.0 - np.exp(alpha * T_probe)) / (-alpha)
-    control_norm_T = {
-        "T": float(T_probe),
-        "measured": float(np.sqrt(max(u_sq, 0.0))),
-        "bound": Fnorm * np.sqrt(bracket),
-        "c_alpha": c_alpha,
-    }
-    return FeedbackRun(
-        diverged=False,
-        abscissa=alpha,
-        times=times,
-        msq_curve=xs2 * curve,
-        cost=xs2 * cost_full,
-        cost_to_t_max=xs2 * cost_to_t,
-        tail=xs2 * tail_exact,
-        tail_bound=xs2 * float(tail_bound),
-        t_max=t_end,
-        control_norm_T=control_norm_T,
-    )
+        T *= 2.0
+    else:
+        raise NumericalFailure(
+            f"terminal energy under the gain stays above delta / 2 at T = {T:.6g}"
+        )
+    W_F = (flow @ y - y).reshape(n, n)
+    control = max(0.0, float(np.linalg.eigvalsh(0.5 * (W_F + W_F.T))[-1]))
+    return {"kind": "lift", "T": T, "delta": delta, "c": control / (1.0 - terminal / delta),
+            "terminal": terminal, "control": control}
 
 
 VERDICTS = (
@@ -257,17 +215,10 @@ def equivalence_harness(sys: StochasticSystem, delta: float) -> EquivalenceRepor
 
     One solve_sare call decides them all.  When it solves: (a) the SARE
     solution P, with its residual and Newton iterations; (b) its gain F,
-    whose closed-loop lift L has abscissa alpha < 0; (c) weak
-    observability and (d) null controllability with cost: the lift
-    certificate (T, delta, c) of the control u = F x.  Over [0, T] that
-    control leaves E|x_T|^2 = x0^T W_T x0 and spends E||u||^2 =
-    x0^T W_F x0, with W_T the adjoint flow from I under F
-    (``moments.adjoint_state``) and W_F = (e^{T L^T} - I) L^{-T} (F^T F),
-    so min_u ||u||^2 / c + E|x_T|^2 / delta <= |x0|^2 at
-    c = lambda_max(W_F) / (1 - lambda_max(W_T) / delta).  T starts at the
-    lift's own time scale 1 / (-alpha) and doubles until
-    lambda_max(W_T) <= delta / 2; past CERT_MAX_DOUBLINGS doublings that
-    is a NumericalFailure.  No tree, grid or time unit enters.
+    whose closed-loop lift has abscissa alpha < 0; (c) weak observability
+    and (d) null controllability with cost: ``lift_certificate``'s
+    (T, delta, c) of the control u = F x, the same dict for both.  No
+    tree, grid or time unit enters.
 
     When solve_sare returns NotSolvable, all four are False and carry its
     evidence.  Under an H(Q) >= 0 certificate ("certificate") E x^T Q x
@@ -284,29 +235,13 @@ def equivalence_harness(sys: StochasticSystem, delta: float) -> EquivalenceRepor
         return EquivalenceReport(False, False, False, False, True,
                                  dict.fromkeys(VERDICTS, witness))
 
-    F, alpha, n = sol.F, sol.abscissa, sys.n
-    T = 1.0 / -alpha
-    for _ in range(CERT_MAX_DOUBLINGS):
-        terminal = float(np.linalg.eigvalsh(adjoint_state(sys, T, F))[-1])
-        if terminal <= delta / 2.0:
-            break
-        T *= 2.0
-    else:
-        raise NumericalFailure(
-            f"terminal energy under the Riccati gain stays above delta / 2 at T = {T:.6g}"
-        )
-    L = build_generator(sys, F)
-    y = np.linalg.solve(L.T, (F.T @ F).ravel())
-    W_F = (expm(T * L.T) @ y - y).reshape(n, n)
-    control = max(0.0, float(np.linalg.eigvalsh(0.5 * (W_F + W_F.T))[-1]))
-    lift = {"kind": "lift", "T": T, "delta": delta, "c": control / (1.0 - terminal / delta),
-            "terminal": terminal, "control": control}
+    lift = lift_certificate(sys, sol.F, delta)
     witness = {
         "riccati_solvable": {"kind": "sare", "P": sol.P, "residual": sol.residual,
                              "iterations": sol.iterations},
-        "feedback_stabilizable": {"kind": "gain", "F": F, "abscissa": alpha},
+        "feedback_stabilizable": {"kind": "gain", "F": sol.F, "abscissa": sol.abscissa},
         "weakly_observable": lift,
         "null_controllable_with_cost": lift,
     }
-    verdicts = (True, alpha < 0, True, True)
+    verdicts = (True, sol.abscissa < 0, True, True)
     return EquivalenceReport(*verdicts, len(set(verdicts)) == 1, witness)

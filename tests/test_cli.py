@@ -464,22 +464,37 @@ class TestCommands:
 
     @pytest.mark.parametrize("name", ["s2", "s4"])
     def test_stabilize_at_zero_x0(self, corpus_dir, tmp_path, name):
-        # synthesize, theorem51 and riccati accept x0 = 0; stabilize exited
-        # 1 when an absolute cut on the decay curve left nothing to fit
+        # stabilize accepts x0 = 0 like synthesize, theorem51 and riccati; the
+        # lift certificate does not depend on x0 and the cost scales by s^2
         cfg = json.loads((corpus_dir / f"{name}.json").read_text())
-        cfg["x0"] = [0.0] * cfg["n"]
-        path = tmp_path / f"{name}_x0.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "o"
-        assert main(["stabilize", "--config", str(path), "--out", str(out)]) == 0
-        doc = json.loads((out / "stabilize_report.json").read_text())
         schema = json.loads(
             (Path(sctk.__file__).parent / "report_schema.json").read_text()
         )
-        jsonschema.Draft7Validator(schema).validate(doc)
-        fb = doc["report"]["feedback_comparison"]
-        assert fb["cost"] == 0.0 and fb["value_at_x0"] == 0.0
-        assert fb["control_norm_T"]["measured"] == fb["control_norm_T"]["c_alpha"] == 0.0
+        reports = {}
+        for s in (1.0, 0.0, 1e-130, 3.0):
+            cfg["x0"] = [s] * cfg["n"]
+            path = tmp_path / f"{name}_x0.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"o{s}"
+            assert main(["stabilize", "--config", str(path), "--out", str(out)]) == 0
+            doc = json.loads((out / "stabilize_report.json").read_text())
+            jsonschema.Draft7Validator(schema).validate(doc)
+            reports[s] = doc["report"]["feedback_comparison"]
+        base = reports[1.0]
+        for s, fb in reports.items():
+            assert fb["certificate"] == base["certificate"]
+            assert fb["cost"] == pytest.approx(s * s * base["cost"], rel=1e-14)
+        assert reports[0.0]["cost"] == reports[0.0]["value_at_x0"] == 0.0
+
+    @pytest.mark.parametrize("name", ["s1", "s2", "s4", "m0"])
+    def test_stabilize_reports_the_equivalence_certificate(self, corpus_dir, tmp_path, name):
+        config = str(corpus_dir / f"{name}.json")
+        assert main(["stabilize", "--config", config, "--out", str(tmp_path / "s")]) == 0
+        assert main(["equivalence", "--config", config, "--out", str(tmp_path / "e")]) == 0
+        stab = json.loads((tmp_path / "s" / "stabilize_report.json").read_text())
+        equiv = json.loads((tmp_path / "e" / "equivalence_report.json").read_text())
+        witness = equiv["report"]["witness"]
+        assert stab["report"]["feedback_comparison"]["certificate"] == witness["weakly_observable"]
 
     def test_theorem51_report(self, corpus_dir, tmp_path):
         out = tmp_path / "o"

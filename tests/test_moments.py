@@ -160,18 +160,24 @@ class TestGrowthConstant:
         )
 
     def test_adjoint_state_under_a_gain(self, corpus, rng):
-        # trace(S(tau) X0) = trace X(tau) on the closed-loop lift, and the
-        # zero gain is the open loop bit for bit
-        from sctk.moments import adjoint_state
+        # the lift certificate's terminal energy is lambda_max(W_T), W_T the
+        # adjoint flow from I under F: trace(W_T X0) = trace X(T) on the
+        # closed-loop lift; at the zero gain it is c0(T) bit for bit
+        from sctk.riccati import solve_sare
+        from sctk.stabilizer import lift_certificate
 
         sys_ = corpus["S4"]
-        F = rng.standard_normal((1, 2))
-        X0 = rng.standard_normal((2, 2))
-        X0 = X0 @ X0.T
-        tr = np.trace(propagate_second_moment(build_generator(sys_, F), X0, 0.7))
-        assert np.trace(adjoint_state(sys_, 0.7, F) @ X0) == pytest.approx(tr, rel=1e-12)
-        assert np.array_equal(adjoint_state(sys_, 0.7, np.zeros((1, 2))),
-                              adjoint_state(sys_, 0.7))
+        F = solve_sare(sys_).F + 0.05 * rng.standard_normal((1, 2))
+        cert = lift_certificate(sys_, F, 0.5)
+        L = build_generator(sys_, F)
+        basis = [np.outer(a, b) for a in np.eye(2) for b in np.eye(2)]
+        W_T = np.reshape([np.trace(propagate_second_moment(L, 0.5 * (E + E.T), cert["T"]))
+                          for E in basis], (2, 2))
+        assert cert["terminal"] == pytest.approx(np.linalg.eigvalsh(W_T)[-1], rel=1e-12)
+        stable = make_system([[-1.0]], [[1.0]], C=[[[0.5]]])
+        cert = lift_certificate(stable, np.zeros((1, 1)), 0.5)
+        assert cert["terminal"] == growth_constant_c0(stable, cert["T"])
+        assert cert["control"] == 0.0
 
     def test_tightness(self, rng):
         from sctk.moments import adjoint_state
