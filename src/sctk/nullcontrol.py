@@ -313,7 +313,7 @@ def verify_theorem_5_1(
         )
     forward_pass = all(dd["all_hold"] for dd in details)
     basis_max = float(np.sqrt(max(0.0, W_u.diagonal().max())))
-    kappa = float(np.sqrt(max(0.0, _lam_max(W_u))))
+    kappa = float(np.sqrt(max(0.0, _lam_max(0.5 * (W_u + W_u.T)))))
     pair = (kappa**2 * (1.0 + 2.0 / (1.0 - delta)), (1.0 + delta) / 2.0)
     converse = is_delta_observable(forms, pair[1], pair[0])
     bound = np.sqrt(c_used / delta * c0)

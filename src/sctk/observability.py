@@ -20,16 +20,24 @@ mean map and one map per noise component, and P_0(c) comes from K steps
 of an n x n recursion over that stack of 1 + d maps, whatever the
 number b of branches.  No leaf-indexed form is ever built.
 
-delta > 0: c_opt is found by brentq on log c.  c_opt = inf iff the
+delta > 0: c_opt is found by Brent's method on log c (_brentq, a port
+of scipy's brentq that evaluates the same points).  c_opt = inf iff the
 c = inf limit of the recursion, started from P_K = I, ends with
-lambda_max above delta.
+lambda_max above delta.  The c = 0 recursion runs only when c = 1 is
+already valid: P_0(0) >= P_0(1), so otherwise c_opt > 0.
 
 delta = 0: the terminal penalty becomes the constraint x_K = 0 on every
 leaf and the value scales as 1/c, so c_opt(0) = lambda_max(P^_0), where
 x0^T P^_0 x0 = min{||u||^2 : x_K = 0 on every leaf}.  One constrained
 backward recursion carries the subspace V_k of states that can be
 steered to 0 from depth k and the minimum energy on it; c_opt(0) = inf
-iff V_0 is not all of R^n.
+iff V_0 is not all of R^n.  Once V_k = R^n the constraint is void at
+every earlier depth, and the unconstrained square-root step takes over.
+
+The matrices are at most a few rows by a few columns, so the recursions
+call LAPACK directly (dgeqrf, dgesdd, dsyevd, the routines numpy runs)
+without numpy's per-call overhead.  A recursion whose P overflows raises
+NumericalFailure.
 """
 
 from __future__ import annotations
@@ -39,8 +47,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dtrtrs
-from scipy.optimize import brentq
+from scipy.linalg.lapack import dgeqrf, dgesdd, dsyevd, dtrtrs
 
 from .errors import InvalidConfig, NumericalFailure
 from .systems import HorizonConfig, StochasticSystem
@@ -107,7 +114,44 @@ def assemble_forms(tree: NoiseTree, sys: StochasticSystem) -> ObservabilityForms
 
 
 def _lam_max(sym_mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (sym_mat + sym_mat.T))[-1])
+    """lambda_max of a symmetric matrix by np.linalg.eigvalsh's dsyevd,
+    which reads the lower triangle.  The recursions' P = R^T R is
+    symmetric to the bit: numpy forms a product with its own transpose
+    by syrk.
+    """
+    w, _, info = dsyevd(sym_mat, compute_v=0, lower=1)
+    if info:
+        raise NumericalFailure(f"dsyevd failed with info {info}")
+    return float(w[-1])
+
+
+def _svd(mat: np.ndarray):
+    """np.linalg.svd(mat): the same dgesdd, without numpy's call overhead.
+
+    The factors come back C-ordered, as numpy's do, so that products with
+    them take the same BLAS path.  dgesdd rejects a matrix with no
+    entries, whose factors are identities.
+    """
+    rows, cols = mat.shape
+    if not mat.size:
+        return np.eye(rows), np.zeros(0), np.eye(cols)
+    W, s, Vt, info = dgesdd(mat, full_matrices=1)
+    if info:
+        raise NumericalFailure(f"dgesdd failed with info {info}")
+    return np.ascontiguousarray(W), s, np.ascontiguousarray(Vt)
+
+
+# the recursions run under this: an overflowing R warns in its step
+# products and in R^T R, and _value's check on P is what reports it
+_overflow_checked = np.errstate(over="ignore", invalid="ignore")
+
+
+def _value(R: np.ndarray) -> np.ndarray:
+    """P = R^T R, or NumericalFailure once the recursion has overflowed."""
+    P = R.T @ R
+    if not np.isfinite(P).all():
+        raise NumericalFailure("the Riccati recursion overflowed: P_0 is not finite")
+    return P
 
 
 def step_maps(
@@ -158,18 +202,24 @@ def sqrt_step(maps: np.ndarray, cost: np.ndarray):
     u) and the gain is -T[:m, :m]^{-1} T[:m, m:].
     """
     s, n, _ = maps.shape
-    m = cost.shape[1] - n
+    rows, cols = s * n + len(cost), cost.shape[1]
+    m = cols - n
     maps_ux = np.concatenate([maps[:, :, n:], maps[:, :, :n]], axis=2)
-    buf = np.vstack([np.empty((s * n, m + n)), cost])
-    stack = buf[: s * n].reshape(s, n, m + n)
+    buf = np.empty((rows, cols))
+    buf[s * n :] = cost
+    stack = buf[: s * n].reshape(s, n, cols)
+    below = _below_diagonal(min(rows, cols), cols)
 
     def step(R: np.ndarray) -> np.ndarray:
         np.matmul(R, maps_ux, out=stack)
-        return _qr_r(buf)
+        tri = dgeqrf(buf)[0][:cols]
+        tri[below] = 0.0
+        return tri
 
     return step
 
 
+@_overflow_checked
 def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, gains: bool = False):
     """P_0 of min_u ||u||^2 / c + p_terminal E|x_T|^2 on the tree.
 
@@ -177,9 +227,10 @@ def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, gains: bool =
     step stacks G = [R M_r]_r over the step maps, so G^T G = E[M^T P M],
     and eliminates u.  Two recursions:
 
-    - finite c >= 0: sqrt_step with the control-cost rows
-      sqrt(dt / c) [I, 0] gives the next R and the gain.  c = 0 forces
-      u = 0: the same step over the x-maps alone, with no cost rows.
+    - finite c >= 0: one sqrt_step with the control-cost rows
+      sqrt(dt / c) [I, 0], built once per sweep, gives the next R and the
+      gain.  c = 0 forces u = 0: the same step over the x-maps alone,
+      with no cost rows.
     - c = inf drops the control cost: the SVD of G_u, with squared
       singular values below RANK_RTOL times the largest as kernel,
       projects G_x off range(G_u), and the next R is the QR triangle of
@@ -187,19 +238,23 @@ def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, gains: bool =
 
     With gains=True (finite c only), returns (P_0, L), where L[k] (m x n)
     is the optimal feedback u_k = L[k] x_k at depth k, zero at c = 0.
+    A P_0 that is not finite (a step map that grows faster than the
+    floating-point range allows over K steps) raises NumericalFailure.
     """
     maps, n, m, K = forms.maps, forms.system.n, forms.system.m, forms.K
-    R = np.sqrt(p_terminal) * np.eye(n)
+    R = math.sqrt(p_terminal) * np.eye(n)
     L = np.zeros((K, m, n)) if gains else None
     if math.isinf(c):
         for _ in range(K):
             G = (R @ maps).reshape(-1, n + m)
-            W, sv, _ = np.linalg.svd(G[:, n:])
-            r = np.count_nonzero(sv**2 > RANK_RTOL * sv.max(initial=0.0) ** 2)
+            W, sv, _ = _svd(G[:, n:])
+            sv = sv.tolist()  # in descending order
+            cut = RANK_RTOL * (sv[0] * sv[0]) if sv else 0.0
+            r = sum(x * x > cut for x in sv)
             R = _qr_r(W[:, r:].T @ G[:, :n])
     else:
         dt = forms.tree.delta_t
-        cost = np.sqrt(dt / c) * np.eye(m, m + n) if c > 0 else np.zeros((0, n))
+        cost = math.sqrt(dt / c) * np.eye(m, m + n) if c > 0 else np.zeros((0, n))
         mu = len(cost)
         step = sqrt_step(maps[:, :, : n + mu], cost)
         for k in range(K - 1, -1, -1):
@@ -210,10 +265,11 @@ def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, gains: bool =
                 if info:
                     raise NumericalFailure(f"singular gain triangle at depth {k}")
                 L[k, :mu] = -gain
-    P = R.T @ R
+    P = _value(R)
     return (P, L) if gains else P
 
 
+@_overflow_checked
 def _null_control_p0(forms: ObservabilityForms):
     """(U_0, P^_0) of min{||u||^2 : x_K = 0 on every leaf}.
 
@@ -231,39 +287,53 @@ def _null_control_p0(forms: ObservabilityForms):
     first, eliminates w, and the next R is T[m - r:, m - r:] U U^T (one
     direct QR; the maps change with G and N at every step).  Singular
     values count as zero below RANK_RTOL times the norm of the unprojected
-    x- or u-maps: once V_{k+1} = R^n the projected stack is rounding noise,
+    x- or u-maps: near V_{k+1} = R^n the projected stack is rounding noise,
     so its own norm is no scale.
+
+    Once V_{k+1} = R^n, every earlier V is R^n too and the constraint is
+    void: the step is then exactly the unconstrained one,
+    sqrt_step(maps, sqrt(dt) [I, 0]), which runs the remaining depths.
+    A P^_0 that is not finite raises NumericalFailure.
     """
     tree, maps = forms.tree, forms.maps
     n, m = forms.system.n, forms.system.m
     tol_x = RANK_RTOL * np.linalg.norm(maps[:, :, :n].reshape(-1, n), 2)
     tol_u = RANK_RTOL * np.linalg.norm(maps[:, :, n:].reshape(-1, m), 2)
     sdt = np.sqrt(tree.delta_t)
+    eye, Mx, Mu = np.eye(n), maps[:, :, :n], maps[:, :, n:]
     U = np.zeros((n, 0))
     R = np.zeros((0, n))
-    for _ in range(tree.K):
-        E = ((np.eye(n) - U @ U.T) @ maps).reshape(-1, n + m)
+    for k in range(tree.K):
+        if U.shape[1] == n:
+            step = sqrt_step(maps, sdt * np.eye(m, m + n))
+            for _ in range(k, tree.K):
+                R = step(R)[m:, m:]
+            break
+        E = ((eye - U @ U.T) @ maps).reshape(-1, n + m)
         Ex, Eu = E[:, :n], E[:, n:]
-        W, s, Zt = np.linalg.svd(Eu)
-        r = int(np.sum(s > tol_u))
+        W, s, Zt = _svd(Eu)
+        r = int(np.count_nonzero(s > tol_u))
         Wr = W[:, :r]
-        G = -(Zt[:r].T / s[:r]) @ (Wr.T @ Ex)
-        _, sx, Xt = np.linalg.svd(Ex - Wr @ (Wr.T @ Ex))
-        U = Xt[int(np.sum(sx > tol_x)):].T
-        N, RMu = Zt[r:].T, R @ maps[:, :, n:]
-        wx = np.concatenate([RMu @ N, R @ maps[:, :, :n] + RMu @ G], axis=2)
+        WEx = Wr.T @ Ex
+        G = -(Zt[:r].T / s[:r]) @ WEx
+        _, sx, Xt = _svd(Ex - Wr @ WEx)
+        U = Xt[int(np.count_nonzero(sx > tol_x)) :].T
+        N, RMu = Zt[r:].T, R @ Mu
+        wx = np.concatenate([RMu @ N, R @ Mx + RMu @ G], axis=2)
         stack = np.vstack([wx.reshape(-1, m - r + n), sdt * np.hstack([N, G])])
         R = _qr_r(stack)[m - r :, m - r :] @ U @ U.T
-    return U, R.T @ R
+    return U, _value(R)
 
 
 def optimal_constant(forms: ObservabilityForms, delta: float) -> ObservabilityReport:
     """Optimal constant c_opt(delta) of the delta-observability inequality.
 
     delta > 0: the backward Riccati recursion gives
-    c_opt = inf{c : lambda_max(P_0(c)) <= 1}, bracketed on log c and closed
-    by brentq.  The feasible end of the final bracket is returned, so
-    is_delta_observable(forms, delta, c_opt) holds by construction.
+    c_opt = inf{c : lambda_max(P_0(c)) <= 1}, bracketed on log c from
+    log c = 0 and closed by Brent's method (_brentq).  The feasible end of
+    the final bracket is returned, so is_delta_observable(forms, delta,
+    c_opt) holds by construction.  c_opt = 0 is tested (by the c = 0
+    recursion) only when c = 1 is valid.
 
     delta = 0: c_opt = lambda_max(P^_0) of the constrained recursion, or
     inf when some initial state cannot be steered to 0 on every leaf.
@@ -271,6 +341,7 @@ def optimal_constant(forms: ObservabilityForms, delta: float) -> ObservabilityRe
     c_opt = inf also when lam_kernel, lambda_max of the c = inf recursion
     started from P_K = I, exceeds delta > 0.  Diagnostics: method
     "riccati" and lam_kernel, plus null_controllable at delta = 0.
+    NumericalFailure when a recursion overflows.
     """
     if not (0.0 <= delta < 1.0):
         raise ValueError(f"delta must be in [0, 1), got {delta}")
@@ -292,8 +363,6 @@ def _copt_riccati(forms, delta):
     diagnostics = {"method": "riccati", "lam_kernel": lam_kernel}
     if lam_kernel > delta:
         return math.inf, diagnostics
-    if _lam_max(_lq_p0(forms, 0.0, 1.0 / delta)) <= 1.0:
-        return 0.0, diagnostics
     excess = {}  # log c -> lambda_max(P_0(c)) - 1, non-increasing
 
     def f(s):
@@ -302,6 +371,9 @@ def _copt_riccati(forms, delta):
             excess[s] = _lam_max(P0) - 1.0
         return excess[s]
 
+    # P_0(0) >= P_0(1): only a valid c = 1 leaves c = 0 to be tested
+    if f(0.0) <= 0 and _lam_max(_lq_p0(forms, 0.0, 1.0 / delta)) <= 1.0:
+        return 0.0, diagnostics
     # exponential search for a sign change; beyond |log c| = 690 the
     # control weight dt / c leaves the floating-point range
     lo = hi = 0.0
@@ -316,8 +388,55 @@ def _copt_riccati(forms, delta):
             if lo <= -690.0:
                 return math.exp(lo), diagnostics
             lo, hi, step = max(lo - step, -690.0), lo, 2 * step
-    brentq(f, lo, hi, xtol=1e-15)
+    _brentq(f, lo, hi, xtol=1e-15)
     return math.exp(min(s for s, v in excess.items() if v <= 0)), diagnostics
+
+
+def _brentq(f, xpre: float, xcur: float, xtol: float) -> float:
+    """A root of f in [xpre, xcur], where f changes sign, by Brent's method.
+
+    A port of scipy.optimize.brentq (scipy/optimize/Zeros/brentq.c) with
+    its defaults rtol = 4 eps and maxiter = 100: the same steps, so f is
+    evaluated at the same points.  NumericalFailure if it does not converge.
+    """
+    rtol = 4 * np.finfo(float).eps
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        tol = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < tol:
+            return xcur
+        if abs(spre) > tol and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre)
+                stry /= dblk * dpre * (fblk - fpre)
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - tol):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > tol else (tol if sbis > 0 else -tol)
+        fcur = f(xcur)
+    raise NumericalFailure(f"Brent's method did not converge on [{xpre}, {xcur}]")
 
 
 def _copt_null(forms):

@@ -397,6 +397,22 @@ class TestCommands:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("invalid config:")
 
+    @pytest.mark.parametrize("command", ["observe", "stabilize"])
+    def test_overflowing_recursion_exits_2(self, tmp_path, capsys, command):
+        # Euler factor |1 - 2500 dt| = 18.5 at K = 128: the recursion's
+        # P = R^T R overflows, which is a numerical failure, not a config
+        # error, though the NaN it makes once reached the root finder
+        cfg = {
+            "n": 2, "m": 1, "d": 1, "A": [-2500.0, 0.0, 0.0, 1.0], "B": [0.0, 1.0],
+            "C": [[0.0, 0.0, 0.0, 2.0]], "D": [[0.0, 0.0]],
+            "T": 1.0, "K": 128, "delta": 0.5, "driver": "bernoulli",
+        }
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical failure: the Riccati recursion overflowed: P_0 is not finite"]
+
     def test_removed_gram_budget_key_exits_1(self, corpus_dir, tmp_path, capsys):
         cfg = json.loads((corpus_dir / "m0.json").read_text())
         cfg["max_gram_dim"] = 4000

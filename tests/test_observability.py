@@ -5,11 +5,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.optimize import brentq
 
-from sctk.errors import InvalidConfig
+import sctk.observability as observability
+from sctk.errors import InvalidConfig, NumericalFailure
 from sctk.nullcontrol import _interval_map
 from sctk.observability import (
+    _brentq,
+    _lam_max,
     _lq_p0,
+    _null_control_p0,
+    _svd,
     assemble_forms,
     invariance_experiment,
     is_delta_observable,
@@ -205,12 +211,56 @@ class TestOptimalConstant:
     @pytest.mark.parametrize("K, want", [(2, 11.5611), (3, 10.2237), (4, 9.5931)])
     def test_delta0_null_controllable_once_the_subspace_is_full(self, K, want):
         # once V_k = R^n the projected constraint stack is rounding noise;
-        # judged against its own norm it read as rank and gave inf at K = 3
+        # judged against its own norm it read as rank and gave inf at K = 3.
+        # V fills at the second step from the end, and the unconstrained
+        # step runs the rest
         sys_ = nth_draw(11, 18, 3, 3, 2)
         tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=K), sys_.d)
         rep = optimal_constant(assemble_forms(tree, sys_), 0.0)
         assert rep.diagnostics["null_controllable"] is True
         assert rep.c_opt == pytest.approx(want, rel=1e-5)
+        assert rep.c_opt == pytest.approx(
+            dense_copt0_oracle(dense_forms(tree, sys_)), rel=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "system, filled_after",
+        [("M0", 1), ("double_integrator", 2), ("draw11", 2), ("S4", None)],
+    )
+    @pytest.mark.parametrize("K", [3, 4, 6])
+    def test_delta0_hand_over_matches_dense_oracle(
+        self, corpus, monkeypatch, system, filled_after, K
+    ):
+        # once V = R^n the remaining depths run sqrt_step's unconstrained
+        # step: from the first step on M0, from the second on the noiseless
+        # double integrator and draw 18 of seed 11, never on S4 (its state
+        # noise keeps V_0 short of R^2, c_opt(0) = inf)
+        sys_ = {
+            "double_integrator": make_system(
+                [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
+                C=[np.zeros((2, 2))], D=[np.zeros((2, 1))],
+            ),
+            "draw11": nth_draw(11, 18, 3, 3, 2),
+        }.get(system) or corpus[system]
+        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=K), sys_.d)
+        forms = assemble_forms(tree, sys_)
+        steps = []
+        plain = observability.sqrt_step
+
+        def counted(maps, cost):
+            step = plain(maps, cost)
+            return lambda R: steps.append(R) or step(R)
+
+        monkeypatch.setattr(observability, "sqrt_step", counted)
+        U, _ = _null_control_p0(forms)
+        monkeypatch.undo()
+        assert len(steps) == (0 if filled_after is None else K - filled_after)
+        assert (U.shape[1] == sys_.n) == (filled_after is not None)
+        got = optimal_constant(forms, 0.0).c_opt
+        want = dense_copt0_oracle(dense_forms(tree, sys_))
+        assert math.isinf(got) == math.isinf(want) == (filled_after is None)
+        if filled_after is not None:
+            assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize(
         "delta, want", [(0.0, 48.02391), (1e-10, None), (1e-9, None), (1e-8, None)]
@@ -386,6 +436,144 @@ class TestOptimalConstant:
         tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=4), sys_.d)
         optimal_constant(assemble_forms(tree, sys_), 0.5)
         assert capfd.readouterr() == ("", "")
+
+
+# c_opt(0.5) and lam_kernel on the invariance meshes (T = 1) as float.hex,
+# as np.linalg.svd and eigvalsh gave them (numpy 2.4 and scipy 1.17 with
+# their bundled OpenBLAS); the direct LAPACK calls run the same routines
+# on the same inputs, so they must give the same bits
+PINNED_MESH = {
+    ("S2", "bernoulli", 8): ("0x1.867e7ad273d0ep+0", "0x1.0000000000002p-24"),
+    ("S2", "bernoulli", 9): ("0x1.7e7869ea290fap+0", "0x1.62c103a907cddp-29"),
+    ("S2", "bernoulli", 10): ("0x1.78576fd84cab0p+0", "0x1.b7cdfd9d7bdbfp-34"),
+    ("S2", "bernoulli", 11): ("0x1.7381beb6092a7p+0", "0x1.ed46bc50ce598p-39"),
+    ("S2", "trinomial", 6): ("0x1.a15422b1e25ddp+0", "0x1.67980e0bf08bdp-16"),
+    ("S2", "trinomial", 7): ("0x1.917444205c980p+0", "0x1.45f3b3bb08292p-20"),
+    ("S2", "trinomial", 8): ("0x1.867e7ad273d0ep+0", "0x1.ffffffffffff4p-25"),
+    ("S2", "quantized_gaussian", 6): ("0x1.a15422b1e25d9p+0", "0x1.67980e0bf08c7p-16"),
+    ("S2", "quantized_gaussian", 7): ("0x1.917444205c980p+0", "0x1.45f3b3bb08292p-20"),
+    ("S2", "quantized_gaussian", 8): ("0x1.867e7ad273d0ep+0", "0x1.0000000000002p-24"),
+    ("S4", "bernoulli", 8): ("0x1.5d7059c8db570p+3", "0x1.5be4945bbfdecp-37"),
+    ("S4", "bernoulli", 9): ("0x1.55ec50b646fe1p+3", "0x1.19b54b55ce918p-44"),
+    ("S4", "bernoulli", 10): ("0x1.50349faa14332p+3", "0x1.839f20bfe1490p-52"),
+    ("S4", "bernoulli", 11): ("0x1.4bb571699525cp+3", "0x1.cec828d267933p-60"),
+    ("S4", "trinomial", 6): ("0x1.76d608bd4f47cp+3", "0x1.20429c515853ep-23"),
+    ("S4", "trinomial", 7): ("0x1.67c3597b4701dp+3", "0x1.63087700304dap-30"),
+    ("S4", "trinomial", 8): ("0x1.5d7059c8db56bp+3", "0x1.5be4945bbfddfp-37"),
+    ("S4", "quantized_gaussian", 6): ("0x1.76d608bd4f471p+3", "0x1.20429c5158544p-23"),
+    ("S4", "quantized_gaussian", 7): ("0x1.67c3597b4701dp+3", "0x1.63087700304dap-30"),
+    ("S4", "quantized_gaussian", 8): ("0x1.5d7059c8db570p+3", "0x1.5be4945bbfdecp-37"),
+}
+
+
+class TestDirectLapack:
+    SHAPES = [(1, 1), (4, 1), (6, 3), (9, 2), (3, 3), (2, 5), (1, 4), (0, 2), (3, 0)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_svd_is_numpys_bit_for_bit(self, shape):
+        # m > rows included; a product with a factor depends on its memory
+        # order, so the factors are C-ordered as numpy's are
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(200):
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8)
+            got, want = _svd(a), np.linalg.svd(a)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+                assert g.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lam_max_is_eigvalsh_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(500):
+            a = rng.standard_normal((n, n))
+            a = a.T @ a if rng.random() < 0.5 else a + a.T
+            assert np.array_equal(a, a.T)
+            assert _lam_max(a) == np.linalg.eigvalsh(a)[-1]
+
+    def test_nonzero_info_is_a_numerical_failure(self, monkeypatch):
+        # dgesdd refuses a NaN entry with info -4; eigvalsh reads NaN
+        # matrices as finite, so its info is forced here
+        with pytest.raises(NumericalFailure, match="dgesdd failed with info -4"):
+            _svd(np.array([[np.nan, 1.0], [1.0, 2.0]]))
+        monkeypatch.setattr(
+            observability, "dsyevd", lambda a, **kw: (np.zeros(len(a)), None, 1)
+        )
+        with pytest.raises(NumericalFailure, match="dsyevd failed with info 1"):
+            _lam_max(np.eye(2))
+
+    @pytest.mark.parametrize("key", sorted(PINNED_MESH), ids=lambda k: "/".join(map(str, k)))
+    def test_mesh_results_are_pinned_bits(self, corpus, key):
+        name, driver, K = key
+        tree = build_tree(TreeDriver.from_name(driver), HorizonConfig(T=1.0, K=K), 1)
+        rep = optimal_constant(assemble_forms(tree, corpus[name]), 0.5)
+        got = (rep.c_opt.hex(), rep.diagnostics["lam_kernel"].hex())
+        assert got == PINNED_MESH[key]
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("a, delta", [(-2500.0, 0.5), (-2500.0, 0.0), (-1e5, 0.5)])
+    def test_overflowing_recursion_is_a_numerical_failure(self, a, delta):
+        # Euler factor |1 + a dt| = 18.5 (a = -2500) or 780 (a = -1e5) per
+        # step at K = 128: R^T R overflows at the end, or R itself midway.
+        # RuntimeWarnings fail the test suite, so none may escape either
+        sys_ = make_system(
+            np.diag([a, 1.0]), [[0.0], [1.0]],
+            C=[np.diag([0.0, 2.0])], D=[np.zeros((2, 1))],
+        )
+        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=128), 1)
+        forms = assemble_forms(tree, sys_)
+        with pytest.raises(NumericalFailure):
+            optimal_constant(forms, delta)
+        for c in (0.0, 1.0):
+            with pytest.raises(NumericalFailure, match="overflowed"):
+                _lq_p0(forms, c, 2.0)
+
+    @pytest.mark.parametrize("K, want", [(64, math.inf), (2048, 6.019763441959165)])
+    def test_stiff_system_off_the_overflow_range(self, K, want):
+        # at K = 64 the discrete system's stiff mode explodes within range
+        # (lam_kernel 2e202), at K = 2048 the Euler factor is below 1
+        sys_ = make_system(
+            np.diag([-2500.0, 1.0]), [[0.0], [1.0]],
+            C=[np.diag([0.0, 2.0])], D=[np.zeros((2, 1))],
+        )
+        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=K), 1)
+        got = optimal_constant(assemble_forms(tree, sys_), 0.5).c_opt
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestBrentq:
+    CASES = [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.exp(-x) - 0.3, -3.0, 5.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: (x - 1.0) ** 5, -0.5, 3.0),
+        (lambda x: 1.0 if x < 0.3 else -1.0, -690.0, 690.0),
+        (lambda x: math.atan(100.0 * (x - 0.7)), -4.0, 1.0),
+        (lambda x: 1e-3 - x * x if x > 0 else 1e-3, -1.0, 2.0),
+        (lambda x: x, 0.0, 1.0),
+        (lambda x: x - 1.0, 0.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("xtol", [1e-15, 2e-12, 1e-3])
+    def test_matches_scipy_point_for_point(self, case, xtol):
+        f, a, b = self.CASES[case]
+        points = {"port": [], "scipy": []}
+
+        def logged(key):
+            return lambda x: points[key].append(x) or f(x)
+
+        want, res = brentq(logged("scipy"), a, b, xtol=xtol, full_output=True, disp=False)
+        if res.converged:
+            assert _brentq(logged("port"), a, b, xtol) == want
+        else:  # (x - 1)^5 at xtol 1e-15 stalls, and scipy stops at 100 steps too
+            with pytest.raises(NumericalFailure, match="did not converge"):
+                _brentq(logged("port"), a, b, xtol)
+        assert points["port"] == points["scipy"]
+
+    def test_bracket_without_sign_change_is_rejected(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15)
 
 
 class TestSqrtStep:
