@@ -8,11 +8,15 @@ X(t) = E[x(t) x(t)^T] satisfies the linear ODE
 The lift L is a plain n^2 x n^2 array acting on X.ravel(), and
 v.reshape(n, n) turns a lifted vector back into a matrix.  L and
 nullcontrol's K-step lift both take their closed-loop maps from a
-coefficient stack (``StochasticSystem.maps``, ``closed_loop``) and add
-sum_r kron(M_r, M_r) with ``kron_sum``; L starts from the drift part
-kron(I, A+BF) + kron(A+BF, I), built as two outer products
-(``np.einsum``) whose factors of exact 1s and 0s leave every entry as
-the Kronecker product gives it.  The spectral abscissa of L certifies
+coefficient stack (``StochasticSystem.maps``, ``closed_loop``).
+``lift(maps, F)`` builds L in one buffer of its d + 2 Kronecker terms,
+kron(I, A+BF), kron(A+BF, I) and kron(C_i+D_iF, C_i+D_iF), filled by
+three broadcast products whose factors of exact 1s and 0s leave every
+entry as the Kronecker product gives it, and summed by one reduction in
+that order.  ``build_generator`` checks a gain against a system and
+calls it; the Riccati layer reads the stack once per solve and calls it
+for each gain.  nullcontrol's lift adds sum_r kron(M_r, M_r) with
+``kron_sum``.  The spectral abscissa of L (LAPACK dgeev) certifies
 mean-square exponential stability, and the adjoint flow started from the
 identity yields the tight growth constant
 
@@ -46,6 +50,27 @@ def kron_sum(stack: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def lift(maps: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Lift matrix L of X -> A_F X + X A_F^T + sum_i C_F,i X C_F,i^T for the
+    closed-loop stack [A_F, C_F,1, ...] = closed_loop(maps, F).
+
+    L is the sum, in this order, of kron(I, A_F), kron(A_F, I) and each
+    kron(C_F,i, C_F,i): the terms fill one buffer by three products, and
+    one reduction over its first axis adds them to 0 in order.  (numpy
+    sums pairwise only along the innermost axis, which the first one
+    becomes when n = 1: there 8 or more terms, d >= 6, are summed
+    pairwise.)
+    """
+    r, n, _ = maps.shape
+    cl = closed_loop(maps, F)
+    I = np.eye(n)
+    terms = np.empty((r + 1, n, n, n, n))
+    np.multiply(I[:, None, :, None], cl[0, None, :, None, :], out=terms[0])
+    np.multiply(cl[0, :, None, :, None], I[None, :, None, :], out=terms[1])
+    np.multiply(cl[1:, :, None, :, None], cl[1:, None, :, None, :], out=terms[2:])
+    return np.add.reduce(terms, axis=0).reshape(n * n, n * n)
+
+
 def build_generator(sys: StochasticSystem, F=None) -> np.ndarray:
     """Lift matrix L of X -> A_cl X + X A_cl^T + sum_i C_cl,i X C_cl,i^T."""
     n = sys.n
@@ -54,11 +79,7 @@ def build_generator(sys: StochasticSystem, F=None) -> np.ndarray:
     F = np.atleast_2d(np.asarray(F, dtype=float))
     if F.shape != (sys.m, n):
         raise InvalidConfig(f"gain shape {F.shape} != ({sys.m}, {n})")
-    cl = closed_loop(sys.maps, F)  # [A + B F, C_i + D_i F]
-    # kron(I, A_cl) + kron(A_cl, I) as two outer products by exact 1s and 0s
-    I = np.eye(n)
-    drift = np.einsum("ab,cd->acbd", I, cl[0]) + np.einsum("ab,cd->acbd", cl[0], I)
-    return kron_sum(cl[1:], drift.reshape(n * n, n * n))
+    return lift(sys.maps, F)
 
 
 def lift_spectrum(L: np.ndarray) -> np.ndarray:

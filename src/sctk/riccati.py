@@ -24,6 +24,14 @@ F_k, the generalized Lyapunov equation
 is one linear solve on the n^2 lift, and one H form of its solution
 gives both F_{k+1} and the residual.
 
+The matrices are small (a lift is n^2 x n^2), so each step is one numpy
+or LAPACK call: ``solve_sare`` and ``find_stabilizing_gain`` read the
+stack once and build each gain's lift with ``moments.lift``; its
+spectrum is dgeev, the Lyapunov and gain solves dgesv, the LQR Schur
+form dgees, and the eigenvalues of H(Q) and of P dsyevd on the lower
+triangle, as in np.linalg.eigvalsh.  A residual's Frobenius norm is
+numpy's own sqrt of x . x.
+
 The first stabilizing gain comes from a deterministic search with no
 seed: the zero gain, then, only when the zero gain fails, the
 deterministic LQR gain, which stabilizes a noise-free system whenever one
@@ -62,14 +70,14 @@ the positive-definite stabilizing class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.lapack import dgees, dgesv, dsyevd
 
 from .errors import NumericalFailure
-from .moments import build_generator, lift_spectrum, spectral_abscissa
+from .moments import build_generator, lift, lift_spectrum, spectral_abscissa
 from .systems import StochasticSystem, hautus_stabilizability
 
 GAIN_MARGIN = 1e-9  # a gain stabilizes at lift abscissa below -GAIN_MARGIN * rho_0
@@ -126,7 +134,8 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
     goes into ``evidence`` when a dict is given.
     """
     n = sys.n
-    L = build_generator(sys)
+    maps = sys.maps
+    L = lift(maps, np.zeros((sys.m, n)))
     spectrum = lift_spectrum(L)
     alpha = float(spectrum.real.max())
     # the system's own rate; a lift whose spectrum is {0} has none
@@ -138,7 +147,7 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
     beta0 = max(0.0, alpha / 2.0) + rho0
     F = _lqr_gain(sys.A, sys.B)
     if F is not None:
-        alpha = closed_loop_abscissa(sys, F)
+        alpha = spectral_abscissa(lift(maps, F))
         if alpha < stable_below:
             return F, alpha
     evidence = {} if evidence is None else evidence
@@ -154,7 +163,6 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
         return None
 
     # shift continuation from the zero gain (module docstring)
-    maps = sys.maps
     F = np.zeros((sys.m, n))
     beta = beta0
     for _ in range(NEWTON_MAX_ITER):
@@ -164,7 +172,7 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
         P = _lyapunov_solve(sys, F, L)
         growth = float(np.abs(P).max())
         F = _riccati(maps, P)[1]  # the shift moves only H's x-block
-        L = build_generator(sys, F)
+        L = lift(maps, F)
         alpha = spectral_abscissa(L)
         if alpha < stable_below:
             return F, alpha
@@ -187,7 +195,7 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
         # at the stall, the gain of H(Q)'s minimiser over u can stabilize
         # where the continuation's gain does not
         F = _minimiser_gain(H, n)
-        alpha = closed_loop_abscissa(sys, F)
+        alpha = spectral_abscissa(lift(maps, F))
         if alpha < stable_below:
             return F, alpha
     evidence.update(
@@ -200,22 +208,36 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
     return None
 
 
+def _lhp(wr, wi):
+    """dgees' select: the eigenvalue wr + i wi is in the open left half-plane."""
+    return wr < 0.0
+
+
+def _no_sort(wr, wi):
+    return None
+
+
 def _lqr_gain(A, B):
     """The deterministic LQR gain -B^T P of unit weights, or None.
 
     P = U_21 U_11^{-1} from the ordered real Schur form of the Hamiltonian
     [[A, -B B^T], [-I, -A^T]] whose leading n columns U span its stable
-    invariant subspace (Laub, IEEE TAC 24(6), 1979).  None when schur
-    cannot order the form, when it has not n stable eigenvalues, or when
-    U_11 is singular: then there is no stabilizing LQR solution to try.
+    invariant subspace (Laub, IEEE TAC 24(6), 1979).  LAPACK's dgees
+    orders the form as scipy's schur(sort="lhp") does, with the same
+    workspace query.  None when dgees cannot order the form (info > 0),
+    when it has not n stable eigenvalues, or when U_11 is singular: then
+    there is no stabilizing LQR solution to try.
     """
     n = len(A)
-    H = np.block([[A, -B @ B.T], [-np.eye(n), -A.T]])
-    try:
-        _, U, stable = schur(H, sort="lhp")
-    except np.linalg.LinAlgError:
-        return None
-    if stable != n:
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n], H[:n, n:], H[n:, :n], H[n:, n:] = A, -B @ B.T, -np.eye(n), -A.T
+    if not np.isfinite(H).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lwork = int(dgees(_no_sort, H, lwork=-1)[-2][0])
+    _, stable, _, _, U, _, info = dgees(_lhp, H, lwork=lwork, sort_t=1)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info > 0 or stable != n:
         return None
     # P U_11 = U_21, solved transposed: U_11^T P^T = U_21^T
     _, _, Pt, info = dgesv(U[:n, :n].T, U[n:, :n].T)
@@ -257,11 +279,16 @@ def _unit_columns(H, n):
     (H is then not >= 0).
     """
     used = H[:, n:].any(axis=0)
-    d = H.diagonal()[n:][used]
+    if used.all():
+        Hs = H.copy()
+    else:
+        keep = np.concatenate([np.arange(n), n + np.flatnonzero(used)])
+        Hs = H[np.ix_(keep, keep)]
+    d = Hs.diagonal()[n:]
     s = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
-    keep = np.concatenate([np.arange(n), n + np.flatnonzero(used)])
-    w = np.concatenate([np.ones(n), s])
-    return w[:, None] * H[np.ix_(keep, keep)] * w, s, used
+    Hs[n:] *= s[:, None]
+    Hs[:, n:] *= s
+    return Hs, s, used
 
 
 def _minimiser_gain(H, n):
@@ -289,14 +316,33 @@ def _certificate_margin(maps, Q, H):
     """
     r, n, _ = maps.shape  # r = 1 + d
     Hs, s, used = _unit_columns(H, n)
-    lam = np.linalg.eigvalsh(Hs)
-    scaled = np.concatenate([maps[:, :, :n], maps[:, :, n:][:, :, used] * s], axis=2)
+    lam = _eigvalsh(Hs)
+    if used.all():
+        scaled = maps.copy()
+    else:
+        scaled = np.concatenate([maps[:, :, :n], maps[:, :, n:][:, :, used]], axis=2)
+    scaled[:, :, n:] *= s
     norms = np.linalg.norm(scaled, axis=(1, 2))
     size = 2.0 * norms[0] + float((norms[1:] ** 2).sum())
-    bound = np.finfo(float).eps * (3 * n + len(s) + r + 3) * np.linalg.norm(Q) * size
+    bound = np.finfo(float).eps * (3 * n + len(s) + r + 3) * _frobenius(Q) * size
     if lam[0] > CERT_ROUNDING * bound:
         return float(lam[0] / lam[-1])
     return None
+
+
+def _eigvalsh(sym):
+    """np.linalg.eigvalsh(sym) by the same dsyevd on the lower triangle,
+    without numpy's per-call overhead."""
+    w, _, info = dsyevd(sym, compute_v=0, lower=1)
+    if info:
+        raise NumericalFailure(f"dsyevd failed with info {info}")
+    return w
+
+
+def _frobenius(X) -> float:
+    """np.linalg.norm(X) of a C-ordered X, by numpy's own dot of X.ravel()."""
+    x = X.ravel()
+    return math.sqrt(x.dot(x))
 
 
 def _lyapunov_solve(sys: StochasticSystem, F, L=None) -> np.ndarray:
@@ -304,7 +350,7 @@ def _lyapunov_solve(sys: StochasticSystem, F, L=None) -> np.ndarray:
 
     The operator is the adjoint of the second-moment lift, so its matrix
     is the transpose of L = build_generator(sys, F), or of the lift L
-    given (the continuation's, shifted).
+    given: Newton's, or the continuation's, shifted.
     """
     n = sys.n
     rhs = -(np.eye(n) + F.T @ F).ravel()
@@ -338,17 +384,17 @@ def solve_sare(sys: StochasticSystem):
     F, _ = found
     maps = sys.maps
     for it in range(1, NEWTON_MAX_ITER + 1):
-        P = _lyapunov_solve(sys, F)
+        P = _lyapunov_solve(sys, F, lift(maps, F))
         R, F, G = _riccati(maps, P)
-        residual = float(np.linalg.norm(R))
-        if residual < NEWTON_RTOL * float(np.linalg.norm(G)):
+        residual = _frobenius(R)
+        if residual < NEWTON_RTOL * _frobenius(G):
             break
     else:
         raise NumericalFailure(
             f"Newton iteration stalled at residual {residual:.3e}"
         )
-    min_eig = float(np.linalg.eigvalsh(P)[0])
-    alpha = closed_loop_abscissa(sys, F)
+    min_eig = float(_eigvalsh(P)[0])
+    alpha = spectral_abscissa(lift(maps, F))
     if min_eig <= 0 or alpha >= 0:
         raise NumericalFailure(
             "Newton iteration ended outside the positive-definite stabilizing "

@@ -9,6 +9,8 @@ from sctk.moments import (
     closed_loop,
     growth_constant_c0,
     kron_sum,
+    lift,
+    lift_spectrum,
     propagate_second_moment,
     spectral_abscissa,
 )
@@ -79,6 +81,32 @@ class TestGenerator:
                     I = np.eye(n)
                     want = kron_sum(cl[1:], np.kron(I, cl[0]) + np.kron(cl[0], I))
                     assert build_generator(sys_, F).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_lift_is_the_kron_sum_bit_for_bit(self, rng, d):
+        # a plain np.kron reference, added to 0 in the documented order;
+        # half the stacks have zero entries, whose products carry a sign
+        # that 0.0 + (-0.0) drops
+        for trial in range(40):
+            n, m = (int(k) for k in rng.integers(1, 4, size=2))
+            maps = rng.standard_normal((1 + d, n, n + m))
+            if trial % 2:
+                maps[rng.random(maps.shape) < 0.5] = 0.0
+            F = rng.standard_normal((m, n)) if trial % 4 < 2 else np.zeros((m, n))
+            cl = maps[:, :, :n] + maps[:, :, n:] @ F
+            want = np.zeros((n * n, n * n))
+            for term in [np.kron(np.eye(n), cl[0]), np.kron(cl[0], np.eye(n))]:
+                want += term
+            for M in cl[1:]:
+                want += np.kron(M, M)
+            assert lift(maps, F).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stack_reaches_the_spectrum_check(self, rng, bad):
+        maps = rng.standard_normal((2, 2, 3))
+        maps[1, 0, 1] = bad
+        with pytest.raises(NumericalFailure, match="not finite"):
+            lift_spectrum(lift(maps, rng.standard_normal((1, 2))))
 
 
 class TestAbscissa:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import schur, solve_continuous_are
+from scipy.linalg.lapack import dgesv
 from scipy.optimize import minimize
 
 from sctk import riccati
@@ -30,6 +31,7 @@ from sctk.systems import hautus_stabilizability, make_system
 from tests.conftest import examples, random_system, stiff_family
 
 GOLDEN = (1 + np.sqrt(5)) / 2
+SARE_PINS = Path(__file__).with_name("sare_pins.json")
 
 
 class TestSolve:
@@ -365,6 +367,51 @@ class TestLQRCandidate:
             solve_continuous_are(A, B, np.eye(len(A)), np.eye(B.shape[1]))
         assert _lqr_gain(A, B) is None
 
+    def test_dgees_route_is_the_schur_route_bit_for_bit(self, corpus):
+        def by_schur(A, B):
+            n = len(A)
+            H = np.block([[A, -B @ B.T], [-np.eye(n), -A.T]])
+            try:
+                _, U, stable = schur(H, sort="lhp")
+            except np.linalg.LinAlgError:
+                return None
+            if stable != n:
+                return None
+            _, _, Pt, info = dgesv(U[:n, :n].T, U[n:, :n].T)
+            return None if info else -B.T @ (0.5 * (Pt + Pt.T))
+
+        rng = np.random.default_rng(2701)
+        pairs = [(corpus[k].A, corpus[k].B) for k in ("S1", "S2", "S3", "S4", "M0")]
+        pairs += [(s.A, s.B) for s in stiff_family()]
+        pairs += [(s.A, s.B) for s in (random_system(rng, 4, 3, 1) for _ in range(200))]
+        # a zero input column, and B = 0 under a stable and an unstable A
+        pairs += [(A, B * [1.0, 0.0]) for A, B in pairs[-20:] if B.shape[1] == 2]
+        pairs += [(-np.eye(2), np.zeros((2, 1))), (np.eye(2), np.zeros((2, 1)))]
+        nones = 0
+        for A, B in pairs:
+            want, got = by_schur(A, B), _lqr_gain(A, B)
+            if want is None:
+                nones += 1
+                assert got is None
+            else:
+                assert got.tobytes() == want.tobytes()
+        assert nones >= 2
+
+    def test_no_stable_subspace_gives_no_gain(self):
+        # B = 0 makes the Hamiltonian block triangular, with spectrum
+        # spec(A) and -spec(A): at A = 0 it has no stable eigenvalue; at
+        # A = diag(1, -2) its stable subspace is n-dimensional, but U_11
+        # is singular, since the unstable mode of A is not in it
+        assert _lqr_gain(np.zeros((1, 1)), np.zeros((1, 1))) is None
+        assert _lqr_gain(np.diag([1.0, -2.0]), np.zeros((2, 1))) is None
+        F = _lqr_gain(np.diag([-1.0, -2.0]), np.zeros((2, 1)))
+        assert F.shape == (1, 2) and not F.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _lqr_gain(np.array([[bad]]), np.array([[1.0]]))
+
     def test_only_computed_when_the_zero_gain_fails(self, corpus, monkeypatch):
         calls = []
 
@@ -412,6 +459,57 @@ class TestGainAndValue:
         assert lq_value([[GOLDEN]], [0.0]) == 0.0
         x = np.array([0.6, 0.8])
         assert lq_value(np.eye(2), x) == pytest.approx(1.0)
+
+
+class TestPinnedBits:
+    def test_stream_solutions_are_pinned_bits(self):
+        # float.hex of every output on the first 140 draws of the stream,
+        # which hold the 40 systems of perfbench's riccati-draws: P, F,
+        # residual, abscissa and the Newton count of each solution, and the
+        # evidence and shift of each NotSolvable verdict
+        def hexes(a):
+            return [[float.hex(float(x)) for x in row] for row in a]
+
+        rng = np.random.default_rng(7)
+        moved = []
+        for pin in json.loads(SARE_PINS.read_text()):
+            sol = solve_sare(random_system(rng))
+            if isinstance(sol, NotSolvable):
+                got = {"evidence": sol.diagnostics["evidence"],
+                       "shift": float.hex(sol.diagnostics["shift"])}
+            else:
+                got = {"P": hexes(sol.P), "F": hexes(sol.F),
+                       "residual": float.hex(sol.residual),
+                       "abscissa": float.hex(sol.abscissa), "iterations": sol.iterations}
+            if {"draw": pin["draw"], **got} != pin:
+                moved.append(pin["draw"])
+        assert moved == []
+
+
+class TestDirectLapack:
+    def test_eigvalsh_is_numpys_bit_for_bit(self, rng):
+        for n in (1, 2, 3, 5):
+            for _ in range(50):
+                X = rng.standard_normal((n, n))
+                want = np.linalg.eigvalsh(X)  # the lower triangle, as dsyevd's
+                assert riccati._eigvalsh(X).tobytes() == want.tobytes()
+
+    def test_frobenius_is_numpys_bit_for_bit(self, rng):
+        for shape in ((1, 1), (2, 2), (3, 5), (9, 9)):
+            X = rng.standard_normal(shape)
+            assert riccati._frobenius(X) == float(np.linalg.norm(X))
+
+    def test_nonzero_dsyevd_info_is_a_numerical_failure(self, monkeypatch):
+        # dsyevd reads a NaN matrix as finite, so info is forced
+        sys_ = make_system([[1.0]], [[0.0]], C=[[[0.5]]], D=[[[0.0]]])
+        Q = np.ones((1, 1))
+        H = riccati._h_form(sys_.maps, Q)
+        assert riccati._certificate_margin(sys_.maps, Q, H) is not None
+        monkeypatch.setattr(riccati, "dsyevd", lambda a, **kw: (np.zeros(len(a)), None, 1))
+        with pytest.raises(NumericalFailure, match="dsyevd failed with info 1"):
+            riccati._certificate_margin(sys_.maps, Q, H)
+        with pytest.raises(NumericalFailure, match="dsyevd"):
+            solve_sare(make_system([[-1.0]], [[1.0]], C=[[[0.5]]], D=[[[0.0]]]))
 
 
 class TestResidualConventions:
