@@ -61,7 +61,8 @@ stalls the continuation at a shift beta* >= 0, about half the least lift
 abscissa the gains reached: after the gain of H(Q)'s minimiser over u
 fails, that stall is the evidence (``evidence: "cap"``), which is not a
 proof.  Both stops are relative to beta_0, the gain margin to rho_0 and
-the Newton stop to |H(P) + I|, so no time unit enters.
+the Newton stop to the terms the residual cancels, so no time unit
+enters.
 ``NumericalFailure`` (not a verdict) is raised when a shifted solve is
 singular or not finite, when the continuation takes more than
 ``NEWTON_MAX_ITER`` steps, or when Newton-Kleinman stalls or ends outside
@@ -81,7 +82,7 @@ from .moments import build_generator, lift, lift_spectrum, spectral_abscissa
 from .systems import StochasticSystem, hautus_stabilizability
 
 GAIN_MARGIN = 1e-9  # a gain stabilizes at lift abscissa below -GAIN_MARGIN * rho_0
-NEWTON_RTOL = 1e-12  # Newton stops at residual below NEWTON_RTOL * |H(P) + I|_F
+NEWTON_RTOL = 1e-12  # Newton stops at residual below NEWTON_RTOL * (solve_sare)
 NEWTON_MAX_ITER = 100  # bound on the Newton steps of the solve and of the continuation
 SHIFT_RTOL = 1e-9  # the continuation stalls at a shift step below SHIFT_RTOL * beta_0
 CERT_ROUNDING = 64.0  # safety factor on the rounding bound of the certificate
@@ -322,12 +323,17 @@ def _certificate_margin(maps, Q, H):
     else:
         scaled = np.concatenate([maps[:, :, :n], maps[:, :, n:][:, :, used]], axis=2)
     scaled[:, :, n:] *= s
-    norms = np.linalg.norm(scaled, axis=(1, 2))
-    size = 2.0 * norms[0] + float((norms[1:] ** 2).sum())
-    bound = np.finfo(float).eps * (3 * n + len(s) + r + 3) * _frobenius(Q) * size
+    bound = np.finfo(float).eps * (3 * n + len(s) + r + 3) * _frobenius(Q) * _size(scaled)
     if lam[0] > CERT_ROUNDING * bound:
         return float(lam[0] / lam[-1])
     return None
+
+
+def _size(maps) -> float:
+    """2 |M_0|_F + sum_i |M_i|_F^2: |Q|_F times it bounds the Frobenius
+    norm of H(Q)'s terms Q M_0, M_0^T Q and M_i^T Q M_i."""
+    norms = np.linalg.norm(maps, axis=(1, 2))
+    return 2.0 * norms[0] + float((norms[1:] ** 2).sum())
 
 
 def _eigvalsh(sym):
@@ -369,9 +375,11 @@ def solve_sare(sys: StochasticSystem):
 
     The first gain, or the NotSolvable verdict, comes from
     ``find_stabilizing_gain``.  The iteration stops once the residual is
-    below NEWTON_RTOL * |H(P) + I|_F, the size of the terms it cancels,
-    which a change of time unit scales alike, and raises
-    NumericalFailure when it stalls or ends outside the positive-definite
+    below NEWTON_RTOL (|H(P) + I|_F + |P|_F (2 |M_0|_F + sum_i |M_i|_F^2)),
+    the size of the terms it cancels, which a change of time unit scales
+    alike: where A^T P + P A cancels to about -I (a slow stable mode), the
+    second term is the size of A^T P.  It raises NumericalFailure when
+    the iteration stalls or ends outside the positive-definite
     stabilizing class.
     """
     evidence = {}
@@ -383,11 +391,12 @@ def solve_sare(sys: StochasticSystem):
 
     F, _ = found
     maps = sys.maps
+    size = _size(maps)
     for it in range(1, NEWTON_MAX_ITER + 1):
         P = _lyapunov_solve(sys, F, lift(maps, F))
         R, F, G = _riccati(maps, P)
         residual = _frobenius(R)
-        if residual < NEWTON_RTOL * _frobenius(G):
+        if residual < NEWTON_RTOL * (_frobenius(G) + _frobenius(P) * size):
             break
     else:
         raise NumericalFailure(

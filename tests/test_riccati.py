@@ -318,6 +318,23 @@ class TestUnitInvariance:
         else:
             assert moved.abscissa < -GAIN_MARGIN
 
+    @pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3, 1e-4, 1e-6])
+    def test_slow_jordan_block_solves(self, eps):
+        # A = [[-eps, 1], [0, -eps]], B = 0: A^T P + P A cancels to -I
+        # against terms of size |P| ~ 1 / (4 eps^3), and a stop relative to
+        # |H(P) + I| alone stalled Newton at eps <= 3e-3; the Lyapunov
+        # solution has p11 = 1 / (2 eps), p12 = p11 / (2 eps) and
+        # p22 = (1 + 2 p12) / (2 eps)
+        sys_ = make_system([[-eps, 1.0], [0.0, -eps]], [[0.0], [0.0]],
+                           C=[np.zeros((2, 2))], D=[np.zeros((2, 1))])
+        sol = solve_sare(sys_)
+        assert not isinstance(sol, NotSolvable)
+        p11 = 1.0 / (2.0 * eps)
+        p12 = p11 / (2.0 * eps)
+        want = np.array([[p11, p12], [p12, (1.0 + 2.0 * p12) / (2.0 * eps)]])
+        assert np.allclose(sol.P, want, rtol=1e-9, atol=0.0)
+        assert sol.iterations == 1 and not sol.F.any()
+
     def test_slow_stable_system_keeps_the_zero_gain(self):
         # abscissa -2e-10 with B = D = 0: an absolute margin of 1e-9 rejected
         # the zero gain, and the Hautus band then counted the mode critical
