@@ -82,7 +82,7 @@ from .moments import build_generator, lift, lift_spectrum, spectral_abscissa
 from .systems import StochasticSystem, hautus_stabilizability
 
 GAIN_MARGIN = 1e-9  # a gain stabilizes at lift abscissa below -GAIN_MARGIN * rho_0
-NEWTON_RTOL = 1e-12  # Newton stops at residual below NEWTON_RTOL * (solve_sare)
+NEWTON_RTOL = 1e-12  # Newton stops at residual below NEWTON_RTOL * its terms
 NEWTON_MAX_ITER = 100  # bound on the Newton steps of the solve and of the continuation
 SHIFT_RTOL = 1e-9  # the continuation stalls at a shift step below SHIFT_RTOL * beta_0
 CERT_ROUNDING = 64.0  # safety factor on the rounding bound of the certificate
@@ -215,6 +215,7 @@ def _lhp(wr, wi):
 
 
 def _no_sort(wr, wi):
+    """dgees' select for the workspace query, which orders nothing."""
     return None
 
 
@@ -318,10 +319,7 @@ def _certificate_margin(maps, Q, H):
     r, n, _ = maps.shape  # r = 1 + d
     Hs, s, used = _unit_columns(H, n)
     lam = _eigvalsh(Hs)
-    if used.all():
-        scaled = maps.copy()
-    else:
-        scaled = np.concatenate([maps[:, :, :n], maps[:, :, n:][:, :, used]], axis=2)
+    scaled = np.concatenate([maps[:, :, :n], maps[:, :, n:][:, :, used]], axis=2)
     scaled[:, :, n:] *= s
     bound = np.finfo(float).eps * (3 * n + len(s) + r + 3) * _frobenius(Q) * _size(scaled)
     if lam[0] > CERT_ROUNDING * bound:
