@@ -328,8 +328,8 @@ def _certificate_margin(maps, Q, H):
 
 
 def _size(maps) -> float:
-    """2 |M_0|_F + sum_i |M_i|_F^2: |Q|_F times it bounds the Frobenius
-    norm of H(Q)'s terms Q M_0, M_0^T Q and M_i^T Q M_i."""
+    """2 |M_0|_F + sum_i |M_i|_F^2 of a stack M_r: |Q|_F times it bounds
+    the Frobenius norm of the terms Q M_0, M_0^T Q and M_i^T Q M_i."""
     norms = np.linalg.norm(maps, axis=(1, 2))
     return 2.0 * norms[0] + float((norms[1:] ** 2).sum())
 
@@ -373,11 +373,13 @@ def solve_sare(sys: StochasticSystem):
 
     The first gain, or the NotSolvable verdict, comes from
     ``find_stabilizing_gain``.  The iteration stops once the residual is
-    below NEWTON_RTOL (|H(P) + I|_F + |P|_F (2 |M_0|_F + sum_i |M_i|_F^2)),
+    below NEWTON_RTOL (|H(P) + I|_F + |P|_F (2 |A|_F + sum_i |C_i|_F^2)),
     the size of the terms it cancels, which a change of time unit scales
     alike: where A^T P + P A cancels to about -I (a slow stable mode), the
-    second term is the size of A^T P.  It raises NumericalFailure when
-    the iteration stalls or ends outside the positive-definite
+    second term is the size of A^T P.  It leaves out B and D, whose
+    terms enter the residual through G_xu G_uu^{-1} G_ux, whose size does
+    not grow with the unit of the control.  It raises NumericalFailure
+    when the iteration stalls or ends outside the positive-definite
     stabilizing class.
     """
     evidence = {}
@@ -389,7 +391,7 @@ def solve_sare(sys: StochasticSystem):
 
     F, _ = found
     maps = sys.maps
-    size = _size(maps)
+    size = _size(maps[:, :, : sys.n])  # [A, C_1, ..., C_d]
     for it in range(1, NEWTON_MAX_ITER + 1):
         P = _lyapunov_solve(sys, F, lift(maps, F))
         R, F, G = _riccati(maps, P)

@@ -335,6 +335,13 @@ class TestUnitInvariance:
         assert np.allclose(sol.P, want, rtol=1e-9, atol=0.0)
         assert sol.iterations == 1 and not sol.F.any()
 
+    def test_newton_stop_does_not_grow_with_the_control_unit(self):
+        # a stop relative to |P| (2 |[A, B]| + sum |[C_i, D_i]|^2) grows with
+        # r^2 when (B, D) -> (r B, r D): at r = 1e3 it ended this draw one
+        # step early at |R| = 2.4e-6; A and C alone leave it at 5e-13
+        sol = solve_sare(_input_scale(_draw(7, 29), 1e3))
+        assert sol.residual <= 1e-9 * max(1.0, np.linalg.norm(sol.P))
+
     def test_slow_stable_system_keeps_the_zero_gain(self):
         # abscissa -2e-10 with B = D = 0: an absolute margin of 1e-9 rejected
         # the zero gain, and the Hautus band then counted the mode critical
