@@ -319,6 +319,8 @@ def _certificate_margin(maps, Q, H):
     r, n, _ = maps.shape  # r = 1 + d
     Hs, s, used = _unit_columns(H, n)
     lam = _eigvalsh(Hs)
+    if not lam[0] > 0:  # the bound is >= 0
+        return None
     scaled = np.concatenate([maps[:, :, :n], maps[:, :, n:][:, :, used]], axis=2)
     scaled[:, :, n:] *= s
     bound = np.finfo(float).eps * (3 * n + len(s) + r + 3) * _frobenius(Q) * _size(scaled)
