@@ -13,6 +13,12 @@ only command that builds a branch template, once that budget has passed.
 Every other command works on the one-step maps and the n x n recursions
 alone, whatever the branch or leaf count.
 
+One argument parser serves every main() call in a process, and --out is
+made once per call.  A report is written from what the handler returns,
+a dict or the analysis's own report dataclass, in one walk (_jsonable)
+that reads dataclass fields in place and turns arrays, numpy scalars and
+infinities into JSON values.
+
 A rerun into the same --out rewrites each report, CSV and emitted config
 in place, over the old file's bytes (see _write_text).  A crash mid-write
 therefore leaves old and new bytes mixed, not a truncated file; neither
@@ -27,7 +33,7 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -204,6 +210,12 @@ def load_config(path) -> RunConfig:
 
 
 def _jsonable(obj):
+    """The report value of obj: JSON types only, in one walk.
+
+    A dataclass becomes the dict of its fields, read in place (what
+    dataclasses.asdict gives, without its deep copy of every leaf); an
+    infinity becomes "inf" or "-inf", and a NaN is a NumericalFailure.
+    """
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -219,6 +231,8 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
+    if hasattr(type(obj), "__dataclass_fields__"):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 
@@ -252,8 +266,8 @@ def _write_text(path: Path, text: str) -> Path:
 
 
 def write_report(out_dir, command, cfg_raw, seed, payload) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write <command>_report.json into out_dir, which must exist (main
+    makes it once per call); payload is a dict or a report dataclass."""
     doc = {
         "meta": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -268,7 +282,7 @@ def write_report(out_dir, command, cfg_raw, seed, payload) -> Path:
         },
         "report": _jsonable(payload),
     }
-    path = out_dir / f"{command.replace('-', '_')}_report.json"
+    path = Path(out_dir) / f"{command.replace('-', '_')}_report.json"
     return _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -321,7 +335,7 @@ def _build_forms(cfg: RunConfig):
 def _cmd_observe(cfg: RunConfig):
     forms = _build_forms(cfg)
     rep = optimal_constant(forms, cfg.delta)
-    payload = dict(asdict(rep), driver=forms.driver_kind, K=forms.K)
+    payload = dict(vars(rep), driver=forms.driver_kind, K=forms.K)
     return payload, (
         f"observe: c_opt({cfg.delta}) = "
         f"{'inf' if not rep.observable else format(rep.c_opt, '.10g')}"
@@ -407,7 +421,7 @@ def _cmd_synthesize(cfg: RunConfig, out_dir):
 
 def _cmd_theorem51(cfg: RunConfig):
     rep = verify_theorem_5_1(_build_forms(cfg), cfg.delta, c=cfg.c)
-    payload = asdict(rep)
+    payload = rep
     if not rep.applicable:
         return payload, "theorem51: not applicable (not observable at this delta)"
     return payload, (
@@ -461,7 +475,7 @@ def _cmd_stabilize(cfg: RunConfig, out_dir):
 def _cmd_equivalence(cfg: RunConfig):
     # a delta outside (0, 1) is a ValueError, so exit 1
     rep = equivalence_harness(cfg.system, cfg.delta)
-    payload = asdict(rep)
+    payload = rep
     return payload, (
         f"equivalence: verdicts {rep.verdicts}, agreement "
         f"{'yes' if rep.agreement else 'NO'}"
@@ -524,17 +538,22 @@ _HANDLERS = {
 COMMANDS = (*_HANDLERS, "emit-corpus")
 
 
+# one parser per process: parse_args leaves it as it was, and building it
+# (a HelpFormatter and a gettext lookup per argument) costs ten times
+# what a parse does
+_PARSER = argparse.ArgumentParser(
+    prog="sctk",
+    description="Desk-scale analysis of constant-coefficient stochastic "
+    "control systems: observability constants, Riccati-feedback null "
+    "control synthesis, Riccati stabilization, and their equivalence.",
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", help="path to a JSON run configuration")
+_PARSER.add_argument("--out", default="sctk_out", help="output directory")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="sctk",
-        description="Desk-scale analysis of constant-coefficient stochastic "
-        "control systems: observability constants, Riccati-feedback null "
-        "control synthesis, Riccati stabilization, and their equivalence.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", help="path to a JSON run configuration")
-    parser.add_argument("--out", default="sctk_out", help="output directory")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         if args.command == "emit-corpus":
@@ -545,12 +564,16 @@ def main(argv=None) -> int:
             raise InvalidConfig(f"command {args.command!r} requires --config")
         cfg = load_config(args.config)
         handler, writes_files = _HANDLERS[args.command]
+        # --out is made once: before a handler that writes into it, else
+        # after the handler, so that a failed analysis leaves no directory
+        out = Path(args.out)
         if writes_files:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            payload, line = handler(cfg, args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            payload, line = handler(cfg, out)
         else:
             payload, line = handler(cfg)
-        write_report(args.out, args.command, cfg.raw, cfg.seed, payload)
+            out.mkdir(parents=True, exist_ok=True)
+        write_report(out, args.command, cfg.raw, cfg.seed, payload)
         print(line)
         return 0
     except BudgetExceeded as exc:

@@ -21,8 +21,10 @@ of an n x n recursion over that stack of 1 + d maps, whatever the
 number b of branches.  No leaf-indexed form is ever built.
 
 delta > 0: c_opt is found by Brent's method on log c (_brentq, a port
-of scipy's brentq that evaluates the same points).  c_opt = inf iff the
-c = inf limit of the recursion, started from P_K = I, ends with
+of scipy's brentq that evaluates the same points).  The search builds
+one square-root step (_lq_sweep) and rewrites only its control-cost rows
+for each c it visits, and enters the overflow guard once.  c_opt = inf
+iff the c = inf limit of the recursion, started from P_K = I, ends with
 lambda_max above delta.  The c = 0 recursion runs only when c = 1 is
 already valid: P_0(0) >= P_0(1), so otherwise c_opt > 0.
 
@@ -141,8 +143,9 @@ def _svd(mat: np.ndarray):
     return np.ascontiguousarray(W), s, np.ascontiguousarray(Vt)
 
 
-# the recursions run under this: an overflowing R warns in its step
-# products and in R^T R, and _value's check on P is what reports it
+# the recursions run under this (a c_opt search once, around all its
+# sweeps): an overflowing R warns in its step products and in R^T R, and
+# _value's check on P is what reports it
 _overflow_checked = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -200,6 +203,10 @@ def sqrt_step(maps: np.ndarray, cost: np.ndarray):
     [[R M_r^u, R M_r^x]_r; cost], u columns first so that u is eliminated
     first: the next R is T[m:, m:] (its R^T R is the Schur complement over
     u) and the gain is -T[:m, :m]^{-1} T[:m, m:].
+
+    The step owns one buffer of that stack for all its calls; step.cost is
+    the buffer's cost rows, which a caller may rewrite between sweeps
+    (the c_opt search rewrites them for each c).
     """
     s, n, _ = maps.shape
     rows, cols = s * n + len(cost), cost.shape[1]
@@ -216,7 +223,44 @@ def sqrt_step(maps: np.ndarray, cost: np.ndarray):
         tri[below] = 0.0
         return tri
 
+    step.cost = buf[s * n :]
     return step
+
+
+def _lq_sweep(forms: ObservabilityForms, controlled: bool):
+    """The finite-c recursion of _lq_p0, built once for any number of c.
+
+    Returns sweep(c, p_terminal, gains=False) with _lq_p0's values.  With
+    controlled, one sqrt_step over the full maps carries the control-cost
+    rows sqrt(dt / c) [I, 0], and each sweep rewrites only those rows;
+    without, it is the c = 0 step over the x-maps alone, with no cost
+    rows, and c is not read.  The caller runs sweeps under
+    _overflow_checked.
+    """
+    maps, n, m, K = forms.maps, forms.system.n, forms.system.m, forms.K
+    mu = m if controlled else 0
+    dt = forms.tree.delta_t
+    unit = np.eye(mu, mu + n)
+    step = sqrt_step(maps[:, :, : n + mu], unit)
+    eye = np.eye(n)
+
+    def sweep(c: float, p_terminal: float, gains: bool = False):
+        if mu:
+            np.multiply(math.sqrt(dt / c), unit, out=step.cost)
+        R = math.sqrt(p_terminal) * eye
+        L = np.zeros((K, m, n)) if gains else None
+        for k in range(K - 1, -1, -1):
+            tri = step(R)
+            R = tri[mu:, mu:]
+            if gains and mu:
+                gain, info = dtrtrs(tri[:mu, :mu], tri[:mu, mu:])
+                if info:
+                    raise NumericalFailure(f"singular gain triangle at depth {k}")
+                L[k, :mu] = -gain
+        P = _value(R)
+        return (P, L) if gains else P
+
+    return sweep
 
 
 @_overflow_checked
@@ -227,10 +271,11 @@ def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, gains: bool =
     step stacks G = [R M_r]_r over the step maps, so G^T G = E[M^T P M],
     and eliminates u.  Two recursions:
 
-    - finite c >= 0: one sqrt_step with the control-cost rows
-      sqrt(dt / c) [I, 0], built once per sweep, gives the next R and the
-      gain.  c = 0 forces u = 0: the same step over the x-maps alone,
-      with no cost rows.
+    - finite c >= 0 (_lq_sweep): one sqrt_step with the control-cost
+      rows sqrt(dt / c) [I, 0] gives the next R and the gain.  c = 0
+      forces u = 0: the same step over the x-maps alone, with no cost
+      rows.  A call here builds that step for one sweep; the c_opt search
+      builds it once and rewrites only its cost rows for each c.
     - c = inf drops the control cost: the SVD of G_u, with squared
       singular values below RANK_RTOL times the largest as kernel,
       projects G_x off range(G_u), and the next R is the QR triangle of
@@ -241,32 +286,18 @@ def _lq_p0(forms: ObservabilityForms, c: float, p_terminal: float, gains: bool =
     A P_0 that is not finite (a step map that grows faster than the
     floating-point range allows over K steps) raises NumericalFailure.
     """
-    maps, n, m, K = forms.maps, forms.system.n, forms.system.m, forms.K
+    if not math.isinf(c):
+        return _lq_sweep(forms, c > 0)(c, p_terminal, gains)
+    maps, n, m = forms.maps, forms.system.n, forms.system.m
     R = math.sqrt(p_terminal) * np.eye(n)
-    L = np.zeros((K, m, n)) if gains else None
-    if math.isinf(c):
-        for _ in range(K):
-            G = (R @ maps).reshape(-1, n + m)
-            W, sv, _ = _svd(G[:, n:])
-            sv = sv.tolist()  # in descending order
-            cut = RANK_RTOL * (sv[0] * sv[0]) if sv else 0.0
-            r = sum(x * x > cut for x in sv)
-            R = _qr_r(W[:, r:].T @ G[:, :n])
-    else:
-        dt = forms.tree.delta_t
-        cost = math.sqrt(dt / c) * np.eye(m, m + n) if c > 0 else np.zeros((0, n))
-        mu = len(cost)
-        step = sqrt_step(maps[:, :, : n + mu], cost)
-        for k in range(K - 1, -1, -1):
-            tri = step(R)
-            R = tri[mu:, mu:]
-            if gains and mu:
-                gain, info = dtrtrs(tri[:mu, :mu], tri[:mu, mu:])
-                if info:
-                    raise NumericalFailure(f"singular gain triangle at depth {k}")
-                L[k, :mu] = -gain
-    P = _value(R)
-    return (P, L) if gains else P
+    for _ in range(forms.K):
+        G = (R @ maps).reshape(-1, n + m)
+        W, sv, _ = _svd(G[:, n:])
+        sv = sv.tolist()  # in descending order
+        cut = RANK_RTOL * (sv[0] * sv[0]) if sv else 0.0
+        r = sum(x * x > cut for x in sv)
+        R = _qr_r(W[:, r:].T @ G[:, :n])
+    return _value(R)
 
 
 @_overflow_checked
@@ -358,17 +389,18 @@ def optimal_constant(forms: ObservabilityForms, delta: float) -> ObservabilityRe
     )
 
 
+@_overflow_checked
 def _copt_riccati(forms, delta):
     lam_kernel = _lam_max(_lq_p0(forms, math.inf, 1.0))
     diagnostics = {"method": "riccati", "lam_kernel": lam_kernel}
     if lam_kernel > delta:
         return math.inf, diagnostics
+    sweep = _lq_sweep(forms, True)  # one step for every c > 0 of the search
     excess = {}  # log c -> lambda_max(P_0(c)) - 1, non-increasing
 
     def f(s):
         if s not in excess:
-            P0 = _lq_p0(forms, math.exp(s), 1.0 / delta)
-            excess[s] = _lam_max(P0) - 1.0
+            excess[s] = _lam_max(sweep(math.exp(s), 1.0 / delta)) - 1.0
         return excess[s]
 
     # P_0(0) >= P_0(1): only a valid c = 1 leaves c = 0 to be tested

@@ -30,7 +30,8 @@ stack once and build each gain's lift with ``moments.lift``; its
 spectrum is dgeev, the Lyapunov and gain solves dgesv, the LQR Schur
 form dgees, and the eigenvalues of H(Q) and of P dsyevd on the lower
 triangle, as in np.linalg.eigvalsh.  A residual's Frobenius norm is
-numpy's own sqrt of x . x.
+numpy's own sqrt of x . x.  The search returns the lift of the gain it
+accepts, and Newton's first Lyapunov solve reuses it.
 
 The first stabilizing gain comes from a deterministic search with no
 seed: the zero gain, then, only when the zero gain fails, the
@@ -130,9 +131,9 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
     """Deterministic search for a gain with lift abscissa below
     -GAIN_MARGIN * rho_0, rho_0 the spectral radius of the zero-gain lift.
 
-    Returns (F, abscissa), or None when no gain is found (the order of the
-    search is in the module docstring); the evidence for that verdict
-    goes into ``evidence`` when a dict is given.
+    Returns (F, abscissa, L), L the lift of F, or None when no gain is
+    found (the order of the search is in the module docstring); the
+    evidence for that verdict goes into ``evidence`` when a dict is given.
     """
     n = sys.n
     maps = sys.maps
@@ -143,14 +144,15 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
     rho0 = float(np.abs(spectrum).max()) or 1.0
     stable_below = -GAIN_MARGIN * rho0
     if alpha < stable_below:
-        return np.zeros((sys.m, n)), alpha
+        return np.zeros((sys.m, n)), alpha, L
     # the first shift of the continuation below: the zero gain stabilizes there
     beta0 = max(0.0, alpha / 2.0) + rho0
     F = _lqr_gain(sys.A, sys.B)
     if F is not None:
-        alpha = spectral_abscissa(lift(maps, F))
+        LF = lift(maps, F)
+        alpha = spectral_abscissa(LF)
         if alpha < stable_below:
-            return F, alpha
+            return F, alpha, LF
     evidence = {} if evidence is None else evidence
 
     if sys.is_deterministic:
@@ -176,7 +178,7 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
         L = lift(maps, F)
         alpha = spectral_abscissa(L)
         if alpha < stable_below:
-            return F, alpha
+            return F, alpha, L
         Q = P / growth
         H = _h_form(maps, Q)
         margin = _certificate_margin(maps, Q, H)
@@ -196,9 +198,10 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
         # at the stall, the gain of H(Q)'s minimiser over u can stabilize
         # where the continuation's gain does not
         F = _minimiser_gain(H, n)
-        alpha = spectral_abscissa(lift(maps, F))
+        L = lift(maps, F)
+        alpha = spectral_abscissa(L)
         if alpha < stable_below:
-            return F, alpha
+            return F, alpha, L
     evidence.update(
         evidence="cap" if margin is None else "certificate",
         shift=beta,
@@ -373,9 +376,10 @@ def _lyapunov_solve(sys: StochasticSystem, F, L=None) -> np.ndarray:
 def solve_sare(sys: StochasticSystem):
     """Newton-Kleinman solve; returns RiccatiSolution or NotSolvable.
 
-    The first gain, or the NotSolvable verdict, comes from
-    ``find_stabilizing_gain``.  The iteration stops once the residual is
-    below NEWTON_RTOL (|H(P) + I|_F + |P|_F (2 |A|_F + sum_i |C_i|_F^2)),
+    The first gain and its lift, or the NotSolvable verdict, come from
+    ``find_stabilizing_gain``; the first Lyapunov solve reuses that lift.
+    The iteration stops once the residual is below
+    NEWTON_RTOL (|H(P) + I|_F + |P|_F (2 |A|_F + sum_i |C_i|_F^2)),
     the size of the terms it cancels, which a change of time unit scales
     alike: where A^T P + P A cancels to about -I (a slow stable mode), the
     second term is the size of A^T P.  It leaves out B and D, whose
@@ -391,15 +395,16 @@ def solve_sare(sys: StochasticSystem):
             reason="no mean-square stabilizing gain found", diagnostics=evidence
         )
 
-    F, _ = found
+    F, _, L = found
     maps = sys.maps
     size = _size(maps[:, :, : sys.n])  # [A, C_1, ..., C_d]
     for it in range(1, NEWTON_MAX_ITER + 1):
-        P = _lyapunov_solve(sys, F, lift(maps, F))
+        P = _lyapunov_solve(sys, F, L)
         R, F, G = _riccati(maps, P)
         residual = _frobenius(R)
         if residual < NEWTON_RTOL * (_frobenius(G) + _frobenius(P) * size):
             break
+        L = lift(maps, F)
     else:
         raise NumericalFailure(
             f"Newton iteration stalled at residual {residual:.3e}"

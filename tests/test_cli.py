@@ -1,6 +1,8 @@
 import builtins
+import dataclasses
 import io
 import json
+import math
 import os
 import stat
 import tracemalloc
@@ -14,6 +16,11 @@ import sctk
 import sctk.cli as cli
 from sctk.cli import COMMANDS, _write_text, emit_corpus, load_config, main, parse_config
 from sctk.errors import InvalidConfig, NumericalFailure
+from sctk.nullcontrol import verify_theorem_5_1
+from sctk.observability import assemble_forms, optimal_constant
+from sctk.stabilizer import equivalence_harness
+from sctk.systems import HorizonConfig
+from sctk.trees import TreeDriver, build_tree
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -644,3 +651,54 @@ class TestReportSchema:
         assert cli._jsonable([np.inf, -np.inf, np.float64(2.0)]) == ["inf", "-inf", 2.0]
         with pytest.raises(NumericalFailure, match="NaN"):
             cli._jsonable({"residual": [1.0, float("nan")]})
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "M0"])
+    def test_one_walk_equals_the_walk_of_asdict(self, corpus, name):
+        # the handlers hand their report dataclasses to write_report as they
+        # are; the walk must equal the walk of dataclasses.asdict's copy
+        sys_ = corpus[name]
+        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=4), sys_.d)
+        forms = assemble_forms(tree, sys_)
+        reports = (
+            optimal_constant(forms, 0.5),
+            verify_theorem_5_1(forms, 0.5),
+            equivalence_harness(sys_, 0.5),
+        )
+        for rep in reports:
+            assert cli._jsonable(rep) == cli._jsonable(dataclasses.asdict(rep))
+
+    def test_dataclass_fields_keep_the_report_spelling(self):
+        @dataclasses.dataclass(frozen=True)
+        class Rep:
+            c: float
+            rows: list
+
+        inner = Rep(np.float64(-np.inf), [np.int64(3), np.bool_(True)])
+        assert cli._jsonable(Rep(math.inf, [inner, np.array([0.5])])) == {
+            "c": "inf", "rows": [{"c": "-inf", "rows": [3, True]}, [0.5]],
+        }
+        with pytest.raises(NumericalFailure, match="NaN"):
+            cli._jsonable(Rep(1.0, [{"x": np.array([np.nan])}]))
+        with pytest.raises(NumericalFailure, match="NaN"):
+            cli._jsonable(Rep(math.nan, []))
+
+
+class TestSharedParser:
+    """main() parses with one module-level parser for the whole process."""
+
+    def test_no_argument_leaks_into_the_next_call(self, corpus_dir, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert main(["observe", "--config", str(corpus_dir / "s2.json"), "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["observe", "--out", out]) == 1
+        assert "command 'observe' requires --config" in capsys.readouterr().err
+        args = cli._PARSER.parse_args(["validate"])
+        assert (args.config, args.out) == (None, "sctk_out")
+
+    def test_unknown_command_is_argparses_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nonsense", "--out", "unused"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sctk [-h] [--config CONFIG] [--out OUT]")
+        assert "argument command: invalid choice: 'nonsense'" in err

@@ -463,6 +463,9 @@ PINNED_MESH = {
     ("S4", "quantized_gaussian", 6): ("0x1.76d608bd4f471p+3", "0x1.20429c5158544p-23"),
     ("S4", "quantized_gaussian", 7): ("0x1.67c3597b4701dp+3", "0x1.63087700304dap-30"),
     ("S4", "quantized_gaussian", 8): ("0x1.5d7059c8db570p+3", "0x1.5be4945bbfdecp-37"),
+    # the corpus-fine benchmark's own meshes of S1 and M0
+    ("S1", "bernoulli", 10): ("0x1.0000000000000p-1", "0x0.0p+0"),
+    ("M0", "bernoulli", 10): ("0x1.0000000000000p-1", "0x0.0p+0"),
 }
 
 

@@ -445,8 +445,9 @@ class TestLQRCandidate:
 
         monkeypatch.setattr(riccati, "_lqr_gain", counted)
         stable = make_system([[-1.0]], [[1.0]], C=[[[0.5]]], D=[[[0.0]]])
-        F, alpha = find_stabilizing_gain(stable)
+        F, alpha, L = find_stabilizing_gain(stable)
         assert not F.any() and alpha == pytest.approx(-1.75)
+        assert np.array_equal(L, build_generator(stable, F))  # Newton's first lift
         assert not isinstance(solve_sare(stable), NotSolvable)
         assert calls == []
         assert find_stabilizing_gain(corpus["S2"]) is not None
