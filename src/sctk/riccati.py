@@ -149,7 +149,7 @@ def find_stabilizing_gain(sys: StochasticSystem, evidence=None):
     beta0 = max(0.0, alpha / 2.0) + rho0
     F = _lqr_gain(sys.A, sys.B)
     if F is not None:
-        LF = lift(maps, F)
+        LF = lift(maps, F)  # L stays the zero-gain lift the continuation starts from
         alpha = spectral_abscissa(LF)
         if alpha < stable_below:
             return F, alpha, LF
