@@ -16,11 +16,13 @@ line:
   ``stabilizable`` (the quadratic criterion for n = 1, otherwise the
   oracle's own Euler-step recursion of the value, run to convergence or
   to its growth cap);
-- stiff: A = diag(-a, 1) for a in ``STIFF_A`` and A = diag(-2500, -lam, 1)
-  for lam in ``STIFF_LAM``, with B the last unit vector, C_1 = 2 B B^T and
-  D_1 = 0.  Each is stabilizable: the gain F = -4 B^T gives lift abscissa
-  2 (1 - 4) + 2^2 = -2, which the scan checks on the oracle's lift.  The
-  Euler value at step 0.01 grows on every one of them;
+- stiff: ``tests.conftest.stiff_family``, A = diag(-a, 1) for a in
+  (250, 1000, 2500, 1e4) and A = diag(-2500, -lam, 1) for lam in (150,
+  199, 201, 300), with B the last unit vector, C_1 = 2 B B^T and D_1 = 0,
+  labelled "a 250" or "lam 150" from A's diagonal.  Each is
+  stabilizable: the gain F = -4 B^T gives lift abscissa 2 (1 - 4) + 2^2
+  = -2, which the scan checks on the oracle's lift.  The Euler value at
+  step 0.01 grows on every one of them;
 - symmetry: the stream draws in another time unit, (eps A, eps B,
   sqrt(eps) C, sqrt(eps) D) for eps in ``TIME_UNITS``, and with another
   input unit, (B, D) -> (r B, r D) for r in ``INPUT_SCALES``, one scan
@@ -54,10 +56,8 @@ from sctk.errors import NumericalFailure  # noqa: E402
 from sctk.riccati import NotSolvable, solve_sare  # noqa: E402
 from sctk.stabilizer import equivalence_harness  # noqa: E402
 from sctk.systems import make_system  # noqa: E402
-from tests.conftest import random_system  # noqa: E402
+from tests.conftest import random_system, stiff_family  # noqa: E402
 
-STIFF_A = (250.0, 1000.0, 2500.0, 1e4)
-STIFF_LAM = (150.0, 199.0, 201.0, 300.0)
 TIME_UNITS = (1e-6, 1e-3, 1e3)
 INPUT_SCALES = (1e-4, 1e-3, 1e3)
 EQUIVALENCE_DELTAS = (0.5, 0.9)
@@ -83,14 +83,10 @@ def oracle_verdict(sys_):
 
 def stiff_systems():
     """(label, system, expected verdict) for the stiff family."""
-    modes = [(f"a {a:g}", [-a, 1.0]) for a in STIFF_A]
-    modes += [(f"lam {lam:g}", [-2500.0, -lam, 1.0]) for lam in STIFF_LAM]
-    for label, diag in modes:
-        n = len(diag)
-        B = np.eye(n)[:, -1:]
-        sys_ = make_system(np.diag(diag), B, C=[2.0 * B @ B.T], D=[np.zeros((n, 1))])
+    for sys_ in stiff_family():
+        label = f"a {-sys_.A[0, 0]:g}" if sys_.n == 2 else f"lam {-sys_.A[1, 1]:g}"
         system = oracle.as_system(sys_.A, sys_.B, sys_.C, sys_.D)
-        yield label, sys_, oracle.lift_abscissa(system, -4.0 * B.T) < 0
+        yield label, sys_, oracle.lift_abscissa(system, -4.0 * sys_.B.T) < 0
 
 
 def symmetry_scans():

@@ -13,11 +13,14 @@ only command that builds a branch template, once that budget has passed.
 Every other command works on the one-step maps and the n x n recursions
 alone, whatever the branch or leaf count.
 
-One argument parser serves every main() call in a process, and --out is
-made once per call.  A report is written from what the handler returns,
-a dict or the analysis's own report dataclass, in one walk (_jsonable)
-that reads dataclass fields in place and turns arrays, numpy scalars and
-infinities into JSON values.
+One argument parser serves every main() call in a process.  A command's
+handler is a function of its config alone and returns its payload, its
+stdout line and the text of each file it adds to --out.  main makes
+--out once, only after the handler returns, and then writes those files
+and the report: a failed analysis leaves no directory.  A report is
+written from the payload, a dict or the analysis's own report dataclass,
+in one walk (_jsonable) that reads dataclass fields in place and turns
+arrays, numpy scalars and infinities into JSON values.
 
 A rerun into the same --out rewrites each report, CSV and emitted config
 in place, over the old file's bytes (see _write_text).  A crash mid-write
@@ -41,7 +44,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .corpus import CORPUS, EXPECTED_STABILIZABLE
+from .corpus import CORPUS, DESCRIPTIONS, EXPECTED_STABILIZABLE
 from .errors import BudgetExceeded, InvalidConfig, NumericalFailure
 from .moments import build_generator, growth_constant_c0, spectral_abscissa
 from .nullcontrol import control_kernel, synthesize_control, verify_theorem_5_1
@@ -286,14 +289,21 @@ def write_report(out_dir, command, cfg_raw, seed, payload) -> Path:
     return _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _rows_csv(header, rows) -> str:
+    """CSV text of dict rows: the header, then row[key] for each key by str()."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join(str(row[key]) for key in header) + "\n" for row in rows
+    )
+
+
 # ---------------------------------------------------------------------------
-# command implementations; each returns (payload, verdict_line)
+# command implementations; each returns (payload, verdict line, {file: text})
 
 
 def _cmd_validate(cfg: RunConfig):
     violations = validate_system(cfg.system)
     payload = {"violations": violations, "valid": not violations}
-    return payload, f"validate: {'ok' if not violations else violations}"
+    return payload, f"validate: {'ok' if not violations else violations}", {}
 
 
 def _cmd_stability(cfg: RunConfig):
@@ -308,14 +318,15 @@ def _cmd_stability(cfg: RunConfig):
         payload["hautus_stabilizable"] = hautus_stabilizability(
             cfg.system.A, cfg.system.B
         )
-    return payload, f"stability: open-loop abscissa {alpha:.6g}, c0({cfg.horizon.T}) = {c0:.6g}"
+    line = f"stability: open-loop abscissa {alpha:.6g}, c0({cfg.horizon.T}) = {c0:.6g}"
+    return payload, line, {}
 
 
 def _cmd_riccati(cfg: RunConfig):
     sol = solve_sare(cfg.system)
     if isinstance(sol, NotSolvable):
         payload = {"solvable": False, "reason": sol.reason, "diagnostics": sol.diagnostics}
-        return payload, "riccati: NotSolvable"
+        return payload, "riccati: NotSolvable", {}
     payload = {
         "solvable": True,
         "P": sol.P,
@@ -325,7 +336,7 @@ def _cmd_riccati(cfg: RunConfig):
         "value_at_x0": lq_value(sol.P, cfg.x0),
         "closed_loop_abscissa": sol.abscissa,
     }
-    return payload, f"riccati: solved, residual {sol.residual:.3e}"
+    return payload, f"riccati: solved, residual {sol.residual:.3e}", {}
 
 
 def _build_forms(cfg: RunConfig):
@@ -339,10 +350,10 @@ def _cmd_observe(cfg: RunConfig):
     return payload, (
         f"observe: c_opt({cfg.delta}) = "
         f"{'inf' if not rep.observable else format(rep.c_opt, '.10g')}"
-    )
+    ), {}
 
 
-def _cmd_invariance(cfg: RunConfig, out_dir):
+def _cmd_invariance(cfg: RunConfig):
     drivers = [
         TreeDriver.bernoulli(),
         TreeDriver.trinomial(),
@@ -360,16 +371,9 @@ def _cmd_invariance(cfg: RunConfig, out_dir):
         "gaps": {str(k): v for k, v in table.gaps.items()},
         "gaps_non_increasing": table.gaps_non_increasing,
     }
-    _write_text(
-        Path(out_dir) / "invariance_table.csv",
-        "driver,K,delta,T,c_opt,observable\n" + "".join(
-            f"{row['driver']},{row['K']},{row['delta']},{row['T']},"
-            f"{row['c_opt']},{row['observable']}\n"
-            for row in table.rows
-        ),
-    )
+    csv = _rows_csv(("driver", "K", "delta", "T", "c_opt", "observable"), table.rows)
     gap_str = ", ".join(f"K={k}: {v:.3e}" for k, v in sorted(table.gaps.items()))
-    return payload, f"invariance: gaps {gap_str}"
+    return payload, f"invariance: gaps {gap_str}", {"invariance_table.csv": csv}
 
 
 def _pick_constant(cfg: RunConfig, forms):
@@ -384,7 +388,7 @@ def _pick_constant(cfg: RunConfig, forms):
     return max(rep.c_opt, 1e-12)
 
 
-def _cmd_synthesize(cfg: RunConfig, out_dir):
+def _cmd_synthesize(cfg: RunConfig):
     forms = _build_forms(cfg)
     tree = forms.tree
     if tree.leaf_count > cfg.max_leaves:
@@ -399,7 +403,6 @@ def _cmd_synthesize(cfg: RunConfig, out_dir):
     # np.savetxt's default "%.18e" rows, formatted in one pass
     line = ",".join(["%.18e"] * rows.shape[1]) + "\n"
     body = line * len(rows) % tuple(rows.ravel().tolist())
-    _write_text(Path(out_dir) / "control_field.csv", header + "\n" + body)
     payload = {
         "c": c,
         "delta": cfg.delta,
@@ -416,21 +419,20 @@ def _cmd_synthesize(cfg: RunConfig, out_dir):
     return payload, (
         f"synthesize: terminal energy {res.terminal_energy:.6g} <= "
         f"{cfg.delta}*|x_s|^2, bounds {'pass' if res.all_bounds_hold else 'FAIL'}"
-    )
+    ), {"control_field.csv": header + "\n" + body}
 
 
 def _cmd_theorem51(cfg: RunConfig):
     rep = verify_theorem_5_1(_build_forms(cfg), cfg.delta, c=cfg.c)
-    payload = rep
     if not rep.applicable:
-        return payload, "theorem51: not applicable (not observable at this delta)"
-    return payload, (
+        return rep, "theorem51: not applicable (not observable at this delta)", {}
+    return rep, (
         f"theorem51: forward {'pass' if rep.forward_pass else 'FAIL'}, "
         f"converse {'pass' if rep.converse_pass else 'FAIL'}"
-    )
+    ), {}
 
 
-def _cmd_stabilize(cfg: RunConfig, out_dir):
+def _cmd_stabilize(cfg: RunConfig):
     if not (0.0 < cfg.delta < 1.0):
         raise InvalidConfig("stabilize needs delta in (0, 1)")
     forms = _build_forms(cfg)
@@ -439,16 +441,11 @@ def _cmd_stabilize(cfg: RunConfig, out_dir):
     run = run_piecewise(kernel, cfg.x0, cfg.k_max)
     # the moments are exact; the *_se fields and columns stay at 0.0 for
     # readers of the earlier Monte Carlo reports
+    columns = ("k", "msq", "msq_se", "energy", "energy_se", "cum_energy", "cum_energy_se")
     records = [
-        {"k": r.k, "msq": r.msq, "msq_se": 0.0, "energy": r.energy,
-         "energy_se": 0.0, "cum_energy": r.cum_energy, "cum_energy_se": 0.0}
+        dict(zip(columns, (r.k, r.msq, 0.0, r.energy, 0.0, r.cum_energy, 0.0)))
         for r in run.records
     ]
-    _write_text(
-        Path(out_dir) / "piecewise_decay.csv",
-        ",".join(records[0]) + "\n"
-        + "".join(",".join(str(v) for v in rec.values()) + "\n" for rec in records),
-    )
     payload = {
         "c": c,
         "delta": cfg.delta,
@@ -469,30 +466,23 @@ def _cmd_stabilize(cfg: RunConfig, out_dir):
     return payload, (
         f"stabilize: interval contraction {run.interval_contraction:.4g} vs "
         f"delta {cfg.delta:.4g}, total energy {run.total_energy:.6g}"
-    )
+    ), {"piecewise_decay.csv": _rows_csv(columns, records)}
 
 
 def _cmd_equivalence(cfg: RunConfig):
     # a delta outside (0, 1) is a ValueError, so exit 1
     rep = equivalence_harness(cfg.system, cfg.delta)
-    payload = rep
-    return payload, (
+    return rep, (
         f"equivalence: verdicts {rep.verdicts}, agreement "
         f"{'yes' if rep.agreement else 'NO'}"
-    )
+    ), {}
 
 
 def _corpus_config(name: str) -> dict:
     sysv = CORPUS[name]()
-    cfg = {
+    return {
         "name": name,
-        "description": {
-            "S1": "scalar integrator, no noise; stabilizable with P = 1",
-            "S2": "scalar with unit state noise; stabilizable with P = (1+sqrt(5))/2",
-            "S3": "unstable scalar without control; not stabilizable",
-            "S4": "double integrator with mild state noise; stabilizable",
-            "M0": "martingale case A=C=0, B=I; optimal constant 1/T at delta=0",
-        }[name],
+        "description": DESCRIPTIONS[name],
         "expected": {"stabilizable": EXPECTED_STABILIZABLE[name]},
         "n": sysv.n,
         "m": sysv.m,
@@ -507,7 +497,6 @@ def _corpus_config(name: str) -> dict:
         "delta": 0.5,
         "seed": 0,
     }
-    return cfg
 
 
 def emit_corpus(out_dir) -> list:
@@ -523,17 +512,16 @@ def emit_corpus(out_dir) -> list:
     ]
 
 
-# command -> (handler, whether it writes files into --out besides the report)
 _HANDLERS = {
-    "validate": (_cmd_validate, False),
-    "stability": (_cmd_stability, False),
-    "riccati": (_cmd_riccati, False),
-    "observe": (_cmd_observe, False),
-    "invariance": (_cmd_invariance, True),
-    "synthesize": (_cmd_synthesize, True),
-    "theorem51": (_cmd_theorem51, False),
-    "stabilize": (_cmd_stabilize, True),
-    "equivalence": (_cmd_equivalence, False),
+    "validate": _cmd_validate,
+    "stability": _cmd_stability,
+    "riccati": _cmd_riccati,
+    "observe": _cmd_observe,
+    "invariance": _cmd_invariance,
+    "synthesize": _cmd_synthesize,
+    "theorem51": _cmd_theorem51,
+    "stabilize": _cmd_stabilize,
+    "equivalence": _cmd_equivalence,
 }
 COMMANDS = (*_HANDLERS, "emit-corpus")
 
@@ -563,16 +551,11 @@ def main(argv=None) -> int:
         if not args.config:
             raise InvalidConfig(f"command {args.command!r} requires --config")
         cfg = load_config(args.config)
-        handler, writes_files = _HANDLERS[args.command]
-        # --out is made once: before a handler that writes into it, else
-        # after the handler, so that a failed analysis leaves no directory
+        payload, line, files = _HANDLERS[args.command](cfg)
         out = Path(args.out)
-        if writes_files:
-            out.mkdir(parents=True, exist_ok=True)
-            payload, line = handler(cfg, out)
-        else:
-            payload, line = handler(cfg)
-            out.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            _write_text(out / name, text)
         write_report(out, args.command, cfg.raw, cfg.seed, payload)
         print(line)
         return 0

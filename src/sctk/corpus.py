@@ -1,12 +1,5 @@
-"""Bundled reference systems used by tests, examples, and the CLI.
-
-S1  scalar integrator, no noise          -> stabilizable (P = 1)
-S2  scalar, unit state noise             -> stabilizable (P = golden ratio)
-S3  unstable scalar with no control      -> not stabilizable
-S4  controllable double integrator with
-    mild state noise                     -> stabilizable
-M0  martingale case A = C = 0, B = I     -> optimal constant 1/T at delta 0
-"""
+"""Bundled reference systems used by tests, examples, and the CLI; each
+one's expected verdict is in ``DESCRIPTIONS`` and ``EXPECTED_STABILIZABLE``."""
 
 from __future__ import annotations
 
@@ -42,6 +35,15 @@ def m0(n: int = 1) -> StochasticSystem:
 
 
 CORPUS = {"S1": s1, "S2": s2, "S3": s3, "S4": s4, "M0": m0}
+
+# the "description" of each emitted corpus config
+DESCRIPTIONS = {
+    "S1": "scalar integrator, no noise; stabilizable with P = 1",
+    "S2": "scalar with unit state noise; stabilizable with P = (1+sqrt(5))/2",
+    "S3": "unstable scalar without control; not stabilizable",
+    "S4": "double integrator with mild state noise; stabilizable",
+    "M0": "martingale case A=C=0, B=I; optimal constant 1/T at delta=0",
+}
 
 # expected equivalence verdict per corpus system (all four coincide)
 EXPECTED_STABILIZABLE = {"S1": True, "S2": True, "S3": False, "S4": True, "M0": True}

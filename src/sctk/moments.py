@@ -17,8 +17,10 @@ that order.  ``build_generator`` checks a gain against a system and
 calls it; the Riccati layer reads the stack once per solve and calls it
 for each gain.  nullcontrol's lift adds sum_r kron(M_r, M_r) with
 ``kron_sum``.  The spectral abscissa of L (LAPACK dgeev) certifies
-mean-square exponential stability, and the adjoint flow started from the
-identity yields the tight growth constant
+mean-square exponential stability; ``eigvalsh`` is np.linalg.eigvalsh's
+dsyevd, called directly, for every symmetric spectrum in the package.
+The adjoint flow started from the identity yields the tight growth
+constant
 
     c0(tau) = sup { E|x(tau; 0, x0)|^2 : E|x0|^2 = 1 } = lambda_max(S(tau)),
     dS/dt = A^T S + S A + sum_i C_i^T S C_i,  S(0) = I.
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.linalg.lapack import dgeev
+from scipy.linalg.lapack import dgeev, dsyevd
 
 from .errors import InvalidConfig, NumericalFailure
 from .systems import StochasticSystem
@@ -93,6 +95,15 @@ def lift_spectrum(L: np.ndarray) -> np.ndarray:
     return wr + 1j * wi
 
 
+def eigvalsh(sym: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(sym), ascending, by the same dsyevd on the lower
+    triangle without numpy's per-call overhead."""
+    w, _, info = dsyevd(sym, compute_v=0, lower=1)
+    if info:
+        raise NumericalFailure(f"dsyevd failed with info {info}")
+    return w
+
+
 def spectral_abscissa(L: np.ndarray) -> float:
     """Largest real part over the spectrum of the lift matrix."""
     return float(lift_spectrum(L).real.max())
@@ -130,4 +141,4 @@ def growth_constant_c0(sys: StochasticSystem, tau: float) -> float:
     trace(X(tau)) over unit-trace PSD initial moments."""
     if not tau > 0:
         raise InvalidConfig(f"tau must be positive, got {tau}")
-    return float(np.linalg.eigvalsh(adjoint_state(sys, tau))[-1])
+    return float(eigvalsh(adjoint_state(sys, tau))[-1])

@@ -37,9 +37,11 @@ iff V_0 is not all of R^n.  Once V_k = R^n the constraint is void at
 every earlier depth, and the unconstrained square-root step takes over.
 
 The matrices are at most a few rows by a few columns, so the recursions
-call LAPACK directly (dgeqrf, dgesdd, dsyevd, the routines numpy runs)
-without numpy's per-call overhead.  A recursion whose P overflows raises
-NumericalFailure.
+call LAPACK directly (dgeqrf, dgesdd, and dsyevd through
+moments.eigvalsh: the routines numpy runs) without numpy's per-call
+overhead.  dsyevd reads the lower triangle; the recursions' P = R^T R is
+symmetric to the bit, as numpy forms a product with its own transpose by
+syrk.  A recursion whose P overflows raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -49,9 +51,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgesdd, dsyevd, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dgesdd, dtrtrs
 
 from .errors import InvalidConfig, NumericalFailure
+from .moments import eigvalsh
 from .systems import HorizonConfig, StochasticSystem
 from .trees import NoiseTree, TreeDriver, build_tree
 
@@ -113,18 +116,6 @@ def assemble_forms(tree: NoiseTree, sys: StochasticSystem) -> ObservabilityForms
         raise InvalidConfig(f"system d={sys.d} != tree d={tree.d}")
     maps = step_maps(sys, tree.delta_t, *tree.driver.moments)
     return ObservabilityForms(tree=tree, system=sys, maps=maps)
-
-
-def _lam_max(sym_mat: np.ndarray) -> float:
-    """lambda_max of a symmetric matrix by np.linalg.eigvalsh's dsyevd,
-    which reads the lower triangle.  The recursions' P = R^T R is
-    symmetric to the bit: numpy forms a product with its own transpose
-    by syrk.
-    """
-    w, _, info = dsyevd(sym_mat, compute_v=0, lower=1)
-    if info:
-        raise NumericalFailure(f"dsyevd failed with info {info}")
-    return float(w[-1])
 
 
 def _svd(mat: np.ndarray):
@@ -391,7 +382,7 @@ def optimal_constant(forms: ObservabilityForms, delta: float) -> ObservabilityRe
 
 @_overflow_checked
 def _copt_riccati(forms, delta):
-    lam_kernel = _lam_max(_lq_p0(forms, math.inf, 1.0))
+    lam_kernel = float(eigvalsh(_lq_p0(forms, math.inf, 1.0))[-1])
     diagnostics = {"method": "riccati", "lam_kernel": lam_kernel}
     if lam_kernel > delta:
         return math.inf, diagnostics
@@ -400,11 +391,11 @@ def _copt_riccati(forms, delta):
 
     def f(s):
         if s not in excess:
-            excess[s] = _lam_max(sweep(math.exp(s), 1.0 / delta)) - 1.0
+            excess[s] = float(eigvalsh(sweep(math.exp(s), 1.0 / delta))[-1]) - 1.0
         return excess[s]
 
     # P_0(0) >= P_0(1): only a valid c = 1 leaves c = 0 to be tested
-    if f(0.0) <= 0 and _lam_max(_lq_p0(forms, 0.0, 1.0 / delta)) <= 1.0:
+    if f(0.0) <= 0 and eigvalsh(_lq_p0(forms, 0.0, 1.0 / delta))[-1] <= 1.0:
         return 0.0, diagnostics
     # exponential search for a sign change; beyond |log c| = 690 the
     # control weight dt / c leaves the floating-point range
@@ -477,14 +468,14 @@ def _copt_null(forms):
     diagnostics = {
         "method": "riccati",
         "null_controllable": controllable,
-        "lam_kernel": _lam_max(_lq_p0(forms, math.inf, 1.0)),
+        "lam_kernel": float(eigvalsh(_lq_p0(forms, math.inf, 1.0))[-1]),
     }
-    return (max(0.0, _lam_max(P0)) if controllable else math.inf), diagnostics
+    return (max(0.0, float(eigvalsh(P0)[-1])) if controllable else math.inf), diagnostics
 
 
 def _valid_value(P0: np.ndarray) -> bool:
     """The delta > 0 test of (c, delta) on P0 = _lq_p0(forms, c, 1 / delta)."""
-    return _lam_max(P0) <= 1.0 + 1e-10
+    return float(eigvalsh(P0)[-1]) <= 1.0 + 1e-10
 
 
 def is_delta_observable(forms: ObservabilityForms, delta: float, c: float) -> bool:
@@ -500,7 +491,7 @@ def is_delta_observable(forms: ObservabilityForms, delta: float, c: float) -> bo
     if delta > 0:
         return _valid_value(_lq_p0(forms, c, 1.0 / delta))
     U, P0 = _null_control_p0(forms)
-    return U.shape[1] == forms.system.n and c >= _lam_max(P0) * (1 - 1e-10)
+    return U.shape[1] == forms.system.n and c >= float(eigvalsh(P0)[-1]) * (1 - 1e-10)
 
 
 @dataclass(frozen=True)

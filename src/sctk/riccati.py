@@ -28,10 +28,10 @@ The matrices are small (a lift is n^2 x n^2), so each step is one numpy
 or LAPACK call: ``solve_sare`` and ``find_stabilizing_gain`` read the
 stack once and build each gain's lift with ``moments.lift``; its
 spectrum is dgeev, the Lyapunov and gain solves dgesv, the LQR Schur
-form dgees, and the eigenvalues of H(Q) and of P dsyevd on the lower
-triangle, as in np.linalg.eigvalsh.  A residual's Frobenius norm is
-numpy's own sqrt of x . x.  The search returns the lift of the gain it
-accepts, and Newton's first Lyapunov solve reuses it.
+form dgees, and the eigenvalues of H(Q) and of P ``moments.eigvalsh``
+(dsyevd).  A residual's Frobenius norm is numpy's own sqrt of x . x.
+The search returns the lift of the gain it accepts, and Newton's first
+Lyapunov solve reuses it.
 
 The first stabilizing gain comes from a deterministic search with no
 seed: the zero gain, then, only when the zero gain fails, the
@@ -76,10 +76,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgees, dgesv, dsyevd
+from scipy.linalg.lapack import dgees, dgesv
 
 from .errors import NumericalFailure
-from .moments import build_generator, lift, lift_spectrum, spectral_abscissa
+from .moments import build_generator, eigvalsh, lift, lift_spectrum, spectral_abscissa
 from .systems import StochasticSystem, hautus_stabilizability
 
 GAIN_MARGIN = 1e-9  # a gain stabilizes at lift abscissa below -GAIN_MARGIN * rho_0
@@ -321,7 +321,7 @@ def _certificate_margin(maps, Q, H):
     """
     r, n, _ = maps.shape  # r = 1 + d
     Hs, s, used = _unit_columns(H, n)
-    lam = _eigvalsh(Hs)
+    lam = eigvalsh(Hs)
     if not lam[0] > 0:  # the bound is >= 0
         return None
     scaled = np.concatenate([maps[:, :, :n], maps[:, :, n:][:, :, used]], axis=2)
@@ -337,15 +337,6 @@ def _size(maps) -> float:
     the Frobenius norm of the terms Q M_0, M_0^T Q and M_i^T Q M_i."""
     norms = np.linalg.norm(maps, axis=(1, 2))
     return 2.0 * norms[0] + float((norms[1:] ** 2).sum())
-
-
-def _eigvalsh(sym):
-    """np.linalg.eigvalsh(sym) by the same dsyevd on the lower triangle,
-    without numpy's per-call overhead."""
-    w, _, info = dsyevd(sym, compute_v=0, lower=1)
-    if info:
-        raise NumericalFailure(f"dsyevd failed with info {info}")
-    return w
 
 
 def _frobenius(X) -> float:
@@ -409,7 +400,7 @@ def solve_sare(sys: StochasticSystem):
         raise NumericalFailure(
             f"Newton iteration stalled at residual {residual:.3e}"
         )
-    min_eig = float(_eigvalsh(P)[0])
+    min_eig = float(eigvalsh(P)[0])
     alpha = spectral_abscissa(lift(maps, F))
     if min_eig <= 0 or alpha >= 0:
         raise NumericalFailure(

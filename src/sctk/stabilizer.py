@@ -52,7 +52,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import NumericalFailure
-from .moments import build_generator, lift_spectrum, spectral_abscissa
+from .moments import build_generator, eigvalsh, lift_spectrum, spectral_abscissa
 from .nullcontrol import ControlKernel, _interval_map
 from .riccati import NotSolvable, solve_sare
 from .systems import StochasticSystem
@@ -174,7 +174,7 @@ def lift_certificate(sys: StochasticSystem, F, delta: float) -> dict:
     for _ in range(CERT_MAX_DOUBLINGS):
         flow = expm(T * L.T)
         W_T = (flow @ eye).reshape(n, n)
-        terminal = float(np.linalg.eigvalsh(0.5 * (W_T + W_T.T))[-1])
+        terminal = float(eigvalsh(0.5 * (W_T + W_T.T))[-1])
         if terminal <= delta / 2.0:
             break
         T *= 2.0
@@ -183,7 +183,7 @@ def lift_certificate(sys: StochasticSystem, F, delta: float) -> dict:
             f"terminal energy under the gain stays above delta / 2 at T = {T:.6g}"
         )
     W_F = (flow @ y - y).reshape(n, n)
-    control = max(0.0, float(np.linalg.eigvalsh(0.5 * (W_F + W_F.T))[-1]))
+    control = max(0.0, float(eigvalsh(0.5 * (W_F + W_F.T))[-1]))
     return {"kind": "lift", "T": T, "delta": delta, "c": control / (1.0 - terminal / delta),
             "terminal": terminal, "control": control}
 

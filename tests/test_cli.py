@@ -330,7 +330,7 @@ class TestCommands:
         out = tmp_path / "o"
         assert main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 3
         assert "budget 200000" in capsys.readouterr().err
-        assert not (out / "control_field.csv").exists()
+        assert not out.exists()
 
     def test_m0_past_the_leaf_budget(self, tmp_path):
         # A = C = D = 0, B = 1 on 2^40 leaves: c_opt = (1 - delta) / T
@@ -419,6 +419,7 @@ class TestCommands:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["numerical failure: the Riccati recursion overflowed: P_0 is not finite"]
+        assert not (tmp_path / "o").exists()
 
     def test_removed_gram_budget_key_exits_1(self, corpus_dir, tmp_path, capsys):
         cfg = json.loads((corpus_dir / "m0.json").read_text())
@@ -485,6 +486,21 @@ class TestCommands:
         assert data.shape[0] == 4
         assert not data[:, [2, 4, 6]].any()  # the *_se columns: exact moments
 
+    def test_stabilize_failing_after_the_decay_run_leaves_no_out(
+        self, corpus_dir, tmp_path, capsys, monkeypatch
+    ):
+        # the decay table is computed before the SARE solve, and is written
+        # only once the whole analysis has succeeded
+        def fail(system):
+            raise NumericalFailure("forced")
+
+        monkeypatch.setattr(cli, "solve_sare", fail)
+        out = tmp_path / "o"
+        assert main(["stabilize", "--config", str(corpus_dir / "s2.json"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "numerical failure: forced\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["s2", "s4"])
     def test_stabilize_at_zero_x0(self, corpus_dir, tmp_path, name):
         # stabilize accepts x0 = 0 like synthesize, theorem51 and riccati; the
@@ -536,6 +552,16 @@ class TestCommands:
         lines = (out / "invariance_table.csv").read_text().strip().splitlines()
         assert lines[0] == "driver,K,delta,T,c_opt,observable"
         assert len(lines) == 1 + 6  # 3 drivers x 2 meshes
+
+    def test_invariance_on_an_empty_grid_writes_the_header(self, corpus_dir, tmp_path):
+        out = tmp_path / "o"
+        cfg = dict(json.loads((corpus_dir / "s2.json").read_text()), K_grid=[])
+        path = tmp_path / "s2_empty.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["invariance", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "invariance_table.csv").read_text() == "driver,K,delta,T,c_opt,observable\n"
+        rep = json.loads((out / "invariance_report.json").read_text())["report"]
+        assert rep == {"rows": [], "gaps": {}, "gaps_non_increasing": True}
 
 
 class TestReproducibility:
@@ -643,7 +669,7 @@ class TestReportSchema:
                 validator.validate(json.loads(report.read_text()))
                 written += 1
             else:
-                assert not report.exists()
+                assert not out.exists()
         assert written == (4 if needs_constant else 5)
 
     def test_nan_value_is_a_numerical_failure(self):

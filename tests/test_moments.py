@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sctk.moments as moments
+from sctk import riccati
 from sctk.errors import InvalidConfig, NumericalFailure
 from sctk.moments import (
     build_generator,
     closed_loop,
+    eigvalsh,
     growth_constant_c0,
     kron_sum,
     lift,
@@ -14,7 +17,9 @@ from sctk.moments import (
     propagate_second_moment,
     spectral_abscissa,
 )
-from sctk.systems import make_system
+from sctk.observability import assemble_forms, optimal_constant
+from sctk.systems import HorizonConfig, make_system
+from sctk.trees import TreeDriver, build_tree
 from tests.conftest import examples
 
 floats = st.floats(-2.0, 2.0, allow_nan=False)
@@ -127,6 +132,38 @@ class TestAbscissa:
         L[1, 2] = bad
         with pytest.raises(NumericalFailure):
             spectral_abscissa(L)
+
+
+class TestEigvalsh:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_eigvalsh_is_numpys_bit_for_bit(self, n):
+        # symmetric matrices as the recursions form them (a^T a, a + a^T)
+        # over twenty decades, and unsymmetric ones, of which both read
+        # the lower triangle
+        rng = np.random.default_rng(n)
+        for _ in range(500):
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-10, 10)
+            a = (a.T @ a, a + a.T, a)[rng.integers(3)]
+            assert eigvalsh(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+
+    def test_nonzero_dsyevd_info_is_a_numerical_failure(self, monkeypatch, corpus):
+        # dsyevd reads a NaN matrix as finite, so info is forced; the
+        # observability recursions and the SARE layer both surface it
+        maps = make_system([[1.0]], [[0.0]], C=[[[0.5]]], D=[[[0.0]]]).maps
+        Q = np.ones((1, 1))
+        H = riccati._h_form(maps, Q)
+        assert riccati._certificate_margin(maps, Q, H) is not None
+        tree = build_tree(TreeDriver.bernoulli(), HorizonConfig(T=1.0, K=4), 1)
+        forms = assemble_forms(tree, corpus["S2"])
+        monkeypatch.setattr(moments, "dsyevd", lambda a, **kw: (np.zeros(len(a)), None, 1))
+        for call in (
+            lambda: eigvalsh(np.eye(2)),
+            lambda: riccati._certificate_margin(maps, Q, H),
+            lambda: riccati.solve_sare(make_system([[-1.0]], [[1.0]], C=[[[0.5]]], D=[[[0.0]]])),
+            lambda: optimal_constant(forms, 0.5),
+        ):
+            with pytest.raises(NumericalFailure, match="dsyevd failed with info 1"):
+                call()
 
 
 class TestPropagation:

@@ -12,7 +12,6 @@ from sctk.errors import InvalidConfig, NumericalFailure
 from sctk.nullcontrol import _interval_map
 from sctk.observability import (
     _brentq,
-    _lam_max,
     _lq_p0,
     _null_control_p0,
     _svd,
@@ -484,25 +483,11 @@ class TestDirectLapack:
                 assert g.shape == w.shape and np.array_equal(g, w)
                 assert g.flags["C_CONTIGUOUS"]
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_lam_max_is_eigvalsh_bit_for_bit(self, n):
-        rng = np.random.default_rng(n)
-        for _ in range(500):
-            a = rng.standard_normal((n, n))
-            a = a.T @ a if rng.random() < 0.5 else a + a.T
-            assert np.array_equal(a, a.T)
-            assert _lam_max(a) == np.linalg.eigvalsh(a)[-1]
-
-    def test_nonzero_info_is_a_numerical_failure(self, monkeypatch):
-        # dgesdd refuses a NaN entry with info -4; eigvalsh reads NaN
-        # matrices as finite, so its info is forced here
+    def test_nonzero_info_is_a_numerical_failure(self):
+        # dgesdd refuses a NaN entry with info -4 (dsyevd's forced info is
+        # tests/test_moments.py's)
         with pytest.raises(NumericalFailure, match="dgesdd failed with info -4"):
             _svd(np.array([[np.nan, 1.0], [1.0, 2.0]]))
-        monkeypatch.setattr(
-            observability, "dsyevd", lambda a, **kw: (np.zeros(len(a)), None, 1)
-        )
-        with pytest.raises(NumericalFailure, match="dsyevd failed with info 1"):
-            _lam_max(np.eye(2))
 
     @pytest.mark.parametrize("key", sorted(PINNED_MESH), ids=lambda k: "/".join(map(str, k)))
     def test_mesh_results_are_pinned_bits(self, corpus, key):

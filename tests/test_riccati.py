@@ -512,29 +512,10 @@ class TestPinnedBits:
 
 
 class TestDirectLapack:
-    def test_eigvalsh_is_numpys_bit_for_bit(self, rng):
-        for n in (1, 2, 3, 5):
-            for _ in range(50):
-                X = rng.standard_normal((n, n))
-                want = np.linalg.eigvalsh(X)  # the lower triangle, as dsyevd's
-                assert riccati._eigvalsh(X).tobytes() == want.tobytes()
-
     def test_frobenius_is_numpys_bit_for_bit(self, rng):
         for shape in ((1, 1), (2, 2), (3, 5), (9, 9)):
             X = rng.standard_normal(shape)
             assert riccati._frobenius(X) == float(np.linalg.norm(X))
-
-    def test_nonzero_dsyevd_info_is_a_numerical_failure(self, monkeypatch):
-        # dsyevd reads a NaN matrix as finite, so info is forced
-        sys_ = make_system([[1.0]], [[0.0]], C=[[[0.5]]], D=[[[0.0]]])
-        Q = np.ones((1, 1))
-        H = riccati._h_form(sys_.maps, Q)
-        assert riccati._certificate_margin(sys_.maps, Q, H) is not None
-        monkeypatch.setattr(riccati, "dsyevd", lambda a, **kw: (np.zeros(len(a)), None, 1))
-        with pytest.raises(NumericalFailure, match="dsyevd failed with info 1"):
-            riccati._certificate_margin(sys_.maps, Q, H)
-        with pytest.raises(NumericalFailure, match="dsyevd"):
-            solve_sare(make_system([[-1.0]], [[1.0]], C=[[[0.5]]], D=[[[0.0]]]))
 
 
 class TestResidualConventions:
