@@ -138,8 +138,8 @@ class TestEigvalsh:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_eigvalsh_is_numpys_bit_for_bit(self, n):
         # symmetric matrices as the recursions form them (a^T a, a + a^T)
-        # over twenty decades, and unsymmetric ones, of which both read
-        # the lower triangle
+        # over twenty decades, and unsymmetric ones, whose lower triangle
+        # both routes read
         rng = np.random.default_rng(n)
         for _ in range(500):
             a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-10, 10)

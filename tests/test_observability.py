@@ -484,8 +484,8 @@ class TestDirectLapack:
                 assert g.flags["C_CONTIGUOUS"]
 
     def test_nonzero_info_is_a_numerical_failure(self):
-        # dgesdd refuses a NaN entry with info -4 (dsyevd's forced info is
-        # tests/test_moments.py's)
+        # dgesdd refuses a NaN entry with info -4; a nonzero dsyevd info,
+        # which moments.eigvalsh turns into this error, is in test_moments.py
         with pytest.raises(NumericalFailure, match="dgesdd failed with info -4"):
             _svd(np.array([[np.nan, 1.0], [1.0, 2.0]]))
 
